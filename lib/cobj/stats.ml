@@ -78,49 +78,46 @@ let scan_table t =
 
 let scan catalog = List.map scan_table (Catalog.tables catalog)
 
-(* Catalogs are immutable and planning happens on the calling domain, so a
-   single physically-keyed entry is a sound memo: re-planning the same
-   catalog (the common case in benches and the REPL) scans it once. *)
-let memo : (Catalog.t * t) option ref = ref None
+(* One record per catalog, keyed on physical identity (catalogs are
+   immutable, so a changed catalog is a different value): its version
+   stamp and, once planned against, its statistics. Session threads and
+   domains read it concurrently, hence the mutex. The list is capped at
+   [max_catalogs], oldest first out; a re-seen evicted catalog is stamped
+   afresh (stamps only ever grow, so a re-stamp can never resurrect a
+   stale cache entry) and scanned again. *)
+type entry = { stamp : int; mutable stats : t option }
+
+let lock = Mutex.create ()
+let counter = ref 0
+let entries : (Catalog.t * entry) list ref = ref []
+let max_catalogs = 64
+
+(* Callers hold [lock]. *)
+let entry catalog =
+  match List.assq_opt catalog !entries with
+  | Some e -> e
+  | None ->
+    incr counter;
+    let e = { stamp = !counter; stats = None } in
+    let keep =
+      if List.length !entries >= max_catalogs then
+        List.filteri (fun i _ -> i < max_catalogs - 1) !entries
+      else !entries
+    in
+    entries := (catalog, e) :: keep;
+    e
+
+let version catalog = Mutex.protect lock (fun () -> (entry catalog).stamp)
 
 let of_catalog catalog =
-  match !memo with
-  | Some (c, s) when c == catalog -> s
-  | _ ->
-    let s = scan catalog in
-    memo := Some (catalog, s);
-    s
-
-(* Version stamps are keyed on physical identity like the memo above, but
-   must survive more than one live catalog (a server hosts one catalog per
-   session) and be readable from concurrent session threads — hence the
-   small mutex-guarded association list. The list is capped: entries for
-   catalogs nobody asks about any more age out, and a re-seen catalog would
-   simply be stamped afresh (stamps only ever grow, so a re-stamp can never
-   resurrect a stale cache entry). *)
-let version_mutex = Mutex.create ()
-let version_counter = ref 0
-let versions : (Catalog.t * int) list ref = ref []
-let max_versions = 64
-
-let version catalog =
-  Mutex.lock version_mutex;
-  let stamp =
-    match List.assq_opt catalog !versions with
-    | Some v -> v
-    | None ->
-      incr version_counter;
-      let v = !version_counter in
-      let keep =
-        if List.length !versions >= max_versions then
-          List.filteri (fun i _ -> i < max_versions - 1) !versions
-        else !versions
-      in
-      versions := (catalog, v) :: keep;
-      v
-  in
-  Mutex.unlock version_mutex;
-  stamp
+  Mutex.protect lock (fun () ->
+      let e = entry catalog in
+      match e.stats with
+      | Some s -> s
+      | None ->
+        let s = scan catalog in
+        e.stats <- Some s;
+        s)
 
 let table stats name = List.find_opt (fun t -> String.equal t.name name) stats
 

@@ -5,8 +5,13 @@
     (NDV, over non-null values), fraction of null/missing values, and — for
     set- or list-valued attributes — the fraction of empty collections and
     the average collection cardinality. The planner consumes these through
-    {!of_catalog}, which memoizes the scan per catalog (physical identity:
-    catalogs are immutable and planning runs on the calling domain). *)
+    {!of_catalog}.
+
+    Each catalog gets one record, keyed on physical identity (catalogs are
+    immutable, so a changed catalog is a different value), that holds its
+    {!version} stamp and its memoized statistics. The records live under
+    one mutex, at most 64 of them, oldest first out: planning against
+    several catalogs in turn scans each once. *)
 
 type attr = {
   ndv : int option;  (** distinct non-null values; [None] on empty tables *)
@@ -32,15 +37,19 @@ val scan : Catalog.t -> t
 (** Fresh statistics: one full pass over every table. *)
 
 val of_catalog : Catalog.t -> t
-(** Memoized {!scan} — repeated calls on the same catalog are free. *)
+(** {!scan}, memoized in the catalog's record: later calls on the same
+    catalog return the same (physically equal) list while the record is
+    among the 64 kept, whatever other catalogs were planned in between.
+    Thread-safe. *)
 
 val version : Catalog.t -> int
-(** Monotonic statistics-version stamp for cache keying: the first call on
-    a catalog assigns the next version number; later calls on the same
-    catalog (physical identity — catalogs are immutable, so a changed
-    catalog is a different value) return the same stamp. Plan-cache keys
-    embed this stamp, so any catalog change invalidates every cached plan
-    and result derived from the old statistics. Thread-safe. *)
+(** Monotonic statistics-version stamp for cache keying, held in the same
+    record as {!of_catalog}'s statistics: the first call on a catalog
+    assigns the next version number; later calls on the same catalog
+    return the same stamp. A catalog whose record was evicted gets a
+    fresh, larger stamp when seen again. Plan-cache keys embed this stamp,
+    so any catalog change invalidates every cached plan and result derived
+    from the old statistics. Thread-safe. *)
 
 val table : t -> string -> table option
 val attr : t -> string -> string -> attr option

@@ -104,24 +104,47 @@ let field_opt l = function
   | Null | Bool _ | Int _ | Float _ | String _ | Set _ | List _ | Variant _ ->
     None
 
-let rec pp ppf v =
+(* Every rendering goes through one buffer, on one line; value.mli lists
+   the tokens. *)
+let write_seq buf opening closing item xs =
+  Buffer.add_char buf opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf ", ";
+      item buf x)
+    xs;
+  Buffer.add_char buf closing
+
+let rec write buf v =
   match v with
-  | Null -> Fmt.string ppf "null"
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Float f -> Fmt.pf ppf "%F" f
-  | String s -> Fmt.pf ppf "%S" s
-  | Tuple fields ->
-    Fmt.pf ppf "(@[%a@])"
-      (Fmt.list ~sep:(Fmt.any ",@ ") pp_field)
-      fields
-  | Set xs -> Fmt.pf ppf "{@[%a@]}" (Fmt.list ~sep:(Fmt.any ",@ ") pp) xs
-  | List xs -> Fmt.pf ppf "[@[%a@]]" (Fmt.list ~sep:(Fmt.any ",@ ") pp) xs
-  | Variant (tag, v) -> Fmt.pf ppf "%s!(%a)" tag pp v
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Buffer.add_string buf (Printf.sprintf "%F" f)
+  | String s ->
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (String.escaped s);
+    Buffer.add_char buf '"'
+  | Tuple fields -> write_seq buf '(' ')' write_field fields
+  | Set xs -> write_seq buf '{' '}' write xs
+  | List xs -> write_seq buf '[' ']' write xs
+  | Variant (tag, v) ->
+    Buffer.add_string buf tag;
+    Buffer.add_string buf "!(";
+    write buf v;
+    Buffer.add_char buf ')'
 
-and pp_field ppf (l, v) = Fmt.pf ppf "%s = %a" l pp v
+and write_field buf (l, v) =
+  Buffer.add_string buf l;
+  Buffer.add_string buf " = ";
+  write buf v
 
-let to_string v = Fmt.str "%a" pp v
+let to_string v =
+  let buf = Buffer.create 64 in
+  write buf v;
+  Buffer.contents buf
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let field l v =
   match field_opt l v with

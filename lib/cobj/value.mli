@@ -87,11 +87,17 @@ val variant_payload : string -> t -> t
 (** [variant_payload tag v] — payload of [v] if tagged [tag]; raises
     [Type_error] otherwise (including on a different tag). *)
 
-val pp : t Fmt.t
-(** Renders in TM-like concrete syntax: [(a = 1, b = {2, 3})]. The output is
+val to_string : t -> string
+(** Renders in TM-like concrete syntax, [(a = 1, b = {2, 3})], always on
+    one line, newline-free whatever the value's width: strings quoted and
+    escaped like [%S], floats like [%F], [null]/[true]/[false], and [", "]
+    between elements. Written straight into one buffer. The output is
     parseable back by [Lang.Parser] for literal values. *)
 
-val to_string : t -> string
+val pp : t Fmt.t
+(** Prints {!to_string} as one atomic string. No [Format] boxes or break
+    hints, so terminals, error messages and server replies all show the
+    same line. *)
 
 val approx_bytes : t -> int
 (** Approximate heap footprint in bytes (headers + per-element cons cells,

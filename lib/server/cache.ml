@@ -175,7 +175,7 @@ let query t ?(cache = true) ?(instrument = false) ?stats ?jobs ?bloom
             | Some tr, Some pq, None -> Core.Misest.of_query catalog pq tr
             | _ -> []
           in
-          let rendered = Fmt.str "%a" Cobj.Value.pp value in
+          let rendered = Cobj.Value.to_string value in
           let rows = rows_of value in
           (* Admission policy: a result costing more than admit_fraction
              of the byte budget would evict most of the working set for

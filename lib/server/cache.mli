@@ -50,7 +50,7 @@ val create :
 
 type reply = {
   value : Cobj.Value.t;
-  rendered : string;  (** [Cobj.Value.pp], one line, newline-free *)
+  rendered : string;  (** {!Cobj.Value.to_string}: one line, newline-free *)
   rows : int;  (** collection cardinality, 1 for scalar results *)
   plan : outcome;
   result : outcome;

@@ -231,20 +231,24 @@ let do_metrics_prom ~id =
 
 (* --- shutdown ----------------------------------------------------------- *)
 
-let request_stop state =
-  if Atomic.compare_and_set state.stop false true then begin
-    (* Idle sessions are blocked reading their socket: shut the read half
-       down so they see EOF and unwind; in-flight requests keep their
-       write half and finish their reply. The listener needs no nudge —
-       the accept loop polls the stop flag through select's timeout. *)
-    Mutex.lock state.sessions_m;
-    Hashtbl.iter
-      (fun _ fd ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      state.sessions;
-    Mutex.unlock state.sessions_m
-  end
+(* Stopping only raises the flag, and takes no lock: the SIGTERM/SIGINT
+   handler runs in whichever thread the signal interrupts, possibly a
+   session holding [sessions_m], and relocking it there kills that thread
+   with the mutex held. The accept loop polls the flag through select's
+   timeout (a signal cuts that short) and then nudges the sessions. *)
+let request_stop state = Atomic.set state.stop true
+
+(* Idle sessions are blocked reading their socket: shut the read half
+   down so they see EOF and unwind; in-flight requests keep their write
+   half and finish their reply. A session registers its socket before it
+   first checks the flag, so none is missed. *)
+let nudge_sessions state =
+  Mutex.lock state.sessions_m;
+  Hashtbl.iter
+    (fun _ fd ->
+      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+    state.sessions;
+  Mutex.unlock state.sessions_m
 
 (* --- sessions ----------------------------------------------------------- *)
 
@@ -447,12 +451,13 @@ let serve config =
       end
     in
     accept_loop ();
+    nudge_sessions state;
     (try Unix.close listener with Unix.Unix_error _ -> ());
     (match config.bind with
     | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | Tcp _ -> ());
-    (* Sessions were nudged by [request_stop]; wait for every connection
-       thread to unwind so their replies are fully flushed. *)
+    (* Wait for every nudged connection thread to unwind so their
+       replies are fully flushed. *)
     List.iter Thread.join !(state.threads);
     (match http with Some h -> Http.stop h | None -> ());
     log state "nestql: shutdown complete\n%!";

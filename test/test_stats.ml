@@ -255,6 +255,90 @@ let reset_node () =
   Alcotest.(check int) "fresh after reset" once
     tree.Stats.counters.Stats.rows_out
 
+(* --- Catalog statistics: one record per catalog ----------------------- *)
+
+module Cstats = Cobj.Stats
+
+(* A fresh, physically distinct one-table catalog; [seed] varies the rows. *)
+let fresh_catalog seed =
+  let elt = Ctype.ttuple [ ("k", Ctype.TInt); ("s", Ctype.TSet Ctype.TInt) ] in
+  let row i =
+    tup [ ("k", vi ((seed + i) mod 4)); ("s", vset (List.init (i mod 3) vi)) ]
+  in
+  Catalog.of_tables [ Table.create ~name:"T" ~elt (List.init 6 row) ]
+
+(* Planning against b and c in between must not rescan a: its statistics
+   come back as the very same list. *)
+let catalog_stats_alternate () =
+  let a = fresh_catalog 1 and b = fresh_catalog 2 and c = fresh_catalog 3 in
+  let sa = Cstats.of_catalog a in
+  let va = Cstats.version a in
+  for _ = 1 to 3 do
+    ignore (Cstats.of_catalog b);
+    ignore (Cstats.version c);
+    ignore (Cstats.of_catalog c);
+    Alcotest.(check bool) "a not rescanned" true (Cstats.of_catalog a == sa);
+    Alcotest.(check int) "a keeps its stamp" va (Cstats.version a)
+  done;
+  Alcotest.(check bool) "memo = scan" true (sa = Cstats.scan a)
+
+(* Stamps grow with first sight; the 65th catalog evicts the oldest, which
+   is stamped afresh (and rescanned) when seen again. *)
+let catalog_stats_eviction () =
+  let cs = Array.init 65 fresh_catalog in
+  let first = Cstats.of_catalog cs.(0) in
+  let stamps = Array.map Cstats.version cs in
+  Array.iteri
+    (fun i v ->
+      if i > 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "stamp %d > stamp %d" i (i - 1))
+          true
+          (v > stamps.(i - 1)))
+    stamps;
+  Array.iteri
+    (fun i c ->
+      if i > 0 then
+        Alcotest.(check int)
+          (Printf.sprintf "catalog %d kept" i)
+          stamps.(i) (Cstats.version c))
+    cs;
+  let again = Cstats.version cs.(0) in
+  Alcotest.(check bool) "evicted catalog gets a larger stamp" true
+    (again > stamps.(64));
+  let rescanned = Cstats.of_catalog cs.(0) in
+  Alcotest.(check bool) "evicted statistics rescanned" false
+    (rescanned == first);
+  Alcotest.(check bool) "rescan equals the first scan" true
+    (rescanned = first);
+  Alcotest.(check int) "re-stamp is stable" again (Cstats.version cs.(0))
+
+(* Four domains interleave of_catalog and version over 70 catalogs (more
+   than the cap, so records are evicted under contention): every answer
+   equals a fresh scan and every stamp is positive. *)
+let catalog_stats_hammer () =
+  let cs = Array.init 70 (fun i -> fresh_catalog (100 + i)) in
+  let expected = Array.map Cstats.scan cs in
+  let worker d () =
+    let ok = ref true in
+    for round = 0 to 5 do
+      Array.iteri
+        (fun i _ ->
+          let j = (i * (d + 1) + round) mod Array.length cs in
+          let v = Cstats.version cs.(j) in
+          let s = Cstats.of_catalog cs.(j) in
+          if v <= 0 || s <> expected.(j) then ok := false)
+        cs
+    done;
+    !ok
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
+  List.iteri
+    (fun d dom ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d" d) true
+        (Domain.join dom))
+    domains
+
 let suite =
   [
     Alcotest.test_case "per-node attribution" `Quick per_node_attribution;
@@ -264,4 +348,10 @@ let suite =
     Alcotest.test_case "apply subplan loop count" `Quick apply_loops;
     Alcotest.test_case "json shape" `Quick json_shape;
     Alcotest.test_case "reset_node" `Quick reset_node;
+    Alcotest.test_case "catalog stats survive alternation" `Quick
+      catalog_stats_alternate;
+    Alcotest.test_case "catalog stats eviction and re-stamp" `Quick
+      catalog_stats_eviction;
+    Alcotest.test_case "catalog stats 4-domain hammer" `Quick
+      catalog_stats_hammer;
   ]

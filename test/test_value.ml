@@ -102,8 +102,49 @@ let prop_union_commutes =
       Value.equal (Value.set_union a b) (Value.set_union b a)
       && Value.equal (Value.set_inter a b) (Value.set_inter b a))
 
+(* --- rendering ------------------------------------------------------- *)
+
+let test_render_golden () =
+  let case expected v =
+    Alcotest.(check string) expected expected (Value.to_string v)
+  in
+  case "null" Value.Null;
+  case "{}" (vset []);
+  case "[]" (Value.List []);
+  case "()" (tup []);
+  case "-7" (vi (-7));
+  case "[true, false]" (Value.List [ Value.Bool true; Value.Bool false ]);
+  case "1." (Value.Float 1.);
+  case "-0." (Value.Float (-0.));
+  case "nan" (Value.Float nan);
+  case "infinity" (Value.Float infinity);
+  case "1e+100" (Value.Float 1e100);
+  case {|"say \"hi\""|} (vs {|say "hi"|});
+  case {|"a\\b"|} (vs {|a\b|});
+  case {|"l1\nl2"|} (vs "l1\nl2");
+  case {|"caf\195\169"|} (vs "caf\xc3\xa9");
+  case "(a = 1, b = {2, 3})" (tup [ ("b", vset [ vi 3; vi 2 ]); ("a", vi 1) ]);
+  let point = tup [ ("x", vi (-1)); ("y", Value.Float 2.5) ] in
+  case "circle!(r!((x = -1, y = 2.5)))"
+    (Value.Variant ("circle", Value.Variant ("r", point)))
+
+(* Sets of 20–40 tuples with float leaves: always wider than 78 columns,
+   [Format]'s default margin, so any line breaking would show here. *)
+let wide_value_gen =
+  let open QCheck2.Gen in
+  let float_leaf =
+    map (fun i -> Value.Float (float_of_int i /. 4.)) (int_range (-400) 400)
+  in
+  let row =
+    map3
+      (fun k f v -> Value.tuple [ ("k", Value.Int k); ("f", f); ("v", v) ])
+      (int_range (-50) 50) float_leaf (oneof [ value_gen; float_leaf ])
+  in
+  map Value.set (list_size (int_range 20 40) row)
+
 let prop_pp_parse_roundtrip =
-  qcheck "printed values parse back equal (via Lang literals)" value_gen
+  qcheck "printed values parse back equal (via Lang literals)"
+    QCheck2.Gen.(oneof [ value_gen; wide_value_gen ])
     (fun v ->
       match Lang.Parser.expr_result (Value.to_string v) with
       | Error _ -> false
@@ -111,6 +152,18 @@ let prop_pp_parse_roundtrip =
         match Lang.Interp.run Cobj.Catalog.empty e with
         | v' -> Value.equal v v'
         | exception _ -> false))
+
+(* However narrow the formatter, [pp] prints [to_string]'s single line. *)
+let prop_pp_one_line =
+  qcheck "pp at margin 10 = to_string, newline-free"
+    QCheck2.Gen.(oneof [ value_gen; wide_value_gen ])
+    (fun v ->
+      let buf = Buffer.create 256 in
+      let ppf = Format.formatter_of_buffer buf in
+      Format.pp_set_margin ppf 10;
+      Format.fprintf ppf "%a@?" Value.pp v;
+      let s = Buffer.contents buf in
+      String.equal s (Value.to_string v) && not (String.contains s '\n'))
 
 let suite =
   [
@@ -127,5 +180,7 @@ let suite =
     prop_set_idempotent;
     prop_hash_respects_equal;
     prop_union_commutes;
+    Alcotest.test_case "render golden cases" `Quick test_render_golden;
     prop_pp_parse_roundtrip;
+    prop_pp_one_line;
   ]
