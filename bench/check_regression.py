@@ -176,19 +176,15 @@ def validate_server(doc):
 
 
 def validate_vector(doc):
-    """Structural invariants of the row-vs-vector case: every benched
+    """Structural invariants of the columnar-engine case: every benched
     plan must actually run vectorized (a silently row-bound plan would
-    still "pass" on timings alone), batch-size sensitivity must have
-    been recorded, and at least one filter/join-heavy query must show
-    the columnar engine ahead. The >= 1.5x headline speedup itself is
-    hardware-dependent and therefore advisory: it prints WARN, never
-    fails the gate."""
+    still "pass" on timings alone) and batch-size sensitivity must have
+    been recorded."""
     rows = doc.get("vector")
     if not rows:
         print("FAIL: artifact has no vector section")
         return False
     ok = True
-    best = 0.0
     for e in rows:
         where = f"vector[{e['query']}]"
         frac = e.get("vectorized_fraction")
@@ -201,21 +197,11 @@ def validate_vector(doc):
             print(f"FAIL: {where}: batch-size sensitivity sweep missing")
             ok = False
             continue
-        speedup = e.get("speedup")
-        if usable(speedup):
-            best = max(best, speedup)
         print(
-            f"ok: {where}: {e['row_ms']:.2f} ms row, {e['vector_ms']:.2f} ms"
-            f" vector ({speedup:.2f}x), {frac:.0%} of operators vectorized,"
+            f"ok: {where}: {e['vector_ms']:.2f} ms,"
+            f" {frac:.0%} of operators vectorized,"
             f" widths {[w['batch'] for w in widths]}"
         )
-    if best <= 1.0:
-        print("FAIL: vector: columnar engine ahead on no query at all")
-        ok = False
-    elif best < 1.5:
-        print(f"WARN: vector: best speedup {best:.2f}x below the 1.5x target")
-    else:
-        print(f"ok: vector: best speedup {best:.2f}x (target 1.5x)")
     return ok
 
 

@@ -402,15 +402,14 @@ let shred_case ~suite =
       ("ratio", Json.Float ratio);
     ]
 
-(* Row engine vs the columnar batch engine on filter/join-heavy queries,
-   single-domain (jobs=1 isolates the vectorization win from partition
-   parallelism). The two values are asserted identical before anything
-   is timed; timings are interleaved min-of-2 rounds per engine (same
-   heap-drift reasoning as the bloom bench). The artifact also records
-   the vectorized fraction of the annotation tree (the regression gate
-   checks it structurally — a silently row-bound plan would otherwise
-   still "pass" on a fast machine) and a batch-width sensitivity sweep
-   (NESTQL_BATCH ∈ {64, 1024, 4096}). *)
+(* The columnar batch engine on filter/join-heavy queries, single-domain
+   (jobs=1 keeps partition parallelism out of the timing). The values at
+   the swept widths are asserted identical before anything is timed;
+   timings are min-of-3 rounds, each after a compaction. The artifact
+   also records the vectorized fraction of the annotation tree (the
+   regression gate checks it structurally — a silently row-bound plan
+   would otherwise still "pass" on a fast machine) and a batch-width
+   sensitivity sweep (NESTQL_BATCH ∈ {64, 1024, 4096}). *)
 let vector_case ~suite =
   let scale = if suite = "smoke" then 10_000 else 100_000 in
   let catalog =
@@ -435,7 +434,7 @@ let vector_case ~suite =
     ]
   in
   let vectorized_fraction c =
-    match Pipeline.analyze ~jobs:1 ~vector:true catalog c with
+    match Pipeline.analyze ~jobs:1 catalog c with
     | Error msg -> failwith msg
     | Ok (_, tree) ->
       let module Stats = Engine.Stats in
@@ -453,44 +452,39 @@ let vector_case ~suite =
   List.iter
     (fun (qname, q) ->
       let c = compiled ~options:opts Pipeline.Decorrelated catalog q in
-      let row_v = Pipeline.execute ~jobs:1 ~vector:false catalog c in
-      let vec_v = Pipeline.execute ~jobs:1 ~vector:true catalog c in
-      if not (Cobj.Value.equal row_v vec_v) then
-        failwith (qname ^ ": vectorized execution changed the result");
+      let v = Pipeline.execute ~jobs:1 catalog c in
+      List.iter
+        (fun batch ->
+          if
+            not
+              (Cobj.Value.equal v (Pipeline.execute ~jobs:1 ~batch catalog c))
+          then
+            failwith
+              (Printf.sprintf "%s: batch width %d changed the result" qname
+                 batch))
+        [ 64; 4096 ];
       (* Compact before every measurement so no configuration inherits
-         the previous one's major-heap debt; interleaved min-of-3 rounds
-         on top (the run times here are long enough that [measure_ms]
-         only fits a few samples per call). *)
-      let timed ?batch vector =
+         the previous one's major-heap debt; min-of-3 rounds on top (the
+         run times here are long enough that [measure_ms] only fits a few
+         samples per call). *)
+      let timed ?batch () =
         Gc.compact ();
         Harness.measure_ms ~budget_ns:2.5e8 (fun () ->
-            ignore (Pipeline.execute ~jobs:1 ~vector ?batch catalog c))
+            ignore (Pipeline.execute ~jobs:1 ?batch catalog c))
       in
-      let v1 = timed true in
-      let r1 = timed false in
-      let v2 = timed true in
-      let r2 = timed false in
-      let v3 = timed true in
-      let r3 = timed false in
-      let vector_ms = Float.min v1 (Float.min v2 v3) in
-      let row_ms = Float.min r1 (Float.min r2 r3) in
-      let speedup = row_ms /. vector_ms in
+      let min3 ?batch () =
+        let t1 = timed ?batch () in
+        let t2 = timed ?batch () in
+        let t3 = timed ?batch () in
+        Float.min t1 (Float.min t2 t3)
+      in
+      let vector_ms = min3 () in
       let fraction = vectorized_fraction c in
       let widths =
-        List.map
-          (fun batch ->
-            let a = timed ~batch true in
-            let b = timed ~batch true in
-            let c = timed ~batch true in
-            (batch, Float.min a (Float.min b c)))
-          [ 64; 1024; 4096 ]
+        List.map (fun batch -> (batch, min3 ~batch ())) [ 64; 1024; 4096 ]
       in
       rows :=
-        ([
-           qname;
-           Harness.fms row_ms; Harness.fms vector_ms; Harness.fratio speedup;
-           Printf.sprintf "%.2f" fraction;
-         ]
+        ([ qname; Harness.fms vector_ms; Printf.sprintf "%.2f" fraction ]
         @ List.map (fun (_, ms) -> Harness.fms ms) widths)
         :: !rows;
       entries :=
@@ -499,9 +493,7 @@ let vector_case ~suite =
             ("query", Json.String qname);
             ("scale", Json.Int scale);
             ("jobs", Json.Int 1);
-            ("row_ms", Json.Float row_ms);
             ("vector_ms", Json.Float vector_ms);
-            ("speedup", Json.Float speedup);
             ("vectorized_fraction", Json.Float fraction);
             ( "batch_sensitivity",
               Json.List
@@ -514,11 +506,8 @@ let vector_case ~suite =
         :: !entries)
     queries;
   Harness.print_table
-    ~title:
-      (Printf.sprintf "row vs columnar batch engine, jobs=1 (n=%d)" scale)
-    ~header:
-      [ "query"; "row ms"; "vector ms"; "speedup"; "vec-frac"; "b=64";
-        "b=1024"; "b=4096" ]
+    ~title:(Printf.sprintf "columnar batch engine, jobs=1 (n=%d)" scale)
+    ~header:[ "query"; "ms"; "vec-frac"; "b=64"; "b=1024"; "b=4096" ]
     (List.rev !rows);
   Json.List (List.rev !entries)
 

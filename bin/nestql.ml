@@ -126,28 +126,17 @@ let jobs_arg =
     value & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Execute with $(docv) domains (partition-parallel scans, filters \
-           and hash joins). Results are identical to serial execution. \
-           Defaults to $(b,NESTQL_JOBS) when set, else 1.")
-
-let no_vector_arg =
-  Arg.(
-    value & flag
-    & info [ "no-vector" ]
-        ~doc:
-          "Disable the columnar batch engine and run every operator on the \
-           row-at-a-time engine. Results, row order and all work counters \
-           are identical either way (the differential tests enforce it); \
-           only wall-clock changes. Also disabled by $(b,NESTQL_VECTOR=0).")
+          "Execute with $(docv) domains (partition-parallel hash joins). \
+           Results are identical to serial execution. Defaults to \
+           $(b,NESTQL_JOBS) when set, else 1.")
 
 let batch_arg =
   Arg.(
     value & opt (some int) None
     & info [ "batch" ] ~docv:"N"
         ~doc:
-          "Columnar batch width in rows for the vector engine. Defaults to \
-           $(b,NESTQL_BATCH) when it parses as a positive integer, else \
-           1024.")
+          "Columnar batch width in rows. Defaults to $(b,NESTQL_BATCH) \
+           when it parses as a positive integer, else 1024.")
 
 let misest_floor_arg =
   Arg.(
@@ -271,7 +260,7 @@ let slow_ms_arg =
 
 let run_cmd =
   let run name file seed scale strategy show_stats explain_analyze json
-      no_timing jobs no_bloom no_vector batch misest_floor verify certify
+      no_timing jobs no_bloom batch misest_floor verify certify
       verbose trace misest profile slow_ms query =
     setup_logs verbose;
     let verify = if verify then Some true else None in
@@ -287,9 +276,6 @@ let run_cmd =
       Fmt.epr "nestql: --misest-floor expects a factor >= 1.0, got %g@." f;
       1
     | _ ->
-      (* --no-vector forces the row engine; otherwise leave the choice to
-         the library default (NESTQL_VECTOR). *)
-      let vector = if no_vector then Some false else None in
       with_catalog ?file name seed scale (fun catalog ->
           let query =
             if Sys.file_exists query then load_query_file query else query
@@ -330,12 +316,12 @@ let run_cmd =
                   if instrument then
                     Result.map
                       (fun (v, tree) -> (v, Some tree))
-                      (Core.Pipeline.analyze ?jobs ~bloom ?vector ?batch
+                      (Core.Pipeline.analyze ?jobs ~bloom ?batch
                          catalog compiled)
                   else
                     match
-                      Core.Pipeline.execute ~stats ?jobs ~bloom ?vector
-                        ?batch catalog compiled
+                      Core.Pipeline.execute ~stats ?jobs ~bloom ?batch catalog
+                        compiled
                     with
                     | v -> Ok (v, None)
                     | exception Cobj.Value.Type_error msg ->
@@ -490,7 +476,7 @@ let run_cmd =
     Term.(
       const run $ catalog_arg $ file_arg $ seed_arg $ scale_arg $ strategy_arg
       $ stats_arg $ explain_analyze_arg $ json_arg $ no_timing_arg $ jobs_arg
-      $ no_bloom_arg $ no_vector_arg $ batch_arg $ misest_floor_arg
+      $ no_bloom_arg $ batch_arg $ misest_floor_arg
       $ verify_arg $ certify_arg $ verbose_arg $ trace_arg $ misest_arg
       $ profile_arg $ slow_ms_arg $ query_arg)
 

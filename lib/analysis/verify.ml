@@ -647,43 +647,6 @@ let check_flat_physical ctx (pq : P.query) =
   in
   go pq.P.plan
 
-(* --- the vector fragment ------------------------------------------------- *)
-
-(* Rule [vector-fragment]: the executor's {!Engine.Exec.vectorizable}
-   classification must match this independent duplicate of the columnar
-   engine's coverage — exactly the scan, filter, extend, project and
-   hash-join family operators; everything else falls back to the row
-   engine. A divergence means the fragment grew (or shrank) on one side
-   only: an operator claiming batch execution the engine cannot give it,
-   or silently losing vectorization without the differential oracle and
-   the fallback contract (docs/VECTORIZATION.md) being updated. *)
-let in_vector_fragment = function
-  | P.Scan _ | P.Filter _ | P.Extend_op _ | P.Project_op _ | P.Hash_join _
-  | P.Hash_semijoin _ | P.Hash_outerjoin _ | P.Hash_nestjoin _ ->
-    true
-  | P.Unit_row | P.Nl_join _ | P.Merge_join _ | P.Nl_semijoin _
-  | P.Merge_semijoin _ | P.Nl_outerjoin _ | P.Merge_outerjoin _
-  | P.Nl_nestjoin _ | P.Hash_nestjoin_left _ | P.Merge_nestjoin _
-  | P.Unnest_op _ | P.Nest_op _ | P.Apply_op _ | P.Index_join _
-  | P.Index_semijoin _ | P.Index_nestjoin _ | P.Union_op _ ->
-    false
-
-let check_vector_fragment ctx (pq : P.query) =
-  let rec go plan =
-    let claimed = Engine.Exec.vectorizable plan in
-    let expected = in_vector_fragment plan in
-    if claimed <> expected then
-      viol ctx "vector-fragment"
-        (fun () -> P.to_string plan)
-        "executor %s this operator as vectorizable, but the fragment \
-         whitelist %s it — row-engine fallback operators must be exactly \
-         the non-vectorizable ones"
-        (if claimed then "classifies" else "does not classify")
-        (if expected then "includes" else "excludes");
-    List.iter go (Engine.Analyze.children plan)
-  in
-  go pq.P.plan
-
 let verifier : Core.Pipeline.verifier =
  fun ~phase catalog plan ->
   let checked =
@@ -698,8 +661,7 @@ let verifier : Core.Pipeline.verifier =
     | Core.Pipeline.Physical pq -> (
       match
         if shred_phase phase then
-          check_flat_physical { phase; catalog } pq;
-        check_vector_fragment { phase; catalog } pq
+          check_flat_physical { phase; catalog } pq
       with
       | () -> check_physical_query ~phase catalog pq
       | exception Violation v -> Error v)

@@ -42,12 +42,7 @@
     - Bloom-filter geometry consistency: the build-side cardinality
       estimate sizing the filter is finite, and {!Engine.Bloom.create} is
       geometry-deterministic for it — the precondition for OR-merging
-      per-partition filters ({b bloom-geometry});
-    - columnar-engine coverage: {!Engine.Exec.vectorizable} must agree
-      with an independent whitelist of the vector fragment (scan, filter,
-      extend, project, and the hash-join family), so the operators that
-      fall back to the row engine are exactly the non-vectorizable ones
-      ({b vector-fragment}).
+      per-partition filters ({b bloom-geometry}).
 
     Violations are reported with the phase that produced the plan, the
     specific rule, a detail message and the pretty-printed offending

@@ -350,7 +350,14 @@ let record_exec_metrics (s : Engine.Stats.t) =
     Obs.Metrics.observe "par.partition_max_rows"
       s.Engine.Stats.partition_max_rows
 
+(* [vector] stays only because bench/e2e passes [~vector:true]; it goes
+   away with the next change to that benchmark. *)
+let no_row_engine = function
+  | Some false -> invalid_arg "Pipeline: ~vector:false (there is no row engine)"
+  | Some true | None -> ()
+
 let execute ?stats ?jobs ?bloom ?vector ?batch catalog compiled =
+  no_row_engine vector;
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let stats =
     match stats with
@@ -363,9 +370,9 @@ let execute ?stats ?jobs ?bloom ?vector ?batch catalog compiled =
     phase "execute" (fun () ->
         match compiled.shredded, compiled.physical with
         | Some exe, _ ->
-          Shred.run ?stats ~jobs ?bloom ?vector ?batch catalog exe
+          Shred.run ?stats ~jobs ?bloom ?batch catalog exe
         | None, Some pq ->
-          Engine.Exec.run ?stats ~jobs ?bloom ?vector ?batch catalog pq
+          Engine.Exec.run ?stats ~jobs ?bloom ?batch catalog pq
         | None, None -> Lang.Interp.run catalog compiled.source)
   in
   (match stats with
@@ -384,10 +391,9 @@ let run ?options ?rewrite ?reorder ?verify ?certify ?stats ?jobs ?bloom
   | exception Cobj.Value.Type_error msg -> Error ("runtime error: " ^ msg)
   | exception Lang.Interp.Undefined msg -> Error ("undefined: " ^ msg)
 
-(* How much of the annotation tree the columnar engine handled, as a
-   fraction of operator nodes — the headline observability signal for the
-   vector layer (CI's structural gate asserts it is positive on the smoke
-   suite). Jobs-invariant: the vector layer covers the same operators at
+(* How much of the annotation tree ran on columnar batches, as a fraction
+   of operator nodes (CI's structural gate asserts it is positive on the
+   smoke suite). Jobs-invariant: the same operators run on batches at
    every [jobs]. *)
 let record_vectorized_fraction tree =
   if Obs.Metrics.enabled () then begin
@@ -432,13 +438,14 @@ let bounds_violation tree =
   walk tree
 
 let analyze ?jobs ?bloom ?vector ?batch catalog compiled =
+  no_row_engine vector;
   match compiled.shredded, compiled.physical with
   | Some exe, _ -> (
     let jobs = match jobs with Some j -> j | None -> default_jobs () in
     let before = Obs.Memory.snapshot () in
     match
       phase "execute" (fun () ->
-          Shred.analyze ~jobs ?bloom ?vector ?batch catalog exe)
+          Shred.analyze ~jobs ?bloom ?batch catalog exe)
     with
     | v, tree ->
       tree.Engine.Stats.gc <-
@@ -467,7 +474,7 @@ let analyze ?jobs ?bloom ?vector ?batch catalog compiled =
     let before = Obs.Memory.snapshot () in
     match
       phase "execute" (fun () ->
-          Engine.Exec.rows_instrumented ~jobs ?bloom ?vector ?batch tree
+          Engine.Exec.rows_instrumented ~jobs ?bloom ?batch tree
             catalog Cobj.Env.empty pq.Engine.Physical.plan)
     with
     | produced ->

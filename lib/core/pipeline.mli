@@ -233,11 +233,11 @@ val run :
     statistics are identical for every value, see {!Engine.Exec.rows}.
     [bloom] (default true) toggles Bloom-filter sideways information
     passing in the hash-join family; results are identical either way and
-    only the [bloom_*] counters differ. [vector] (default
-    {!Engine.Exec.default_vector}) and [batch] (default
-    {!Engine.Exec.default_batch}) control the columnar batch engine —
-    results and statistics are identical with the vector layer on or
-    off. *)
+    only the [bloom_*] counters differ. [batch] (default
+    {!Engine.Exec.default_batch}) is the width of the columnar batches;
+    results and statistics are identical at every width. [vector] is
+    accepted only because bench/e2e passes it: [true] (or omitted) is the
+    only engine there is, and [false] raises [Invalid_argument]. *)
 
 val explain : ?costs:bool -> Cobj.Catalog.t -> compiled -> string
 (** Logical and physical plans, pretty-printed. For a shredded query the

@@ -383,20 +383,20 @@ let finish catalog result rows =
   let resultfn = Engine.Compile.expr catalog result in
   Value.set (List.map resultfn rows)
 
-let run_under ?stats ?jobs ?bloom ?vector ?batch catalog env exe =
+let run_under ?stats ?jobs ?bloom ?batch catalog env exe =
   let exec n env =
-    Engine.Exec.rows ?stats ?jobs ?bloom ?vector ?batch catalog env n.xplan
+    Engine.Exec.rows ?stats ?jobs ?bloom ?batch catalog env n.xplan
   in
   finish catalog exe.xresult (run_node ~exec catalog env exe.xbody)
 
-let run ?stats ?jobs ?bloom ?vector ?batch catalog exe =
-  run_under ?stats ?jobs ?bloom ?vector ?batch catalog Env.empty exe
+let run ?stats ?jobs ?bloom ?batch catalog exe =
+  run_under ?stats ?jobs ?bloom ?batch catalog Env.empty exe
 
 (* --- EXPLAIN ANALYZE ------------------------------------------------------ *)
 
 (* The annotation tree has a synthetic [stitch] root whose children are the
    per-flat-query operator trees in execution (preorder) order. *)
-let analyze ?jobs ?bloom ?vector ?batch catalog exe =
+let analyze ?jobs ?bloom ?batch catalog exe =
   let flats = xnodes exe.xbody in
   let trees =
     List.map
@@ -415,7 +415,7 @@ let analyze ?jobs ?bloom ?vector ?batch catalog exe =
       trees
   in
   let exec n env =
-    Engine.Exec.rows_instrumented ?jobs ?bloom ?vector ?batch arr.(n.id)
+    Engine.Exec.rows_instrumented ?jobs ?bloom ?batch arr.(n.id)
       catalog env n.xplan
   in
   let t0 = Monotonic_clock.now () in

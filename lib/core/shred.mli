@@ -75,21 +75,18 @@ val run_under :
   ?stats:Engine.Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   Cobj.Env.t ->
   executable ->
   Cobj.Value.t
-(** Execute every flat query ([jobs]/[bloom]/[vector]/[batch] apply to
-    each), stitch, and build the result set — the exact value
+(** Execute every flat query ([jobs]/[bloom]/[batch] apply to each), stitch, and build the result set — the exact value
     [Exec.run_under] produces for the nest-join plan of the same query. *)
 
 val run :
   ?stats:Engine.Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   executable ->
@@ -98,7 +95,6 @@ val run :
 val analyze :
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   executable ->

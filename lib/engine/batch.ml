@@ -9,8 +9,8 @@
      batch (the enclosing scope, correlation bindings, ...).  A full
      [Env.t] row is only built on demand via [env_at].
    - [Rows]: materialized form, produced by operators whose output is
-     not columnar (projections, join results) or by the row-engine
-     fallback.  Kernels do not run on [Rows] batches; expressions are
+     not columnar (projections, join results) or handed over by a row
+     operator.  Kernels do not run on [Rows] batches; expressions are
      evaluated row-at-a-time there.
 
    [sel] is an ascending selection vector of live physical indices;
@@ -63,8 +63,8 @@ let tail b = match b.data with Cols { tail; _ } -> tail | Rows _ -> Env.empty
 
 (* Materialize the environment for physical slot [i].  For [Cols] the
    columns are bound oldest-first so the newest column shadows both the
-   tail and older columns, exactly like the nested [Env.bind] calls the
-   row engine would have performed. *)
+   tail and older columns, exactly like the nested [Env.bind] calls of
+   row-at-a-time evaluation. *)
 let env_at b i =
   match b.data with
   | Rows rows -> rows.(i)

@@ -43,7 +43,7 @@ val tail : t -> Cobj.Env.t
 
 val env_at : t -> int -> Cobj.Env.t
 (** Materialize the full environment for physical slot [i].  Produces
-    exactly the environment the row engine would have built. *)
+    exactly the environment row-at-a-time binding would have built. *)
 
 val narrow : t -> int array -> t
 (** Replace the selection vector (shares the underlying data). *)

@@ -225,19 +225,16 @@ let correlation_key_exprs corr query =
    instrumented runs give each operator its own [Stats.node], descending
    the annotation tree in lockstep with the plan ([Analyze.children]
    order). [jobs] is the partition-parallel width: 1 executes everything on
-   the calling domain, larger values let eligible operators fan their own
-   per-row work out over a domain pool (operands are still produced
-   serially, so child counters and timings are untouched). [bloom] enables
-   sideways information passing in the hash-join family: build sides
-   populate a Bloom filter consulted before each probe. Pruned probes still
-   count in [hash_probes], so disabling bloom changes only the bloom
-   counters, never the rest of a Stats tree. *)
-(* [vector] flips the hot operators onto the columnar batch engine
-   ([exec_batches]); it is forced off when [Compile] is disabled, since
-   the kernels mirror the compiled closures, not the interpreter.
-   [batch] is the physical batch width. *)
+   the calling domain, larger values let the hash-join family partition
+   its build and probe work over a domain pool (operands are still
+   produced serially, so child counters and timings are untouched). [bloom]
+   enables sideways information passing in the hash-join family: build
+   sides populate a Bloom filter consulted before each probe. Pruned probes
+   still count in [hash_probes], so disabling bloom changes only the bloom
+   counters, never the rest of a Stats tree. [batch] is the physical batch
+   width of the columnar operators. *)
 type frame = { sink : Stats.t; node : Stats.node option; jobs : int;
-               bloom : bool; vector : bool; batch : int }
+               bloom : bool; batch : int }
 
 let child_frame fr i =
   match fr.node with
@@ -255,11 +252,6 @@ let clock = Monotonic_clock.now
 
 let default_batch_size = 1024
 
-let default_vector () =
-  match Sys.getenv_opt "NESTQL_VECTOR" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | _ -> true
-
 let default_batch () =
   match Sys.getenv_opt "NESTQL_BATCH" with
   | Some s -> (
@@ -267,15 +259,6 @@ let default_batch () =
     | Some n when n > 0 -> n
     | _ -> default_batch_size)
   | None -> default_batch_size
-
-(* The vectorizable fragment: operators [exec_batches] implements.
-   Everything else transparently falls back to the row engine, with
-   batches materialized at the boundary. *)
-let vectorizable = function
-  | P.Scan _ | P.Filter _ | P.Extend_op _ | P.Project_op _ | P.Hash_join _
-  | P.Hash_semijoin _ | P.Hash_outerjoin _ | P.Hash_nestjoin _ ->
-    true
-  | _ -> false
 
 (* Kernel fallbacks are only recorded by operators that never delegate
    on [jobs] (filter, extend), keeping every [exec.batch.*] counter
@@ -285,8 +268,8 @@ let note_fallback () =
 
 (* Evaluate a key expression over a batch: kernel when possible, row
    closure otherwise.  A kernel that raises is discarded before any
-   probe ran, so replaying row-at-a-time reproduces the row engine's
-   counters and first error exactly. *)
+   probe ran, so replaying row-at-a-time reproduces row-order counters
+   and first error exactly. *)
 let key_col kern b =
   match kern with
   | Some k when Batch.is_cols b -> (
@@ -306,56 +289,16 @@ let key_at keyv keyfn b i =
    function evaluation) on pool domains. Each worker partition gets a
    private [Stats.t], merged into the operator's own sink in deterministic
    partition order afterwards, so instrumented trees and global totals are
-   identical to a serial run. Output comes back in serial row order:
-   morsels are index ranges and hash partitions scatter per-left-row
-   results into a dense array indexed by the left row's input position.
+   identical to a serial run. Output comes back in serial row order: hash
+   partitions scatter per-left-row results into a dense array indexed by
+   the left row's input position.
    Operands are always produced serially before a region starts, and
    worker bodies never re-enter the executor, so regions never nest. *)
 
-let morsel_min = 16 (* fewer input rows than this: scheduling isn't worth it *)
 let join_min = 2 (* partitioned joins parallelize from this many left rows *)
 
 let merge_parts stats parts =
   Array.iter (fun p -> Stats.add ~into:stats p) parts
-
-(* Order-preserving parallel map over index-range morsels. [f] receives the
-   morsel's private counter sink. *)
-let par_map ~jobs ~stats f rows =
-  let arr = Array.of_list rows in
-  let n = Array.length arr in
-  let k = min (jobs * 4) n in
-  let out = Array.make k [] in
-  let parts = Array.init k (fun _ -> Stats.create ()) in
-  Pool.run ~jobs k (fun c ->
-      let lo = c * n / k and hi = (c + 1) * n / k in
-      let st = parts.(c) in
-      let acc = ref [] in
-      for i = hi - 1 downto lo do
-        acc := f st arr.(i) :: !acc
-      done;
-      out.(c) <- !acc);
-  merge_parts stats parts;
-  List.concat (Array.to_list out)
-
-(* Order-preserving parallel filter. *)
-let par_filter ~jobs ~stats pred rows =
-  let arr = Array.of_list rows in
-  let n = Array.length arr in
-  let keep = Array.make n false in
-  let k = min (jobs * 4) n in
-  let parts = Array.init k (fun _ -> Stats.create ()) in
-  Pool.run ~jobs k (fun c ->
-      let lo = c * n / k and hi = (c + 1) * n / k in
-      let st = parts.(c) in
-      for i = lo to hi - 1 do
-        keep.(i) <- pred st arr.(i)
-      done);
-  merge_parts stats parts;
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    if keep.(i) then out := arr.(i) :: !out
-  done;
-  !out
 
 (* Residual compiled once per operator; evaluation counts into the
    partition's sink (the parallel counterpart of [compile_residual]). *)
@@ -480,20 +423,38 @@ let par_hash_partitioned ~jobs ~bloom ~stats ~lkeyfn ~rkeyfn ~emit lrows rrows
   merge_parts stats pparts;
   List.concat (Array.to_list out)
 
+(* What an operator's one implementation produces: the columnar operators
+   (scan, filter, extend, project and the hash-join family) emit batches,
+   every other operator emits rows. Consumers convert at the boundary. *)
+type produced = Batches of Batch.t list | Rows of Env.t list
+
+let produced_count = function
+  | Batches bs -> Batch.live_total bs
+  | Rows rows -> List.length rows
+
 let rec rows_fr fr catalog env plan =
-  if fr.vector && vectorizable plan then
-    (* The vectorized operator already timed and traced itself inside
-       [batches_fr]; materialization at the boundary is not charged. *)
-    Batch.rows_of_batches (batches_fr fr catalog env plan)
-  else
+  match exec_timed fr catalog env plan with
+  | Rows rows -> rows
+  | Batches bs -> Batch.rows_of_batches bs
+
+and batches_fr fr catalog env plan =
+  match exec_timed fr catalog env plan with
+  | Batches bs -> bs
+  | Rows rows -> Batch.of_rows ~size:fr.batch rows
+
+(* Timing, loop counts and trace spans attach around the operator's own
+   work; conversion at a batch/row boundary is not charged. *)
+and exec_timed fr catalog env plan =
+  let out =
     match fr.node with
-    | None -> exec_rows fr catalog env plan
+    | None -> exec fr catalog env plan
     | Some n ->
       let t0 = clock () in
-      let out = exec_rows fr catalog env plan in
+      let out = exec fr catalog env plan in
       let t1 = clock () in
       n.Stats.time_ns <- Int64.add n.Stats.time_ns (Int64.sub t1 t0);
       n.Stats.loops <- n.Stats.loops + 1;
+      (match out with Batches _ -> n.Stats.vectorized <- true | Rows _ -> ());
       (* Instrumented operators double as trace spans — same clock readings,
          so the timeline agrees with EXPLAIN ANALYZE to the nanosecond. *)
       if Obs.Trace.enabled () then
@@ -501,68 +462,36 @@ let rec rows_fr fr catalog env plan =
           ~args:(fun () ->
             [
               ("detail", Obs.Trace.Str n.Stats.detail);
-              ("rows_out", Obs.Trace.Int (List.length out));
+              ("rows_out", Obs.Trace.Int (produced_count out));
               ("loop", Obs.Trace.Int n.Stats.loops);
               ("est_rows", Obs.Trace.Num n.Stats.est_rows);
             ])
           n.Stats.op;
       out
+  in
+  (match out with
+  | Batches bs when Obs.Metrics.enabled () ->
+    Obs.Metrics.incr ~by:(List.length bs) "exec.batch.batches";
+    Obs.Metrics.incr ~by:(Batch.live_total bs) "exec.batch.rows"
+  | Batches _ | Rows _ -> ());
+  out
 
-(* Batch-flow entry: vectorizable operators produce batches natively;
-   anything else runs on the row engine and is chunked at the boundary.
-   Timing, loop counts and trace spans attach here for vectorized
-   operators, symmetrically with [rows_fr] for row operators. *)
-and batches_fr fr catalog env plan =
-  if fr.vector && vectorizable plan then begin
-    let out =
-      match fr.node with
-      | None -> exec_batches fr catalog env plan
-      | Some n ->
-        let t0 = clock () in
-        let out = exec_batches fr catalog env plan in
-        let t1 = clock () in
-        n.Stats.time_ns <- Int64.add n.Stats.time_ns (Int64.sub t1 t0);
-        n.Stats.loops <- n.Stats.loops + 1;
-        n.Stats.vectorized <- true;
-        if Obs.Trace.enabled () then
-          Obs.Trace.complete ~cat:"operator" ~start_ns:t0 ~stop_ns:t1
-            ~args:(fun () ->
-              [
-                ("detail", Obs.Trace.Str n.Stats.detail);
-                ("rows_out", Obs.Trace.Int (Batch.live_total out));
-                ("loop", Obs.Trace.Int n.Stats.loops);
-                ("est_rows", Obs.Trace.Num n.Stats.est_rows);
-              ])
-            n.Stats.op;
-        out
-    in
-    if Obs.Metrics.enabled () then begin
-      Obs.Metrics.incr ~by:(List.length out) "exec.batch.batches";
-      Obs.Metrics.incr ~by:(Batch.live_total out) "exec.batch.rows"
-    end;
-    out
-  end
-  else Batch.of_rows ~size:fr.batch (rows_fr fr catalog env plan)
-
-(* The columnar engine proper.  Contract with the row engine: for every
-   operator below, the produced rows (in order) and every [Stats]
-   counter are identical to [exec_rows] at any [jobs] — the qcheck
-   differential oracle in [test_batch] enforces this.  Expression
-   kernels that miss or raise fall back to the row-compiled closures,
-   replayed in row order. *)
-and exec_batches fr catalog env plan =
+(* One arm per [Physical.t] constructor: the single implementation of that
+   operator. Output rows (in order) and every [Stats] counter are identical
+   at any [jobs] and any batch width. Columnar expression kernels that miss
+   or raise fall back to the row-compiled closures, replayed in row order;
+   with [Compile] disabled every expression takes that path. *)
+and exec fr catalog env plan =
   let stats = fr.sink in
-  let out, nout =
+  let out =
     match plan with
     | P.Scan { table; var } ->
       let t = Cobj.Catalog.find_exn table catalog in
-      let trows = Cobj.Table.rows t in
-      (Batch.of_values ~size:fr.batch var env trows, List.length trows)
+      Batches (Batch.of_values ~size:fr.batch var env (Cobj.Table.rows t))
     | P.Filter { pred; input } ->
       let predfn = Compile.pred catalog pred in
       let kern = Vexpr.compile catalog pred in
       let inb = batches_fr (c0 fr) catalog env input in
-      let n = ref 0 in
       let out =
         List.filter_map
           (fun b ->
@@ -587,20 +516,17 @@ and exec_batches fr catalog env plan =
                   row_sel ())
               | _ -> row_sel ()
             in
-            n := !n + Array.length sel;
             if Array.length sel = 0 then None else Some (Batch.narrow b sel))
           inb
       in
-      (out, !n)
+      Batches out
     | P.Extend_op { var; expr; input } ->
       let exprfn = Compile.expr catalog expr in
       let kern = Vexpr.compile catalog expr in
       let inb = batches_fr (c0 fr) catalog env input in
-      let n = ref 0 in
       let out =
         List.map
           (fun b ->
-            n := !n + Batch.live b;
             let row_ext () =
               note_fallback ();
               let acc = ref [] in
@@ -618,7 +544,7 @@ and exec_batches fr catalog env plan =
             | _ -> row_ext ())
           inb
       in
-      (out, !n)
+      Batches out
     | P.Project_op { vars; input } ->
       let inb = batches_fr (c0 fr) catalog env input in
       let acc = ref [] in
@@ -628,8 +554,9 @@ and exec_batches fr catalog env plan =
               acc :=
                 Env.append (Env.project vars (Batch.env_at b i)) env :: !acc))
         inb;
-      let rows = List.sort_uniq Env.compare (List.rev !acc) in
-      (Batch.of_rows ~size:fr.batch rows, List.length rows)
+      Batches
+        (Batch.of_rows ~size:fr.batch
+           (List.sort_uniq Env.compare (List.rev !acc)))
     | P.Hash_join { lkey; rkey; residual; left; right } ->
       let lb = batches_fr (c0 fr) catalog env left in
       let rb = batches_fr (c1 fr) catalog env right in
@@ -687,7 +614,7 @@ and exec_batches fr catalog env plan =
           List.rev !acc
         end
       in
-      (Batch.of_rows ~size:fr.batch out_rows, List.length out_rows)
+      Batches (Batch.of_rows ~size:fr.batch out_rows)
     | P.Hash_semijoin { lkey; rkey; residual; anti; left; right } ->
       let lkeyfn = Compile.expr catalog lkey in
       let lb = batches_fr (c0 fr) catalog env left in
@@ -739,7 +666,7 @@ and exec_batches fr catalog env plan =
               if Array.length sel = 0 then None else Some (Batch.narrow b sel))
             lb
         in
-        (out, List.length kept)
+        Batches out
       end
       else begin
         let rok = compile_residual ~stats catalog residual in
@@ -747,7 +674,6 @@ and exec_batches fr catalog env plan =
           build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey
         in
         let kern = Vexpr.compile catalog lkey in
-        let n = ref 0 in
         let out =
           List.filter_map
             (fun b ->
@@ -765,11 +691,10 @@ and exec_batches fr catalog env plan =
                   in
                   if (if anti then not found else found) then acc := i :: !acc);
               let sel = Array.of_list (List.rev !acc) in
-              n := !n + Array.length sel;
               if Array.length sel = 0 then None else Some (Batch.narrow b sel))
             lb
         in
-        (out, !n)
+        Batches out
       end
     | P.Hash_outerjoin { lkey; rkey; residual; left; right } ->
       let lkeyfn = Compile.expr catalog lkey in
@@ -824,7 +749,7 @@ and exec_batches fr catalog env plan =
           List.rev !acc
         end
       in
-      (Batch.of_rows ~size:fr.batch out_rows, List.length out_rows)
+      Batches (Batch.of_rows ~size:fr.batch out_rows)
     | P.Hash_nestjoin { lkey; rkey; residual; func; label; left; right } ->
       let lkeyfn = Compile.expr catalog lkey in
       let funcfn = Compile.expr catalog func in
@@ -874,150 +799,51 @@ and exec_batches fr catalog env plan =
           List.rev !acc
         end
       in
-      (Batch.of_rows ~size:fr.batch out_rows, List.length out_rows)
-    | _ ->
-      (* [vectorizable] gates every entry into this function. *)
-      assert false
-  in
-  stats.Stats.rows_out <- stats.Stats.rows_out + nout;
-  out
-
-and exec_rows fr catalog env plan =
-  let stats = fr.sink in
-  let out =
-    match plan with
-    | P.Unit_row -> [ env ]
-    | P.Scan { table; var } ->
-      let t = Cobj.Catalog.find_exn table catalog in
-      let trows = Cobj.Table.rows t in
-      if fr.jobs > 1 && List.length trows >= morsel_min then
-        par_map ~jobs:fr.jobs ~stats (fun _st v -> Env.bind var v env) trows
-      else List.map (fun v -> Env.bind var v env) trows
-    | P.Filter { pred; input } ->
-      let predfn = Compile.pred catalog pred in
-      let input_rows = rows_fr (c0 fr) catalog env input in
-      if fr.jobs > 1 && List.length input_rows >= morsel_min then
-        par_filter ~jobs:fr.jobs ~stats
-          (fun st r ->
-            st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
-            predfn r)
-          input_rows
-      else
-        input_rows
-        |> List.filter (fun r ->
-               stats.Stats.predicate_evals <- stats.Stats.predicate_evals + 1;
-               predfn r)
+      Batches (Batch.of_rows ~size:fr.batch out_rows)
+    | P.Unit_row -> Rows [ env ]
     | P.Nl_join { pred; left; right } ->
       let predfn = Compile.pred catalog pred in
       let rrows = rows_fr (c1 fr) catalog env right in
-      rows_fr (c0 fr) catalog env left
-      |> List.concat_map (fun l ->
-             List.filter_map
-               (fun r ->
-                 stats.Stats.predicate_evals <-
-                   stats.Stats.predicate_evals + 1;
-                 let merged = Env.append r l in
-                 if predfn merged then Some merged else None)
-               rrows)
-    | P.Hash_join { lkey; rkey; residual; left; right } ->
-      let lrows = rows_fr (c0 fr) catalog env left in
-      let rrows = rows_fr (c1 fr) catalog env right in
-      (* The join is commutative, so build on whichever operand turned out
-         smaller (the planner orients statically from estimates; this is
-         the runtime safety net). The decision uses full materialized
-         cardinalities — identical in the serial and parallel paths, so
-         counters stay jobs-invariant. Only row order can change, and the
-         final result is a canonicalized set. *)
-      let swap = List.length rrows > List.length lrows in
-      if swap then
-        stats.Stats.build_side_swaps <- stats.Stats.build_side_swaps + 1;
-      let probe_rows, build_rows, probe_key, build_key =
-        if swap then (rrows, lrows, rkey, lkey) else (lrows, rrows, lkey, rkey)
-      in
-      (* [p] is the probe row, [m] the build-side match; the merged env is
-         always append(right-row, left-row), independent of orientation. *)
-      let merged_of p m = if swap then Env.append p m else Env.append m p in
-      let pkeyfn = Compile.expr catalog probe_key in
-      if fr.jobs > 1 && List.length probe_rows >= join_min then
-        let bkeyfn = Compile.expr catalog build_key in
-        let rokfn = residual_fn catalog residual in
-        par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats
-          ~lkeyfn:pkeyfn ~rkeyfn:bkeyfn
-          ~emit:(fun st p matches ->
-            List.filter_map
-              (fun m ->
-                let merged = merged_of p m in
-                if rok_part st rokfn merged then Some merged else None)
-              matches)
-          probe_rows build_rows
-      else
-        let rok = compile_residual ~stats catalog residual in
-        let table =
-          build_rows_table ~stats ~bloom:fr.bloom
-            (Compile.expr catalog build_key)
-            build_rows
-        in
-        probe_rows
-        |> List.concat_map (fun p ->
-               probe ~stats table (hkey (pkeyfn p))
-               |> List.filter_map (fun m ->
-                      let merged = merged_of p m in
-                      if rok merged then Some merged else None))
+      Rows
+        (rows_fr (c0 fr) catalog env left
+        |> List.concat_map (fun l ->
+               List.filter_map
+                 (fun r ->
+                   stats.Stats.predicate_evals <-
+                     stats.Stats.predicate_evals + 1;
+                   let merged = Env.append r l in
+                   if predfn merged then Some merged else None)
+                 rrows))
     | P.Merge_join { lkey; rkey; residual; left; right } ->
       let rok = compile_residual ~stats catalog residual in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
       let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
-      merge_groups lgroups rgroups
-      |> List.concat_map (fun (ls, rs) ->
-             List.concat_map
-               (fun l ->
-                 List.filter_map
-                   (fun r ->
-                     let merged = Env.append r l in
-                     if rok merged then Some merged else None)
-                   rs)
-               ls)
+      Rows
+        (merge_groups lgroups rgroups
+        |> List.concat_map (fun (ls, rs) ->
+               List.concat_map
+                 (fun l ->
+                   List.filter_map
+                     (fun r ->
+                       let merged = Env.append r l in
+                       if rok merged then Some merged else None)
+                     rs)
+                 ls))
     | P.Nl_semijoin { pred; anti; left; right } ->
       let predfn = Compile.pred catalog pred in
       let rrows = rows_fr (c1 fr) catalog env right in
-      rows_fr (c0 fr) catalog env left
-      |> List.filter (fun l ->
-             let found =
-               List.exists
-                 (fun r ->
-                   stats.Stats.predicate_evals <-
-                     stats.Stats.predicate_evals + 1;
-                   predfn (Env.append r l))
-                 rrows
-             in
-             if anti then not found else found)
-    | P.Hash_semijoin { lkey; rkey; residual; anti; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
-      let lrows = rows_fr (c0 fr) catalog env left in
-      if fr.jobs > 1 && List.length lrows >= join_min then
-        par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~lkeyfn
-          ~rkeyfn:(Compile.expr catalog rkey)
-          ~emit:
-            (let rokfn = residual_fn catalog residual in
-             fun st l matches ->
-               let found =
-                 List.exists
-                   (fun r -> rok_part st rokfn (Env.append r l))
-                   matches
-               in
-               if (if anti then not found else found) then [ l ] else [])
-          lrows
-          (rows_fr (c1 fr) catalog env right)
-      else
-        let rok = compile_residual ~stats catalog residual in
-        let table = build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey in
-        lrows
+      Rows
+        (rows_fr (c0 fr) catalog env left
         |> List.filter (fun l ->
                let found =
-                 probe ~stats table (hkey (lkeyfn l))
-                 |> List.exists (fun r -> rok (Env.append r l))
+                 List.exists
+                   (fun r ->
+                     stats.Stats.predicate_evals <-
+                       stats.Stats.predicate_evals + 1;
+                     predfn (Env.append r l))
+                   rrows
                in
-               if anti then not found else found)
+               if anti then not found else found))
     | P.Merge_semijoin { lkey; rkey; residual; anti; left; right } ->
       let rok = compile_residual ~stats catalog residual in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
@@ -1045,59 +871,26 @@ and exec_rows fr catalog env plan =
           in
           go ls' rs (List.rev_append (List.filter keep lrows) acc)
       in
-      go lgroups rgroups []
+      Rows (go lgroups rgroups [])
     | P.Nl_outerjoin { pred; left; right } ->
       let predfn = Compile.pred catalog pred in
       let rrows = rows_fr (c1 fr) catalog env right in
       let rvars = P.vars_of right in
-      rows_fr (c0 fr) catalog env left
-      |> List.concat_map (fun l ->
-             let matches =
-               List.filter_map
-                 (fun r ->
-                   stats.Stats.predicate_evals <-
-                     stats.Stats.predicate_evals + 1;
-                   let merged = Env.append r l in
-                   if predfn merged then Some merged else None)
-                 rrows
-             in
-             match matches with [] -> [ pad_nulls rvars l ] | _ :: _ -> matches)
-    | P.Hash_outerjoin { lkey; rkey; residual; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
-      let rvars = P.vars_of right in
-      let lrows = rows_fr (c0 fr) catalog env left in
-      if fr.jobs > 1 && List.length lrows >= join_min then
-        par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~lkeyfn
-          ~rkeyfn:(Compile.expr catalog rkey)
-          ~emit:
-            (let rokfn = residual_fn catalog residual in
-             fun st l matches ->
-               let kept =
-                 List.filter_map
-                   (fun r ->
-                     let merged = Env.append r l in
-                     if rok_part st rokfn merged then Some merged else None)
-                   matches
-               in
-               match kept with
-               | [] -> [ pad_nulls rvars l ]
-               | _ :: _ -> kept)
-          lrows
-          (rows_fr (c1 fr) catalog env right)
-      else
-        let rok = compile_residual ~stats catalog residual in
-        let table = build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey in
-        lrows
+      Rows
+        (rows_fr (c0 fr) catalog env left
         |> List.concat_map (fun l ->
                let matches =
-                 probe ~stats table (hkey (lkeyfn l))
-                 |> List.filter_map (fun r ->
-                        let merged = Env.append r l in
-                        if rok merged then Some merged else None)
+                 List.filter_map
+                   (fun r ->
+                     stats.Stats.predicate_evals <-
+                       stats.Stats.predicate_evals + 1;
+                     let merged = Env.append r l in
+                     if predfn merged then Some merged else None)
+                   rrows
                in
                match matches with
                | [] -> [ pad_nulls rvars l ]
-               | _ :: _ -> matches)
+               | _ :: _ -> matches))
     | P.Merge_outerjoin { lkey; rkey; residual; left; right } ->
       let rok = compile_residual ~stats catalog residual in
       let rvars = P.vars_of right in
@@ -1134,56 +927,24 @@ and exec_rows fr catalog env plan =
               (List.rev_append (List.map (pad_nulls rvars) lrows) acc)
           else go ls rs' acc
       in
-      go lgroups rgroups []
+      Rows (go lgroups rgroups [])
     | P.Nl_nestjoin { pred; func; label; left; right } ->
       let predfn = Compile.pred catalog pred in
       let funcfn = Compile.expr catalog func in
       let rrows = rows_fr (c1 fr) catalog env right in
-      rows_fr (c0 fr) catalog env left
-      |> List.map (fun l ->
-             let members =
-               List.filter_map
-                 (fun r ->
-                   stats.Stats.predicate_evals <-
-                     stats.Stats.predicate_evals + 1;
-                   let merged = Env.append r l in
-                   if predfn merged then Some (funcfn merged) else None)
-                 rrows
-             in
-             Env.bind label (Value.set members) l)
-    | P.Hash_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
-      let funcfn = Compile.expr catalog func in
-      let lrows = rows_fr (c0 fr) catalog env left in
-      if fr.jobs > 1 && List.length lrows >= join_min then
-        par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~lkeyfn
-          ~rkeyfn:(Compile.expr catalog rkey)
-          ~emit:
-            (let rokfn = residual_fn catalog residual in
-             fun st l matches ->
+      Rows
+        (rows_fr (c0 fr) catalog env left
+        |> List.map (fun l ->
                let members =
                  List.filter_map
                    (fun r ->
+                     stats.Stats.predicate_evals <-
+                       stats.Stats.predicate_evals + 1;
                      let merged = Env.append r l in
-                     if rok_part st rokfn merged then Some (funcfn merged)
-                     else None)
-                   matches
+                     if predfn merged then Some (funcfn merged) else None)
+                   rrows
                in
-               [ Env.bind label (Value.set members) l ])
-          lrows
-          (rows_fr (c1 fr) catalog env right)
-      else
-        let rok = compile_residual ~stats catalog residual in
-        let table = build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey in
-        lrows
-        |> List.map (fun l ->
-               let members =
-                 probe ~stats table (hkey (lkeyfn l))
-                 |> List.filter_map (fun r ->
-                        let merged = Env.append r l in
-                        if rok merged then Some (funcfn merged) else None)
-               in
-               Env.bind label (Value.set members) l)
+               Env.bind label (Value.set members) l))
     | P.Hash_nestjoin_left { lkey; rkey; residual; func; label; left; right }
       ->
       (* Streaming right against a left build table: emits a group as soon
@@ -1246,7 +1007,7 @@ and exec_rows fr catalog env plan =
             else Some (Env.bind label (Value.Set []) l))
           lrows
       in
-      emitted @ dangling
+      Rows (emitted @ dangling)
     | P.Merge_nestjoin { lkey; rkey; residual; func; label; left; right } ->
       let rok = compile_residual ~stats catalog residual in
       let funcfn = Compile.expr catalog func in
@@ -1278,13 +1039,14 @@ and exec_rows fr catalog env plan =
         in
         Env.bind label (Value.set members) l
       in
-      go lgroups rgroups []
+      Rows (go lgroups rgroups [])
     | P.Unnest_op { expr; var; input } ->
       let exprfn = Compile.expr catalog expr in
-      rows_fr (c0 fr) catalog env input
-      |> List.concat_map (fun r ->
-             Value.elements (exprfn r)
-             |> List.map (fun x -> Env.bind var x r))
+      Rows
+        (rows_fr (c0 fr) catalog env input
+        |> List.concat_map (fun r ->
+               Value.elements (exprfn r)
+               |> List.map (fun x -> Env.bind var x r)))
     | P.Nest_op { by; label; func; nulls; input } ->
       let input_rows = rows_fr (c0 fr) catalog env input in
       let groups = Vtbl.create 64 in
@@ -1304,38 +1066,23 @@ and exec_rows fr catalog env plan =
         nulls <> []
         && List.for_all (fun v -> Value.equal (Env.find v r) Value.Null) nulls
       in
-      List.rev_map
-        (fun (k, representative) ->
-          let members = Vtbl.find groups k in
-          let set =
-            Value.set
-              (List.filter_map
-                 (fun r -> if padded r then None else Some (funcfn r))
-                 members)
-          in
-          let base =
-            List.fold_left
-              (fun acc v -> Env.bind v (Env.find v representative) acc)
-              env by
-          in
-          Env.bind label set base)
-        !order
-    | P.Extend_op { var; expr; input } ->
-      let exprfn = Compile.expr catalog expr in
-      let input_rows = rows_fr (c0 fr) catalog env input in
-      if fr.jobs > 1 && List.length input_rows >= morsel_min then
-        par_map ~jobs:fr.jobs ~stats
-          (fun _st r -> Env.bind var (exprfn r) r)
-          input_rows
-      else List.map (fun r -> Env.bind var (exprfn r) r) input_rows
-    | P.Project_op { vars; input } ->
-      let input_rows = rows_fr (c0 fr) catalog env input in
-      (if fr.jobs > 1 && List.length input_rows >= morsel_min then
-         par_map ~jobs:fr.jobs ~stats
-           (fun _st r -> Env.append (Env.project vars r) env)
-           input_rows
-       else List.map (fun r -> Env.append (Env.project vars r) env) input_rows)
-      |> List.sort_uniq Env.compare
+      Rows
+        (List.rev_map
+           (fun (k, representative) ->
+             let members = Vtbl.find groups k in
+             let set =
+               Value.set
+                 (List.filter_map
+                    (fun r -> if padded r then None else Some (funcfn r))
+                    members)
+             in
+             let base =
+               List.fold_left
+                 (fun acc v -> Env.bind v (Env.find v representative) acc)
+                 env by
+             in
+             Env.bind label set base)
+           !order)
     | P.Apply_op { var; subquery; memo; input } ->
       let input_rows = rows_fr (c0 fr) catalog env input in
       (* A correlated subplan re-runs inside the apply loop with per-row
@@ -1350,77 +1097,79 @@ and exec_rows fr catalog env plan =
         let sub = c1 fr in
         if Sset.is_empty corr then sub else { sub with jobs = 1 }
       in
-      if not memo then
-        List.map
-          (fun r ->
+      let apply =
+        if not memo then begin
+          fun r ->
             stats.Stats.applies <- stats.Stats.applies + 1;
-            Env.bind var (run_under_fr subfr catalog r subquery) r)
-          input_rows
-      else begin
-        let key_exprs = correlation_key_exprs corr subquery in
-        let cache = Vtbl.create 64 in
-        let key_fns = List.map (Compile.expr catalog) key_exprs in
-        List.map
-          (fun r ->
+            run_under_fr subfr catalog r subquery
+        end
+        else begin
+          let key_exprs = correlation_key_exprs corr subquery in
+          let cache = Vtbl.create 64 in
+          let key_fns = List.map (Compile.expr catalog) key_exprs in
+          fun r ->
             let k = Value.List (List.map (fun f -> f r) key_fns) in
-            let v =
-              match Vtbl.find_opt cache k with
-              | Some v ->
-                stats.Stats.apply_hits <- stats.Stats.apply_hits + 1;
-                v
-              | None ->
-                stats.Stats.applies <- stats.Stats.applies + 1;
-                let v = run_under_fr subfr catalog r subquery in
-                Vtbl.add cache k v;
-                v
-            in
-            Env.bind var v r)
-          input_rows
-      end
+            match Vtbl.find_opt cache k with
+            | Some v ->
+              stats.Stats.apply_hits <- stats.Stats.apply_hits + 1;
+              v
+            | None ->
+              stats.Stats.applies <- stats.Stats.applies + 1;
+              let v = run_under_fr subfr catalog r subquery in
+              Vtbl.add cache k v;
+              v
+        end
+      in
+      Rows (List.map (fun r -> Env.bind var (apply r) r) input_rows)
     | P.Index_join { lkey; table; var; field; residual; left } ->
       let lkeyfn = Compile.expr catalog lkey in
       let rok = compile_residual ~stats catalog residual in
       let t = Cobj.Catalog.find_exn table catalog in
-      rows_fr (c0 fr) catalog env left
-      |> List.concat_map (fun l ->
-             stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-             Cobj.Table.index_lookup field t (lkeyfn l)
-             |> List.filter_map (fun rv ->
-                    let merged = Env.bind var rv l in
-                    if rok merged then Some merged else None))
+      Rows
+        (rows_fr (c0 fr) catalog env left
+        |> List.concat_map (fun l ->
+               stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
+               Cobj.Table.index_lookup field t (lkeyfn l)
+               |> List.filter_map (fun rv ->
+                      let merged = Env.bind var rv l in
+                      if rok merged then Some merged else None)))
     | P.Index_semijoin { lkey; table; var; field; residual; anti; left } ->
       let lkeyfn = Compile.expr catalog lkey in
       let rok = compile_residual ~stats catalog residual in
       let t = Cobj.Catalog.find_exn table catalog in
-      rows_fr (c0 fr) catalog env left
-      |> List.filter (fun l ->
-             stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-             let found =
-               Cobj.Table.index_lookup field t (lkeyfn l)
-               |> List.exists (fun rv -> rok (Env.bind var rv l))
-             in
-             if anti then not found else found)
+      Rows
+        (rows_fr (c0 fr) catalog env left
+        |> List.filter (fun l ->
+               stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
+               let found =
+                 Cobj.Table.index_lookup field t (lkeyfn l)
+                 |> List.exists (fun rv -> rok (Env.bind var rv l))
+               in
+               if anti then not found else found))
     | P.Index_nestjoin { lkey; table; var; field; residual; func; label; left }
       ->
       let lkeyfn = Compile.expr catalog lkey in
       let rok = compile_residual ~stats catalog residual in
       let funcfn = Compile.expr catalog func in
       let t = Cobj.Catalog.find_exn table catalog in
-      rows_fr (c0 fr) catalog env left
-      |> List.map (fun l ->
-             stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-             let members =
-               Cobj.Table.index_lookup field t (lkeyfn l)
-               |> List.filter_map (fun rv ->
-                      let merged = Env.bind var rv l in
-                      if rok merged then Some (funcfn merged) else None)
-             in
-             Env.bind label (Value.set members) l)
+      Rows
+        (rows_fr (c0 fr) catalog env left
+        |> List.map (fun l ->
+               stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
+               let members =
+                 Cobj.Table.index_lookup field t (lkeyfn l)
+                 |> List.filter_map (fun rv ->
+                        let merged = Env.bind var rv l in
+                        if rok merged then Some (funcfn merged) else None)
+               in
+               Env.bind label (Value.set members) l))
     | P.Union_op { left; right } ->
-      List.sort_uniq Env.compare
-        (rows_fr (c0 fr) catalog env left @ rows_fr (c1 fr) catalog env right)
+      Rows
+        (List.sort_uniq Env.compare
+           (rows_fr (c0 fr) catalog env left
+           @ rows_fr (c1 fr) catalog env right))
   in
-  stats.Stats.rows_out <- stats.Stats.rows_out + List.length out;
+  stats.Stats.rows_out <- stats.Stats.rows_out + produced_count out;
   out
 
 (* [rok] below is the residual check compiled once per operator; [keyfn]
@@ -1511,48 +1260,32 @@ and run_under_fr fr catalog env { P.plan; result } =
 
 let clamp_jobs jobs = max 1 (min jobs Pool.max_jobs)
 
-(* The kernels mirror [Compile]'s semantics; when compilation is
-   globally disabled (interpreted mode) the vector layer shuts off with
-   it rather than diverge. *)
-let opts ~vector ~batch =
-  let vector = Option.value vector ~default:(default_vector ()) in
-  let batch = Option.value batch ~default:(default_batch ()) in
-  (vector && !Compile.enabled, max 1 batch)
+let frame ?node ~jobs ~bloom ~batch sink =
+  let batch = max 1 (Option.value batch ~default:(default_batch ())) in
+  { sink; node; jobs = clamp_jobs jobs; bloom; batch }
 
-let frame_of_stats ~jobs ~bloom ~vector ~batch stats =
-  { sink = stats; node = None; jobs; bloom; vector; batch }
+let rows ?(stats = no_stats) ?(jobs = 1) ?(bloom = true) ?batch catalog env
+    plan =
+  rows_fr (frame ~jobs ~bloom ~batch stats) catalog env plan
 
-let frame_of_node ~jobs ~bloom ~vector ~batch node =
-  { sink = node.Stats.counters; node = Some node; jobs; bloom; vector; batch }
-
-let rows ?(stats = no_stats) ?(jobs = 1) ?(bloom = true) ?vector ?batch
-    catalog env plan =
-  let vector, batch = opts ~vector ~batch in
-  rows_fr
-    (frame_of_stats ~jobs:(clamp_jobs jobs) ~bloom ~vector ~batch stats)
-    catalog env plan
-
-let rows_instrumented ?(jobs = 1) ?(bloom = true) ?vector ?batch node catalog
-    env plan =
-  let vector, batch = opts ~vector ~batch in
-  rows_fr
-    (frame_of_node ~jobs:(clamp_jobs jobs) ~bloom ~vector ~batch node)
-    catalog env plan
-
-let run_under ?(stats = no_stats) ?(jobs = 1) ?(bloom = true) ?vector ?batch
-    catalog env query =
-  let vector, batch = opts ~vector ~batch in
-  run_under_fr
-    (frame_of_stats ~jobs:(clamp_jobs jobs) ~bloom ~vector ~batch stats)
-    catalog env query
-
-let run ?stats ?jobs ?bloom ?vector ?batch catalog query =
-  run_under ?stats ?jobs ?bloom ?vector ?batch catalog Env.empty query
-
-let run_instrumented ?(jobs = 1) ?(bloom = true) ?vector ?batch catalog query
+let rows_instrumented ?(jobs = 1) ?(bloom = true) ?batch node catalog env plan
     =
-  let vector, batch = opts ~vector ~batch in
+  rows_fr
+    (frame ~node ~jobs ~bloom ~batch node.Stats.counters)
+    catalog env plan
+
+let run_under ?(stats = no_stats) ?(jobs = 1) ?(bloom = true) ?batch catalog
+    env query =
+  run_under_fr (frame ~jobs ~bloom ~batch stats) catalog env query
+
+let run ?stats ?jobs ?bloom ?batch catalog query =
+  run_under ?stats ?jobs ?bloom ?batch catalog Env.empty query
+
+let run_instrumented ?(jobs = 1) ?(bloom = true) ?batch catalog query =
   let tree = Analyze.tree_of_query query in
-  let fr = frame_of_node ~jobs:(clamp_jobs jobs) ~bloom ~vector ~batch tree in
-  let v = run_under_fr fr catalog Env.empty query in
+  let v =
+    run_under_fr
+      (frame ~node:tree ~jobs ~bloom ~batch tree.Stats.counters)
+      catalog Env.empty query
+  in
   (v, tree)

@@ -16,7 +16,6 @@ val rows :
   ?stats:Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   Cobj.Env.t ->
@@ -26,10 +25,10 @@ val rows :
     in implementation order (not canonicalized).
 
     [jobs] (default 1) is the partition-parallel width. With [jobs > 1],
-    morsel-eligible operators (scan, filter, extend, project) fan per-row
-    work over a domain pool and the hash-based joins (join, semijoin,
-    antijoin, outerjoin, nest join) hash-partition both operands on the
-    join key and run per-partition joins on worker domains. Results come
+    the hash-based joins (join, semijoin, antijoin, outerjoin, nest join)
+    hash-partition both operands on the join key and run per-partition
+    joins on worker domains; every other operator runs on the calling
+    domain. Results come
     back in serial row order and every counter lands on the same operator
     it would serially, so output and statistics are identical for every
     [jobs] value. Correlated apply subplans always execute serially inside
@@ -50,25 +49,22 @@ val rows :
     operators — semijoin, antijoin, outerjoin, nest join — never swap (§7:
     their left operand is preserved and must stay on the probe side).
 
-    [vector] (default {!default_vector}, i.e. on unless [NESTQL_VECTOR]
-    disables it) runs the {!vectorizable} operators on the columnar
-    batch engine: scans emit typed column batches, filters narrow
-    selection vectors, and the hash-join family probes per batch with
-    late materialization. Operators outside the fragment transparently
-    execute on the row engine with batches (re)built at the boundary.
-    Results, row order and every [Stats] counter are identical to the
-    row engine at any [jobs] — the vector layer is a pure constant-
-    factor optimization, enforced by the differential oracle in
-    [test_batch]. Forced off when [Compile.enabled] is false (the
-    kernels mirror the compiled closures, not the interpreter).
+    Every physical operator has exactly one implementation. Scan, filter,
+    extend, project and the hash-join family run on columnar batches:
+    scans emit column batches, filters narrow selection vectors, and the
+    hash joins probe per batch with late materialization. The other
+    operators run row-at-a-time, with batches built or flattened where
+    the two meet. Expression kernels ({!Vexpr}) cover the scalar
+    fragment; anything else, and everything when [Compile.enabled] is
+    false, evaluates through the {!Compile} closures in row order.
 
     [batch] (default {!default_batch}, i.e. [NESTQL_BATCH] or 1024) is
-    the physical batch width; values below 1 are clamped to 1. *)
+    the physical batch width; values below 1 are clamped to 1. Results,
+    row order and every [Stats] counter are identical at every width. *)
 
 val rows_instrumented :
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Stats.node ->
   Cobj.Catalog.t ->
@@ -86,7 +82,6 @@ val rows_instrumented :
 val run_instrumented :
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   Physical.query ->
@@ -99,7 +94,6 @@ val run :
   ?stats:Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   Physical.query ->
@@ -110,7 +104,6 @@ val run_under :
   ?stats:Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   Cobj.Env.t ->
@@ -120,16 +113,6 @@ val run_under :
 val query_free_vars : Physical.query -> Lang.Ast.String_set.t
 (** Correlation variables a physical query needs from its enclosing scope
     (used for apply memoization). *)
-
-val vectorizable : Physical.t -> bool
-(** Whether the operator (shallowly — operands not considered) runs on
-    the columnar batch engine when the vector layer is enabled. The
-    verifier's [vector-fragment] rule cross-checks this against an
-    independent list. *)
-
-val default_vector : unit -> bool
-(** Vector layer default: on, unless [NESTQL_VECTOR] is set to [0],
-    [false], [no] or [off]. *)
 
 val default_batch : unit -> int
 (** Batch width default: [NESTQL_BATCH] when it parses as a positive

@@ -70,10 +70,10 @@ type node = {
           in (by [Core.Pipeline.analyze]) — per-operator deltas would
           double-count children *)
   mutable vectorized : bool;
-      (** the operator ran on the columnar batch engine (set by
-          [Exec] when the vector layer handled it); rendered only in
-          timing-class EXPLAIN ANALYZE output so the flat annotation
-          line stays identical between the row and vector engines *)
+      (** the operator's implementation produces columnar batches (set
+          by [Exec] for scan, filter, extend, project and the hash-join
+          family); rendered only in timing-class EXPLAIN ANALYZE output,
+          so the [--no-timing] annotation line leaves it out *)
   children : node list; (** same order as the physical operands *)
 }
 

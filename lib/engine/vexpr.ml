@@ -10,13 +10,13 @@
    corresponding [Compile] closure would.  Evaluation *order* across
    rows may differ (all of [a] before any of [b] in [a AND b]), so a
    kernel raising is not itself observable: callers catch and replay
-   the batch row-at-a-time, which reproduces the row engine's first
-   error and counter state bit-for-bit.  Kernels therefore only need
+   the batch row-at-a-time, which reproduces row-order evaluation's
+   first error and counter state bit-for-bit.  Kernels therefore only need
    value-exactness on success.
 
    Conjunctions and disjunctions evaluate their second operand only on
    the selection where the first did not decide the result, mirroring
-   the row engine's short-circuit on a per-batch selection vector. *)
+   the row closures' short-circuit on a per-batch selection vector. *)
 
 module Value = Cobj.Value
 module Env = Cobj.Env
@@ -156,7 +156,7 @@ let neg_kernel ka : kernel =
       Batch.Boxed out
 
 (* [a AND b]: evaluate [b] only where [a] held; [a OR b]: only where it
-   did not.  The evaluation set matches the row engine exactly. *)
+   did not.  The evaluation set matches the row closures exactly. *)
 let and_kernel ka kb : kernel =
  fun b ->
   let ba = bool_bytes b (ka b) in
@@ -334,7 +334,9 @@ let compile catalog (e : Ast.expr) : kernel option =
     | Some ka, Some kb -> Some (mk ka kb)
     | _ -> None
   in
-  compile e
+  (* Interpreted mode: the kernels mirror the compiled closures, so with
+     compilation off every expression takes the [Compile] fallback. *)
+  if !Compile.enabled then compile e else None
 
 (* Predicate form: live indices satisfying [k], ascending.  [as_bool]
    is applied per live row, as [Compile.pred] would. *)

@@ -6,15 +6,17 @@
     computes exactly the values — and raises exactly the exceptions —
     the corresponding {!Compile} closure would, though cross-row
     evaluation order may differ; callers catch kernel exceptions and
-    replay row-at-a-time to reproduce the row engine's first error and
-    counter state. *)
+    replay row-at-a-time to reproduce row-order evaluation's first error
+    and counter state. *)
 
 type kernel = Batch.t -> Batch.col
 (** Evaluates over the live slots of a batch; dead slots of the result
     are unspecified. *)
 
 val compile : Cobj.Catalog.t -> Lang.Ast.expr -> kernel option
-(** [None] when [e] falls outside the vectorizable fragment. *)
+(** [None] when [e] falls outside the vectorizable fragment, and for
+    every expression while [Compile.enabled] is false (interpreted
+    mode). *)
 
 val truth_sel : kernel -> Batch.t -> int array
 (** Live physical indices (ascending) where the kernel's result is

@@ -1,16 +1,16 @@
-(* The columnar batch engine (Engine.Batch / Engine.Vexpr / the vector
-   paths in Engine.Exec).
+(* The columnar batch engine (Engine.Batch / Engine.Vexpr / the batch
+   operators in Engine.Exec).
 
    Two layers of evidence:
    - unit tests pinning the batch representation itself — chunking at the
      batch boundary, selection-vector narrowing, late-materialized
      environments — on the edge cases (empty batch, all-selected,
      singleton, rows straddling a batch boundary);
-   - the differential oracle: for random nested queries over the mixed
-     and the all-dangling catalogs, the vector engine must produce the
-     same value AND the same Engine.Stats work profile as the row engine,
-     serially and at 4 domains. The vector layer is a pure constant-
-     factor optimization; any observable difference is a bug. *)
+   - width differentials: on edge-case and random nested queries, every
+     batch width must produce the same value AND the same Engine.Stats
+     work profile as width 1024, and that value must equal the reference
+     interpreter's. Agreement across jobs and catalogs is
+     test_random_queries' parallel properties. *)
 
 open Helpers
 module Batch = Engine.Batch
@@ -75,10 +75,11 @@ let test_late_materialization () =
 
 (* --- executor edge cases -------------------------------------------------- *)
 
-(* Compare the vector engine against the row engine on one query at
-   several batch widths: identical value and identical full Stats
-   (partition counters included — same jobs on both sides). *)
-let differential ?(jobs = 1) ?(batches = [ 1; 2; 3; 64 ]) catalog src =
+(* Run one query at several batch widths against width 1024: identical
+   value and identical full Stats (partition counters included — same
+   jobs on every side), and the value must equal the reference
+   interpreter's. *)
+let differential ?(jobs = 1) ?(batches = [ 1; 2; 3; 7; 64 ]) catalog src =
   match
     Core.Pipeline.compile_string Core.Pipeline.Decorrelated catalog src
   with
@@ -86,15 +87,18 @@ let differential ?(jobs = 1) ?(batches = [ 1; 2; 3; 64 ]) catalog src =
   | Ok { Core.Pipeline.physical = None; _ } ->
     Alcotest.failf "no physical plan for %s" src
   | Ok { Core.Pipeline.physical = Some pq; _ } ->
-    let run ~vector ~batch =
+    let run ~batch =
       let stats = Stats.create () in
-      let v = Exec.run_under ~stats ~jobs ~vector ~batch catalog Env.empty pq in
+      let v = Exec.run_under ~stats ~jobs ~batch catalog Env.empty pq in
       (v, stats)
     in
-    let vref, sref = run ~vector:false ~batch:1024 in
+    let vref, sref = run ~batch:1024 in
+    (match Core.Pipeline.run Core.Pipeline.Interp catalog src with
+    | Ok v -> Alcotest.check value ("interpreter agrees on " ^ src) v vref
+    | Error msg -> Alcotest.failf "interpreter failed on %s: %s" src msg);
     List.iter
       (fun batch ->
-        let v, s = run ~vector:true ~batch in
+        let v, s = run ~batch in
         Alcotest.check value
           (Printf.sprintf "value (batch=%d) on %s" batch src)
           vref v;
@@ -127,61 +131,10 @@ let test_join_edges () =
   differential catalog
     "SELECT x.a + x.b FROM X x WHERE x.a * 2 < x.b + 10 AND x.a MOD 2 = 0"
 
-(* --- the differential oracle --------------------------------------------- *)
-
-(* For random queries: at each jobs value, the vector run must match the
-   row run on the value (or fail with the identical error) and on the
-   complete Stats record — partitions included, since both sides run at
-   the same jobs. *)
-let prop_vector_oracle =
-  qcheck ~count:120 "vector engine ≡ row engine (value + stats, jobs 1/4)"
-    Test_random_queries.query_gen
-    (fun src ->
-      List.for_all
-        (fun (cname, cat) ->
-          match
-            Core.Pipeline.compile_string Core.Pipeline.Decorrelated cat src
-          with
-          | Error msg ->
-            QCheck2.Test.fail_reportf "compile failed on %s: %s" src msg
-          | Ok { Core.Pipeline.physical = None; _ } -> true
-          | Ok { Core.Pipeline.physical = Some pq; _ } ->
-            let run ~vector ~jobs =
-              let stats = Stats.create () in
-              let outcome =
-                match Exec.run_under ~stats ~jobs ~vector cat Env.empty pq with
-                | v -> Ok v
-                | exception Cobj.Value.Type_error m -> Error ("type: " ^ m)
-                | exception Lang.Interp.Undefined m -> Error ("undefined: " ^ m)
-              in
-              (outcome, stats)
-            in
-            List.for_all
-              (fun jobs ->
-                let rv, rs = run ~vector:false ~jobs in
-                let vv, vs = run ~vector:true ~jobs in
-                let same_outcome =
-                  match (rv, vv) with
-                  | Ok a, Ok b -> Value.equal a b
-                  | Error a, Error b -> String.equal a b
-                  | _ -> false
-                in
-                (same_outcome
-                || QCheck2.Test.fail_reportf
-                     "value differs at jobs=%d on %s (%s)" jobs src cname)
-                && (vs = rs
-                   || QCheck2.Test.fail_reportf
-                        "stats differ at jobs=%d on %s (%s):@.row    %a@.\
-                         vector %a"
-                        jobs src cname Stats.pp rs Stats.pp vs))
-              [ 1; 4 ])
-        [
-          ("mixed", Test_random_queries.catalog);
-          ("all-dangling", Test_random_queries.all_dangling_catalog);
-        ])
-
 (* Batch-width sensitivity on random queries: the width is physical
-   layout only, never semantics. *)
+   layout only, never semantics. Every width must reproduce width 1024's
+   outcome (value or identical error) and complete Stats, and a value at
+   1024 must equal the reference interpreter's. *)
 let prop_batch_width_invariant =
   qcheck ~count:60 "batch width never changes value or stats"
     Test_random_queries.query_gen
@@ -194,31 +147,55 @@ let prop_batch_width_invariant =
         QCheck2.Test.fail_reportf "compile failed on %s: %s" src msg
       | Ok { Core.Pipeline.physical = None; _ } -> true
       | Ok { Core.Pipeline.physical = Some pq; _ } ->
-        let run ~vector ~batch =
+        let run ~batch =
           let stats = Stats.create () in
           let outcome =
-            match
-              Exec.run_under ~stats ~jobs:1 ~vector ~batch cat Env.empty pq
-            with
+            match Exec.run_under ~stats ~jobs:1 ~batch cat Env.empty pq with
             | v -> Ok v
             | exception Cobj.Value.Type_error m -> Error m
             | exception Lang.Interp.Undefined m -> Error m
           in
           (outcome, stats)
         in
-        let rv, rs = run ~vector:false ~batch:1024 in
-        List.for_all
-          (fun batch ->
-            let vv, vs = run ~vector:true ~batch in
-            let same =
-              match (rv, vv) with
-              | Ok a, Ok b -> Value.equal a b
-              | Error a, Error b -> String.equal a b
-              | _ -> false
-            in
-            (same && vs = rs)
-            || QCheck2.Test.fail_reportf "batch=%d differs on %s" batch src)
-          [ 1; 7; 1024 ])
+        let rv, rs = run ~batch:1024 in
+        let interp_agrees =
+          match (Core.Pipeline.run Core.Pipeline.Interp cat src, rv) with
+          | Ok a, Ok b -> Value.equal a b
+          | Error _, Error _ -> true
+          | _ -> false
+        in
+        (interp_agrees
+        || QCheck2.Test.fail_reportf "interpreter differs on %s" src)
+        && List.for_all
+             (fun batch ->
+               let vv, vs = run ~batch in
+               let same =
+                 match (rv, vv) with
+                 | Ok a, Ok b -> Value.equal a b
+                 | Error a, Error b -> String.equal a b
+                 | _ -> false
+               in
+               (same && vs = rs)
+               || QCheck2.Test.fail_reportf "batch=%d differs on %s" batch src)
+             [ 1; 2; 3; 7; 64 ])
+
+(* [~vector:false] names an engine that does not exist: the pipeline
+   rejects it instead of silently running the only one there is. *)
+let test_no_row_engine () =
+  let catalog = xy_catalog () in
+  match
+    Core.Pipeline.compile_string Core.Pipeline.Decorrelated catalog
+      "SELECT x.a FROM X x"
+  with
+  | Error msg -> Alcotest.failf "compile failed: %s" msg
+  | Ok compiled ->
+    Alcotest.check_raises "execute ~vector:false"
+      (Invalid_argument "Pipeline: ~vector:false (there is no row engine)")
+      (fun () ->
+        ignore (Core.Pipeline.execute ~vector:false catalog compiled));
+    Alcotest.check value "execute ~vector:true"
+      (Core.Pipeline.execute catalog compiled)
+      (Core.Pipeline.execute ~vector:true catalog compiled)
 
 let suite =
   [
@@ -227,6 +204,7 @@ let suite =
     Alcotest.test_case "late materialization" `Quick test_late_materialization;
     Alcotest.test_case "filter edge cases" `Quick test_filter_edges;
     Alcotest.test_case "join edge cases" `Quick test_join_edges;
-    prop_vector_oracle;
     prop_batch_width_invariant;
+    Alcotest.test_case "execute ~vector:false raises" `Quick
+      test_no_row_engine;
   ]

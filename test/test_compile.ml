@@ -69,11 +69,43 @@ let test_pred_undefined_is_false () =
   Alcotest.check Alcotest.bool "undefined → false" false
     (Engine.Compile.pred cat p env)
 
+(* An arithmetic filter and a hash semijoin: both run on columnar batches,
+   whose expression kernels must step aside when compilation is off. *)
+let batch_query =
+  "SELECT x.a FROM X x WHERE x.a * 2 + 1 > x.b AND x.b IN (SELECT y.d FROM \
+   Y y WHERE y.c = x.a)"
+
 let test_disabled_falls_back () =
+  let compiled =
+    match
+      Core.Pipeline.compile_string
+        ~options:
+          { Core.Planner.default_options with force = Core.Planner.Force_hash }
+        Core.Pipeline.Decorrelated cat batch_query
+    with
+    | Ok c -> c
+    | Error msg -> Alcotest.failf "compile failed: %s" msg
+  in
+  let rec has f plan =
+    f plan || List.exists (has f) (Engine.Analyze.children plan)
+  in
+  let plan =
+    match compiled.Core.Pipeline.physical with
+    | Some pq -> pq.Engine.Physical.plan
+    | None -> Alcotest.fail "no physical plan"
+  in
+  Alcotest.(check bool) "plan has a hash semijoin" true
+    (has (function Engine.Physical.Hash_semijoin _ -> true | _ -> false) plan);
+  Alcotest.(check bool) "plan has a filter" true
+    (has (function Engine.Physical.Filter _ -> true | _ -> false) plan);
+  let expected = Core.Pipeline.execute ~jobs:1 cat compiled in
   Engine.Compile.enabled := false;
   Fun.protect
     ~finally:(fun () -> Engine.Compile.enabled := true)
-    (fun () -> List.iter agree corpus)
+    (fun () ->
+      List.iter agree corpus;
+      Alcotest.check value batch_query expected
+        (Core.Pipeline.execute ~jobs:1 cat compiled))
 
 (* randomized: reuse the parser fuzz generator, evaluating under [env];
    outcomes (value / undefined / type error) must match exactly *)

@@ -290,7 +290,7 @@ let prop_parallel_agrees =
 
 (* Merged parallel instrumentation is exact: the flat totals of the
    annotation tree and every node's rows_out are invariant in the domain
-   count. *)
+   count, on the mixed catalog and on the all-dangling one. *)
 let prop_parallel_stats_exact =
   let module Stats = Engine.Stats in
   let rec same_shape_rows (a : Stats.node) (b : Stats.node) =
@@ -316,31 +316,38 @@ let prop_parallel_stats_exact =
   in
   qcheck ~count:120 "merged parallel stats equal serial stats" query_gen
     (fun src ->
-      match
-        Core.Pipeline.compile_string Core.Pipeline.Decorrelated catalog src
-      with
-      | Error msg -> QCheck2.Test.fail_reportf "compile failed on %s: %s" src msg
-      | Ok { physical = None; _ } -> true
-      | Ok { physical = Some pq; _ } ->
-        let instrument jobs =
-          let tree = Engine.Analyze.tree_of_query pq in
-          ignore
-            (Engine.Exec.rows_instrumented ~jobs tree catalog Cobj.Env.empty
-               pq.Engine.Physical.plan);
-          tree
-        in
-        let serial = instrument 1 in
-        List.for_all
-          (fun jobs ->
-            let par = instrument jobs in
-            (totals_equal (Stats.totals serial) (Stats.totals par)
-            || QCheck2.Test.fail_reportf
-                 "totals differ at jobs=%d on %s:@.serial %a@.parallel %a" jobs
-                 src Stats.pp (Stats.totals serial) Stats.pp (Stats.totals par))
-            && (same_shape_rows serial par
-               || QCheck2.Test.fail_reportf
-                    "per-node rows_out differs at jobs=%d on %s" jobs src))
-          [ 2; 4 ])
+      List.for_all
+        (fun (cname, cat) ->
+          match
+            Core.Pipeline.compile_string Core.Pipeline.Decorrelated cat src
+          with
+          | Error msg ->
+            QCheck2.Test.fail_reportf "compile failed on %s: %s" src msg
+          | Ok { physical = None; _ } -> true
+          | Ok { physical = Some pq; _ } ->
+            let instrument jobs =
+              let tree = Engine.Analyze.tree_of_query pq in
+              ignore
+                (Engine.Exec.rows_instrumented ~jobs tree cat Cobj.Env.empty
+                   pq.Engine.Physical.plan);
+              tree
+            in
+            let serial = instrument 1 in
+            List.for_all
+              (fun jobs ->
+                let par = instrument jobs in
+                (totals_equal (Stats.totals serial) (Stats.totals par)
+                || QCheck2.Test.fail_reportf
+                     "totals differ at jobs=%d on %s (%s):@.serial %a@.\
+                      parallel %a"
+                     jobs src cname Stats.pp (Stats.totals serial) Stats.pp
+                     (Stats.totals par))
+                && (same_shape_rows serial par
+                   || QCheck2.Test.fail_reportf
+                        "per-node rows_out differs at jobs=%d on %s (%s)" jobs
+                        src cname))
+              [ 2; 4 ])
+        [ ("mixed", catalog); ("all-dangling", all_dangling_catalog) ])
 
 let suite =
   [
