@@ -1133,8 +1133,8 @@ let serve_cmd =
       & info [ "result-cache" ] ~docv:"BYTES"
           ~doc:
             "Budget of the result LRU in approximate bytes; entries are \
-             invalidated when the catalog changes. 0 disables result \
-             caching.")
+             keyed by catalog statistics version, so a catalog change \
+             reaches none of the old ones. 0 disables result caching.")
   in
   let quiet_arg =
     Arg.(

@@ -80,31 +80,30 @@ let scan catalog = List.map scan_table (Catalog.tables catalog)
 
 (* One record per catalog, keyed on physical identity (catalogs are
    immutable, so a changed catalog is a different value): its version
-   stamp and, once planned against, its statistics. Session threads and
-   domains read it concurrently, hence the mutex. The list is capped at
-   [max_catalogs], oldest first out; a re-seen evicted catalog is stamped
-   afresh (stamps only ever grow, so a re-stamp can never resurrect a
-   stale cache entry) and scanned again. *)
+   stamp and, once planned against, its statistics. The table's keys are
+   ephemerons, so a record lives exactly as long as its catalog. Session
+   threads and domains read it concurrently, hence the mutex. *)
 type entry = { stamp : int; mutable stats : t option }
+
+module Records = Ephemeron.K1.Make (struct
+  type t = Catalog.t
+
+  let equal = ( == )
+  let hash = Catalog.id
+end)
 
 let lock = Mutex.create ()
 let counter = ref 0
-let entries : (Catalog.t * entry) list ref = ref []
-let max_catalogs = 64
+let records : entry Records.t = Records.create 16
 
 (* Callers hold [lock]. *)
 let entry catalog =
-  match List.assq_opt catalog !entries with
+  match Records.find_opt records catalog with
   | Some e -> e
   | None ->
     incr counter;
     let e = { stamp = !counter; stats = None } in
-    let keep =
-      if List.length !entries >= max_catalogs then
-        List.filteri (fun i _ -> i < max_catalogs - 1) !entries
-      else !entries
-    in
-    entries := (catalog, e) :: keep;
+    Records.add records catalog e;
     e
 
 let version catalog = Mutex.protect lock (fun () -> (entry catalog).stamp)

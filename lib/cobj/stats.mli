@@ -10,8 +10,10 @@
     Each catalog gets one record, keyed on physical identity (catalogs are
     immutable, so a changed catalog is a different value), that holds its
     {!version} stamp and its memoized statistics. The records live under
-    one mutex, at most 64 of them, oldest first out: planning against
-    several catalogs in turn scans each once. *)
+    one mutex in an ephemeron table: a record lives exactly as long as its
+    catalog, with no cap on how many are kept, so planning against several
+    live catalogs in turn scans each once, and a dropped catalog takes its
+    record with it. *)
 
 type attr = {
   ndv : int option;  (** distinct non-null values; [None] on empty tables *)
@@ -38,18 +40,18 @@ val scan : Catalog.t -> t
 
 val of_catalog : Catalog.t -> t
 (** {!scan}, memoized in the catalog's record: later calls on the same
-    catalog return the same (physically equal) list while the record is
-    among the 64 kept, whatever other catalogs were planned in between.
+    catalog return the same (physically equal) list for as long as the
+    catalog lives, whatever other catalogs were planned in between.
     Thread-safe. *)
 
 val version : Catalog.t -> int
 (** Monotonic statistics-version stamp for cache keying, held in the same
     record as {!of_catalog}'s statistics: the first call on a catalog
     assigns the next version number; later calls on the same catalog
-    return the same stamp. A catalog whose record was evicted gets a
-    fresh, larger stamp when seen again. Plan-cache keys embed this stamp,
-    so any catalog change invalidates every cached plan and result derived
-    from the old statistics. Thread-safe. *)
+    return the same stamp for the catalog's whole life. Stamps are never
+    reused, not even after their catalog is collected. Plan-cache keys
+    embed this stamp, so a new catalog never reaches a plan or result
+    derived from another catalog's statistics. Thread-safe. *)
 
 val table : t -> string -> table option
 val attr : t -> string -> string -> attr option

@@ -10,8 +10,8 @@ type t = {
   elt : Ctype.t;
   rows : Value.t list;
   key : string list option;
-  distinct_cache : (string, int option) Hashtbl.t;
   index_cache : (string, Value.t list Value_tbl.t) Hashtbl.t;
+  index_m : Mutex.t;  (* guards [index_cache]: domains share tables *)
 }
 
 let verify_key rows fields =
@@ -46,8 +46,8 @@ let create ?key ~name ~elt values =
     elt;
     rows;
     key;
-    distinct_cache = Hashtbl.create 4;
     index_cache = Hashtbl.create 4;
+    index_m = Mutex.create ();
   }
 
 let name t = t.name
@@ -71,40 +71,20 @@ let build_index field t =
   Value_tbl.filter_map_inplace (fun _ bucket -> Some (List.rev bucket)) index;
   index
 
-let index_lookup field t v =
+let index field t =
   let index =
-    match Hashtbl.find_opt t.index_cache field with
-    | Some index -> index
-    | None ->
-      let index = build_index field t in
-      Hashtbl.add t.index_cache field index;
-      index
+    Mutex.protect t.index_m (fun () ->
+        match Hashtbl.find_opt t.index_cache field with
+        | Some index -> index
+        | None ->
+          let index = build_index field t in
+          Hashtbl.add t.index_cache field index;
+          index)
   in
-  match Value_tbl.find_opt index v with
-  | Some rows -> rows
-  | None -> []
+  fun v -> Option.value (Value_tbl.find_opt index v) ~default:[]
 
-let has_index field t = Hashtbl.mem t.index_cache field
-
-let distinct_count field t =
-  match Hashtbl.find_opt t.distinct_cache field with
-  | Some cached -> cached
-  | None ->
-    let result =
-      let seen = Hashtbl.create 64 in
-      let rec count = function
-        | [] -> Some (Hashtbl.length seen)
-        | row :: rest -> (
-          match Value.field_opt field row with
-          | None -> None
-          | Some v ->
-            Hashtbl.replace seen v ();
-            count rest)
-      in
-      count t.rows
-    in
-    Hashtbl.add t.distinct_cache field result;
-    result
+let has_index field t =
+  Mutex.protect t.index_m (fun () -> Hashtbl.mem t.index_cache field)
 
 (* Grid rendering for flat tuple rows; falls back to one value per line. *)
 let pp ppf t =

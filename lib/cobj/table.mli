@@ -21,17 +21,14 @@ val key : t -> string list option
 val to_value : t -> Value.t
 (** The table's contents as a [Set] value. *)
 
-val distinct_count : string -> t -> int option
-(** Number of distinct values of a top-level tuple field, computed on first
-    use and cached — the statistic behind the cost model's join-selectivity
-    estimates. [None] when rows are not tuples or lack the field. *)
-
-val index_lookup : string -> t -> Value.t -> Value.t list
-(** [index_lookup field t v] — the rows whose top-level [field] equals [v],
-    via a hash index built on first use and cached for the table's lifetime
-    (tables are immutable). Rows lacking the field are simply absent from
-    the index. Probing is O(1); the index powers the engine's index-join
-    operators. *)
+val index : string -> t -> Value.t -> Value.t list
+(** [index field t] fetches, or builds on first use, the hash index of [t]
+    on its top-level [field] and returns its probe: [index field t v] is
+    the rows whose [field] equals [v]. The index is cached for the table's
+    lifetime (tables are immutable); the fetch or build runs under a
+    per-table mutex, so domains sharing a table build it once, and the
+    returned probe takes no lock. Rows lacking the field are simply absent
+    from the index. The index powers the engine's index-join operators. *)
 
 val has_index : string -> t -> bool
 (** Whether the index for [field] has been materialized already (used by

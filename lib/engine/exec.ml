@@ -432,6 +432,13 @@ let produced_count = function
   | Batches bs -> Batch.live_total bs
   | Rows rows -> List.length rows
 
+(* An index operator's probe into [t]'s index on [field], fetched once
+   before the row loop. An empty left side probes nothing and so builds
+   no index, which the cost model would otherwise price as warm. *)
+let index_probe field t = function
+  | [] -> fun _ -> []
+  | _ :: _ -> Cobj.Table.index field t
+
 let rec rows_fr fr catalog env plan =
   match exec_timed fr catalog env plan with
   | Rows rows -> rows
@@ -1125,11 +1132,13 @@ and exec fr catalog env plan =
       let lkeyfn = Compile.expr catalog lkey in
       let rok = compile_residual ~stats catalog residual in
       let t = Cobj.Catalog.find_exn table catalog in
+      let lefts = rows_fr (c0 fr) catalog env left in
+      let probe = index_probe field t lefts in
       Rows
-        (rows_fr (c0 fr) catalog env left
+        (lefts
         |> List.concat_map (fun l ->
                stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-               Cobj.Table.index_lookup field t (lkeyfn l)
+               probe (lkeyfn l)
                |> List.filter_map (fun rv ->
                       let merged = Env.bind var rv l in
                       if rok merged then Some merged else None)))
@@ -1137,12 +1146,14 @@ and exec fr catalog env plan =
       let lkeyfn = Compile.expr catalog lkey in
       let rok = compile_residual ~stats catalog residual in
       let t = Cobj.Catalog.find_exn table catalog in
+      let lefts = rows_fr (c0 fr) catalog env left in
+      let probe = index_probe field t lefts in
       Rows
-        (rows_fr (c0 fr) catalog env left
+        (lefts
         |> List.filter (fun l ->
                stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
                let found =
-                 Cobj.Table.index_lookup field t (lkeyfn l)
+                 probe (lkeyfn l)
                  |> List.exists (fun rv -> rok (Env.bind var rv l))
                in
                if anti then not found else found))
@@ -1152,12 +1163,14 @@ and exec fr catalog env plan =
       let rok = compile_residual ~stats catalog residual in
       let funcfn = Compile.expr catalog func in
       let t = Cobj.Catalog.find_exn table catalog in
+      let lefts = rows_fr (c0 fr) catalog env left in
+      let probe = index_probe field t lefts in
       Rows
-        (rows_fr (c0 fr) catalog env left
+        (lefts
         |> List.map (fun l ->
                stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
                let members =
-                 Cobj.Table.index_lookup field t (lkeyfn l)
+                 probe (lkeyfn l)
                  |> List.filter_map (fun rv ->
                         let merged = Env.bind var rv l in
                         if rok merged then Some (funcfn merged) else None)

@@ -1,7 +1,7 @@
 (* Plan and result caches over Core.Pipeline — see cache.mli for the
-   contract. Thread-safety comes from Lru's internal lock plus one
-   mutex for the invalidation counter; the pipeline calls themselves are
-   serialized by the daemon's executor lock, not here. *)
+   contract. Thread-safety comes from Lru's internal lock; the pipeline
+   calls themselves are serialized by the daemon's executor lock, not
+   here. *)
 
 module Pipeline = Core.Pipeline
 
@@ -17,8 +17,6 @@ type t = {
   admit_fraction : float;
   rewrite : bool;
   reorder : bool;
-  m : Mutex.t;
-  mutable invalidations : int;
 }
 
 let metric name = Obs.Metrics.incr name
@@ -45,8 +43,6 @@ let create ?(plan_capacity = 128) ?(result_capacity = 0)
     admit_fraction;
     rewrite;
     reorder;
-    m = Mutex.create ();
-    invalidations = 0;
   }
 
 type reply = {
@@ -207,15 +203,6 @@ let query t ?(cache = true) ?(instrument = false) ?stats ?jobs ?bloom
           Error (Runtime ("undefined: " ^ msg))
       end
 
-let invalidate_results t =
-  let dropped = Lru.clear t.results in
-  Mutex.lock t.m;
-  t.invalidations <- t.invalidations + dropped;
-  Mutex.unlock t.m;
-  if dropped > 0 then
-    Obs.Metrics.incr ~by:dropped "server.cache.result.invalidations";
-  dropped
-
 let plan_entries t = Lru.length t.plans
 let result_entries t = Lru.length t.results
 let result_bytes t = Lru.total_cost t.results
@@ -225,9 +212,3 @@ let plan_evictions t = Lru.evictions t.plans
 let result_hits t = Lru.hits t.results
 let result_misses t = Lru.misses t.results
 let result_evictions t = Lru.evictions t.results
-
-let invalidations t =
-  Mutex.lock t.m;
-  let n = t.invalidations in
-  Mutex.unlock t.m;
-  n

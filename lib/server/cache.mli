@@ -2,11 +2,11 @@
     byte-bounded result cache in front of [Core.Pipeline].
 
     Both caches are keyed on {!Core.Pipeline.plan_key} — strategy ⊕
-    catalog statistics version ⊕ normalized AST — so a catalog change
-    (a new statistics version, {!Cobj.Stats.version}) makes every stale
-    entry unreachable; {!invalidate_results} additionally drops the
-    result entries eagerly so their memory is returned at the moment of
-    the change, not at eviction time.
+    catalog statistics version ⊕ normalized AST — so entries of
+    different catalogs never meet: a new catalog (a new statistics
+    version, {!Cobj.Stats.version}) misses, while sessions still on the
+    old catalog keep hitting its entries. Nothing is flushed on a catalog
+    change; entries nobody asks for age out of the LRU.
 
     Correctness contract (proven by the qcheck differential oracle in
     [test/test_server.ml]): for any query, cached and uncached execution
@@ -18,7 +18,7 @@
 
     Metrics (when the registry is enabled): [server.cache.plan.hits /
     misses / evictions], [server.cache.result.hits / misses /
-    evictions / invalidations] and [server.result_cache.skipped_large]
+    evictions] and [server.result_cache.skipped_large]
     (results denied admission by the size policy). *)
 
 type outcome =
@@ -104,11 +104,6 @@ val compile :
   (Core.Pipeline.compiled * outcome, error) result
 (** The plan-cache half of {!query} alone. *)
 
-val invalidate_results : t -> int
-(** Drop every cached result (the catalog changed); returns the number of
-    entries dropped and counts them as
-    [server.cache.result.invalidations]. *)
-
 (** {2 Introspection (tests, benches, the [metrics] op)} *)
 
 val plan_entries : t -> int
@@ -120,4 +115,3 @@ val plan_evictions : t -> int
 val result_hits : t -> int
 val result_misses : t -> int
 val result_evictions : t -> int
-val invalidations : t -> int

@@ -197,7 +197,7 @@ let do_query state (session : Session.t) ~id (q : Protocol.query_req) =
     if e = Cache.Timeout then Obs.Metrics.incr "server.request.timeouts";
     Error (code, message)
 
-let do_catalog state (session : Session.t) ~id (c : Protocol.catalog_req) =
+let do_catalog (session : Session.t) ~id (c : Protocol.catalog_req) =
   let seed = Option.value c.Protocol.seed ~default:42 in
   let scale = Option.value c.Protocol.scale ~default:100 in
   match
@@ -208,9 +208,8 @@ let do_catalog state (session : Session.t) ~id (c : Protocol.catalog_req) =
   | Ok (catalog, name) ->
     session.catalog <- catalog;
     session.catalog_name <- name;
-    (* The new statistics version keys all future plans; the old results
-       are flushed eagerly so a changed catalog frees its memory now. *)
-    let dropped = Cache.invalidate_results state.cache in
+    (* The new statistics version keys this session's future plans and
+       results; other sessions on the old catalog keep its entries. *)
     Obs.Metrics.incr "server.catalog.changes";
     Ok
       (Protocol.ok ~id
@@ -220,7 +219,6 @@ let do_catalog state (session : Session.t) ~id (c : Protocol.catalog_req) =
               (List.map (fun n -> Json.String n)
                  (Cobj.Catalog.names catalog)));
            ("stats_version", Json.Int (Cobj.Stats.version catalog));
-           ("results_invalidated", Json.Int dropped);
          ])
 
 let do_metrics ~id =
@@ -272,7 +270,7 @@ let process state (session : Session.t) decoded =
     | Protocol.Shutdown ->
       (id, Ok (Protocol.ok ~id [ ("result", Json.String "bye") ]))
     | Protocol.Query q -> (id, do_query state session ~id q)
-    | Protocol.Catalog c -> (id, do_catalog state session ~id c))
+    | Protocol.Catalog c -> (id, do_catalog session ~id c))
 
 let handle_session state fd =
   let session =

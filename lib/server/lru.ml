@@ -125,20 +125,6 @@ let remove t k =
       | Some n -> drop t n ~evicted:false
       | None -> ())
 
-let clear t =
-  locked t (fun () ->
-      let n = Hashtbl.length t.tbl in
-      let rec pop () =
-        match t.tail with
-        | Some lru ->
-          drop t lru ~evicted:false;
-          t.on_evict lru.key lru.value;
-          pop ()
-        | None -> ()
-      in
-      pop ();
-      n)
-
 let length t = locked t (fun () -> Hashtbl.length t.tbl)
 let total_cost t = locked t (fun () -> t.total)
 let capacity t = t.capacity

@@ -20,8 +20,8 @@ val create :
 (** [capacity] is in cost units ([cost = fun _ _ -> 1] gives an
     entry-count LRU; a byte estimator gives a byte-bounded one). Each
     entry's cost is computed once, at insert. [on_evict] fires for
-    entries dropped by capacity eviction and by {!clear} — not for
-    {!remove} or replacement by {!add} — while the internal lock is
+    entries dropped by capacity eviction — not for {!remove} or
+    replacement by {!add} — while the internal lock is
     held, so it must not reenter the cache. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
@@ -35,10 +35,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
     least-recently-used entries until the total cost fits the capacity. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
-
-val clear : ('k, 'v) t -> int
-(** Drop everything; returns how many entries were dropped (the caller
-    typically counts them as invalidations). *)
 
 val length : ('k, 'v) t -> int
 val total_cost : ('k, 'v) t -> int

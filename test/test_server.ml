@@ -68,11 +68,9 @@ let test_lru_on_evict () =
   Lru.add l "d" 4;
   Alcotest.(check (list string)) "evicted in lru order" [ "b"; "a" ]
     !evicted;
-  (* remove does not fire the hook; clear does. *)
+  (* remove does not fire the hook. *)
   Lru.remove l "c";
-  Alcotest.(check int) "remove silent" 2 (List.length !evicted);
-  Alcotest.(check int) "clear count" 1 (Lru.clear l);
-  Alcotest.(check int) "clear fires hook" 3 (List.length !evicted)
+  Alcotest.(check int) "remove silent" 2 (List.length !evicted)
 
 let test_lru_cross_domain () =
   (* Four domains hammer one byte-bounded LRU; the invariants (bounded
@@ -177,10 +175,11 @@ let oracle_prop idx =
   let off, off_stats = run ~cache:false cache in
   let miss, miss_stats = run cache in
   let hit, hit_stats =
-    (* Drop only the result entry so this run re-executes through the
-       cached plan. *)
-    ignore (Cache.invalidate_results cache);
-    run cache
+    (* A cache without results: its second run re-executes through the
+       plan its first run cached. *)
+    let plans_only = Cache.create ~plan_capacity:8 ~result_capacity:0 () in
+    ignore (run plans_only);
+    run plans_only
   in
   let replay, _ = run cache in
   match (off, miss, hit, replay) with
@@ -276,7 +275,7 @@ let test_stats_version_invalidation () =
   Alcotest.(check bool) "same catalog hits" true
     (again.Cache.plan = Cache.Hit && again.Cache.result = Cache.Hit);
   (* A new catalog value — even with identical content — carries a new
-     statistics version, so every old key is unreachable. *)
+     statistics version, so it reaches none of the old keys. *)
   let rebuilt = Workload.Gen.xy Workload.Gen.default_xy in
   Alcotest.(check bool) "fresh stats version" true
     (Cobj.Stats.version rebuilt <> Cobj.Stats.version gen_catalog);
@@ -284,10 +283,13 @@ let test_stats_version_invalidation () =
   Alcotest.(check bool) "catalog change misses" true
     (after.Cache.plan = Cache.Miss && after.Cache.result = Cache.Miss);
   Alcotest.check value "but agrees" again.Cache.value after.Cache.value;
-  let dropped = Cache.invalidate_results cache in
-  Alcotest.(check int) "eager flush" 2 dropped;
-  Alcotest.(check int) "counted" 2 (Cache.invalidations cache);
-  Alcotest.(check int) "empty" 0 (Cache.result_entries cache)
+  (* Nothing is flushed: a reader still on the old catalog keeps its
+     result. *)
+  let old = run gen_catalog in
+  Alcotest.(check bool) "old catalog still hits" true
+    (old.Cache.result = Cache.Hit);
+  Alcotest.check value "old result agrees" after.Cache.value old.Cache.value;
+  Alcotest.(check int) "one result per catalog" 2 (Cache.result_entries cache)
 
 let test_strategy_cache_keying () =
   (* The plan key includes the strategy, so the same query text under the
@@ -322,8 +324,9 @@ let test_strategy_cache_keying () =
 
 let test_cache_cross_domain () =
   (* Concurrent sessions share one cache; hammer it from four domains
-     with a mix of queries and invalidations. *)
+     with queries on two catalogs, as when one session has reloaded. *)
   let cache = Cache.create ~plan_capacity:4 ~result_capacity:8192 () in
+  let reloaded = Workload.Gen.xy { Workload.Gen.default_xy with seed = 7 } in
   let queries =
     [|
       "SELECT x.id FROM X x WHERE x.a > 0";
@@ -335,29 +338,33 @@ let test_cache_cross_domain () =
        x.b) = 0";
     |]
   in
-  let expected =
+  let expected catalog =
     Array.map
       (fun q ->
         (Result.get_ok
-           (Cache.query cache ~cache:false Core.Pipeline.Decorrelated
-              gen_catalog q))
+           (Cache.query cache ~cache:false Core.Pipeline.Decorrelated catalog
+              q))
           .Cache.value)
       queries
   in
+  let expected_gen = expected gen_catalog in
+  let expected_reloaded = expected reloaded in
+  Alcotest.(check bool) "the catalogs answer differently" false
+    (Array.for_all2 Value.equal expected_gen expected_reloaded);
   let failures = Atomic.make 0 in
   let worker seed () =
     let st = Random.State.make [| seed |] in
     for _ = 1 to 200 do
       let i = Random.State.int st (Array.length queries) in
-      if Random.State.int st 20 = 0 then
-        ignore (Cache.invalidate_results cache)
-      else
-        match
-          Cache.query cache Core.Pipeline.Decorrelated gen_catalog
-            queries.(i)
-        with
-        | Ok r when Value.equal r.Cache.value expected.(i) -> ()
-        | _ -> Atomic.incr failures
+      let catalog, expected =
+        if Random.State.int st 20 = 0 then (reloaded, expected_reloaded)
+        else (gen_catalog, expected_gen)
+      in
+      match
+        Cache.query cache Core.Pipeline.Decorrelated catalog queries.(i)
+      with
+      | Ok r when Value.equal r.Cache.value expected.(i) -> ()
+      | _ -> Atomic.incr failures
     done
   in
   let domains = List.init 4 (fun i -> Domain.spawn (worker (77 + i))) in

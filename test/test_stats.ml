@@ -282,40 +282,57 @@ let catalog_stats_alternate () =
   done;
   Alcotest.(check bool) "memo = scan" true (sa = Cstats.scan a)
 
-(* Stamps grow with first sight; the 65th catalog evicts the oldest, which
-   is stamped afresh (and rescanned) when seen again. *)
-let catalog_stats_eviction () =
-  let cs = Array.init 65 fresh_catalog in
-  let first = Cstats.of_catalog cs.(0) in
+(* No cap: 200 live catalogs get 200 distinct, growing stamps, and a
+   catalog stamped before them keeps its stamp. *)
+let catalog_stats_stamps () =
+  let a = fresh_catalog 0 in
+  let va = Cstats.version a in
+  let cs = Array.init 200 (fun i -> fresh_catalog (1000 + i)) in
   let stamps = Array.map Cstats.version cs in
   Array.iteri
     (fun i v ->
-      if i > 0 then
-        Alcotest.(check bool)
-          (Printf.sprintf "stamp %d > stamp %d" i (i - 1))
-          true
-          (v > stamps.(i - 1)))
+      let prev = if i = 0 then va else stamps.(i - 1) in
+      Alcotest.(check bool)
+        (Printf.sprintf "stamp %d grows" i)
+        true (v > prev))
     stamps;
-  Array.iteri
-    (fun i c ->
-      if i > 0 then
-        Alcotest.(check int)
-          (Printf.sprintf "catalog %d kept" i)
-          stamps.(i) (Cstats.version c))
-    cs;
-  let again = Cstats.version cs.(0) in
-  Alcotest.(check bool) "evicted catalog gets a larger stamp" true
-    (again > stamps.(64));
-  let rescanned = Cstats.of_catalog cs.(0) in
-  Alcotest.(check bool) "evicted statistics rescanned" false
-    (rescanned == first);
-  Alcotest.(check bool) "rescan equals the first scan" true
-    (rescanned = first);
-  Alcotest.(check int) "re-stamp is stable" again (Cstats.version cs.(0))
+  Alcotest.(check int) "a keeps its stamp" va (Cstats.version a);
+  Alcotest.(check (array int)) "stamps are stable" stamps
+    (Array.map Cstats.version cs)
 
-(* Four domains interleave of_catalog and version over 70 catalogs (more
-   than the cap, so records are evicted under contention): every answer
-   equals a fresh scan and every stamp is positive. *)
+(* A catalog stamped, scanned and planned through a server cache is
+   collected once dropped: its record holds it only weakly, and the
+   cache's plan and result entries do not reach it. *)
+let catalog_stats_die_with_catalog () =
+  let cache =
+    Server.Cache.create ~plan_capacity:8 ~result_capacity:(1 lsl 20) ()
+  in
+  let weak = Weak.create 1 in
+  let[@inline never] use seed =
+    let c = fresh_catalog seed in
+    ignore (Cstats.version c);
+    ignore (Cstats.of_catalog c);
+    (match
+       Server.Cache.query cache Pipeline.Decorrelated c
+         "SELECT t.s FROM T t WHERE t.k IN (SELECT u.k FROM T u WHERE u.s \
+          = t.s)"
+     with
+    | Ok r ->
+      Alcotest.(check bool) "planned and executed" true
+        (r.Server.Cache.plan = Server.Cache.Miss
+        && r.Server.Cache.result = Server.Cache.Miss)
+    | Error _ -> Alcotest.fail "query failed");
+    Weak.set weak 0 (Some c)
+  in
+  use 41;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "catalog collected" false (Weak.check weak 0);
+  Alcotest.(check int) "its result stays cached" 1
+    (Server.Cache.result_entries cache)
+
+(* Four domains interleave of_catalog and version over 70 catalogs:
+   every answer equals a fresh scan and every stamp is positive. *)
 let catalog_stats_hammer () =
   let cs = Array.init 70 (fun i -> fresh_catalog (100 + i)) in
   let expected = Array.map Cstats.scan cs in
@@ -350,8 +367,10 @@ let suite =
     Alcotest.test_case "reset_node" `Quick reset_node;
     Alcotest.test_case "catalog stats survive alternation" `Quick
       catalog_stats_alternate;
-    Alcotest.test_case "catalog stats eviction and re-stamp" `Quick
-      catalog_stats_eviction;
+    Alcotest.test_case "catalog stats: distinct growing stamps" `Quick
+      catalog_stats_stamps;
+    Alcotest.test_case "catalog stats die with the catalog" `Quick
+      catalog_stats_die_with_catalog;
     Alcotest.test_case "catalog stats 4-domain hammer" `Quick
       catalog_stats_hammer;
   ]

@@ -134,18 +134,3 @@ let suite =
     Alcotest.test_case "prng stability" `Quick test_prng_stability;
     Alcotest.test_case "prng rejection sampling" `Quick test_prng_rejection;
   ]
-
-let test_distinct_count () =
-  let cat = Gen.table1 () in
-  let x = Catalog.find_exn "X" cat in
-  Alcotest.(check (option int)) "distinct e" (Some 3)
-    (Table.distinct_count "e" x);
-  Alcotest.(check (option int)) "missing field" None
-    (Table.distinct_count "nope" x);
-  let y = Catalog.find_exn "Y" cat in
-  Alcotest.(check (option int)) "distinct b in Y" (Some 2)
-    (Table.distinct_count "b" y);
-  (* cached second call agrees *)
-  Alcotest.(check (option int)) "cached" (Some 2) (Table.distinct_count "b" y)
-
-let suite = suite @ [ Alcotest.test_case "distinct count" `Quick test_distinct_count ]
