@@ -555,9 +555,10 @@ let server_case ~suite =
     failwith "server bench: warm-result request missed the result cache";
   if
     not
-      (Cobj.Value.equal cold.Server.Cache.value warm_plan.Server.Cache.value
-      && Cobj.Value.equal cold.Server.Cache.value
-          warm_result.Server.Cache.value)
+      (String.equal cold.Server.Cache.result_json
+         warm_plan.Server.Cache.result_json
+      && String.equal cold.Server.Cache.result_json
+           warm_result.Server.Cache.result_json)
   then failwith "server bench: cached reply diverged from cold execution";
   let timed f = Harness.measure_ms ~budget_ns:2.5e8 f in
   let cold_ms = timed (fun () -> ignore (ask ~cache:false cold_cache)) in

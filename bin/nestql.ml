@@ -1120,7 +1120,8 @@ let serve_cmd =
   in
   let plan_cache_arg =
     Arg.(
-      value & opt int 128
+      value
+      & opt int Server.Daemon.default_config.Server.Daemon.plan_capacity
       & info [ "plan-cache" ] ~docv:"N"
           ~doc:
             "Capacity of the compiled-plan LRU in entries, keyed on the \
@@ -1129,12 +1130,14 @@ let serve_cmd =
   in
   let result_cache_arg =
     Arg.(
-      value & opt int (4 * 1024 * 1024)
+      value
+      & opt int Server.Daemon.default_config.Server.Daemon.result_capacity
       & info [ "result-cache" ] ~docv:"BYTES"
           ~doc:
-            "Budget of the result LRU in approximate bytes; entries are \
-             keyed by catalog statistics version, so a catalog change \
-             reaches none of the old ones. 0 disables result caching.")
+            "Budget of the result LRU in bytes of heap; each entry holds \
+             the encoded reply text and is keyed by catalog statistics \
+             version, so a catalog change reaches none of the old ones. 0 \
+             disables result caching.")
   in
   let quiet_arg =
     Arg.(

@@ -7,22 +7,30 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
+(* Escape [s] straight into [buf]: runs of bytes that need no escape are
+   blitted whole, so a long plain string costs one copy. *)
+let add_escaped buf s =
+  let start = ref 0 in
+  let flush i =
+    if i > !start then Buffer.add_substring buf s !start (i - !start)
+  in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
+      flush i;
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      start := i + 1
+    | _ -> ()
+  done;
+  flush (String.length s)
 
 (* Floats must stay valid JSON: no nan/infinity literals, and always a
    number shape a strict parser accepts. *)
@@ -41,8 +49,9 @@ let rec emit buf = function
   | Float x -> Buffer.add_string buf (float_repr x)
   | String s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
+    add_escaped buf s;
     Buffer.add_char buf '"'
+  | Raw s -> Buffer.add_string buf s
   | List xs ->
     Buffer.add_char buf '[';
     List.iteri
@@ -57,7 +66,7 @@ let rec emit buf = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        add_escaped buf k;
         Buffer.add_string buf "\":";
         emit buf v)
       fields;
@@ -71,7 +80,8 @@ let to_string j =
 (* Indented rendering for artifacts meant to be read and diffed by humans
    (bench JSON); [to_string] stays compact for piping into tools. *)
 let rec emit_pretty buf indent = function
-  | (Null | Bool _ | Int _ | Int64 _ | Float _ | String _) as j -> emit buf j
+  | (Null | Bool _ | Int _ | Int64 _ | Float _ | String _ | Raw _) as j ->
+    emit buf j
   | List [] -> Buffer.add_string buf "[]"
   | List xs ->
     let pad = String.make indent ' ' in
@@ -96,7 +106,7 @@ let rec emit_pretty buf indent = function
         if i > 0 then Buffer.add_string buf ",\n";
         Buffer.add_string buf pad';
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        add_escaped buf k;
         Buffer.add_string buf "\": ";
         emit_pretty buf (indent + 2) v)
       fields;

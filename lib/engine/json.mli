@@ -11,6 +11,9 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** an already-encoded JSON fragment, emitted verbatim; the caller
+          vouches that it is valid JSON *)
 
 val to_string : t -> string
 (** Compact single-line rendering. *)

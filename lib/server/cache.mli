@@ -6,19 +6,30 @@
     different catalogs never meet: a new catalog (a new statistics
     version, {!Cobj.Stats.version}) misses, while sessions still on the
     old catalog keep hitting its entries. Nothing is flushed on a catalog
-    change; entries nobody asks for age out of the LRU.
+    change. Each entry records its catalog's stamp, and the first entry
+    of a stamp arms a finaliser on that catalog: once the catalog is
+    collected, the next {!query} or {!compile} purges its plans and
+    results, which nobody can ask for again. Other entries nobody asks
+    for age out of the LRU.
+
+    A result entry is exactly the bytes the server sends after
+    ["result":] — the JSON string literal of {!Cobj.Value.to_string} of
+    the value, quotes included — so a hit is a lookup and a copy, with no
+    value, rendering or escaping. It is charged its heap size in bytes:
+    the entry record, its LRU node and hash-table cell, and the key and
+    literal as string blocks.
 
     Correctness contract (proven by the qcheck differential oracle in
     [test/test_server.ml]): for any query, cached and uncached execution
-    produce byte-identical values, and executions reached through a
+    produce byte-identical replies, and executions reached through a
     plan-cache hit fill [Engine.Stats] identically to a fresh compile —
     only the cache counters (kept here and in [Obs.Metrics], never in
-    [Engine.Stats]) differ. A result-cache hit replays the stored value
+    [Engine.Stats]) differ. A result-cache hit replays the stored bytes
     without executing at all.
 
     Metrics (when the registry is enabled): [server.cache.plan.hits /
-    misses / evictions], [server.cache.result.hits / misses /
-    evictions] and [server.result_cache.skipped_large]
+    misses / evictions / purged], [server.cache.result.hits / misses /
+    evictions / purged] and [server.result_cache.skipped_large]
     (results denied admission by the size policy). *)
 
 type outcome =
@@ -40,8 +51,8 @@ val create :
   unit ->
   t
 (** [plan_capacity] (default 128) is in plans; 0 disables plan caching.
-    [result_capacity] (default 0 — disabled) is in approximate bytes
-    ({!Cobj.Value.approx_bytes} plus the rendered text).
+    [result_capacity] (default 0 — disabled) is in bytes of heap, as
+    each entry is charged above.
     [admit_fraction] (default 0.25) is the admission policy: a result
     whose cost exceeds this fraction of [result_capacity] is served but
     never cached (it would evict most of the working set for one entry),
@@ -49,8 +60,10 @@ val create :
     / [reorder] are baked into the key and passed to every compile. *)
 
 type reply = {
-  value : Cobj.Value.t;
-  rendered : string;  (** {!Cobj.Value.to_string}: one line, newline-free *)
+  result_json : string;
+      (** the JSON string literal, quotes included, of the one-line
+          {!Cobj.Value.to_string} rendering: the reply's ["result"] field
+          as it goes on the wire *)
   rows : int;  (** collection cardinality, 1 for scalar results *)
   plan : outcome;
   result : outcome;
@@ -89,7 +102,7 @@ val query :
     request without touching them. [instrument:true] (default false)
     forces the EXPLAIN ANALYZE execution path when a physical plan
     exists, filling [reply.tree] and [reply.misest] — the daemon's
-    slow-query log runs this way; the result value is identical.
+    slow-query log runs this way; the result bytes are identical.
     [deadline_expired] is consulted at the phase boundaries (before
     compile and before execute) — the timeout is cooperative, a running
     operator is never interrupted. [stats] is filled only when the

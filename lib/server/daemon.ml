@@ -31,7 +31,7 @@ let default_config =
     strategy = Pipeline.Decorrelated;
     jobs = 1;
     plan_capacity = 128;
-    result_capacity = 4 * 1024 * 1024;
+    result_capacity = 2 * 1024 * 1024;
     timeout_ms = None;
     slow_ms = None;
     http_port = None;
@@ -186,7 +186,7 @@ let do_query state (session : Session.t) ~id (q : Protocol.query_req) =
     Ok
       (Protocol.ok ~id
          [
-           ("result", Json.String reply.Cache.rendered);
+           ("result", Json.Raw reply.Cache.result_json);
            ("rows", Json.Int reply.Cache.rows);
            ("ms", Json.Float ms);
            ("strategy", Json.String (Pipeline.strategy_name strategy));

@@ -33,7 +33,7 @@ type config = {
   strategy : Core.Pipeline.strategy;  (** session default strategy *)
   jobs : int;  (** default execution width (per-request override) *)
   plan_capacity : int;  (** plans; 0 disables the plan cache *)
-  result_capacity : int;  (** approximate bytes; 0 disables *)
+  result_capacity : int;  (** bytes of heap, see {!Cache.create}; 0 disables *)
   timeout_ms : int option;  (** default per-request deadline *)
   slow_ms : int option;
       (** slow-query log threshold: queries at or over this many
@@ -50,7 +50,7 @@ type config = {
 
 val default_config : config
 (** [xy] catalog (seed 42, scale 100), strategy [Decorrelated], jobs 1,
-    128-plan cache, 4 MiB result cache, no timeout, no slow-query log,
+    128-plan cache, 2 MiB result cache, no timeout, no slow-query log,
     no http listener, binds ["nestql.sock"]. *)
 
 val serve : config -> int

@@ -125,6 +125,20 @@ let remove t k =
       | Some n -> drop t n ~evicted:false
       | None -> ())
 
+let remove_if t pred =
+  locked t (fun () ->
+      let rec walk removed = function
+        | Some n ->
+          let next = n.next in
+          if pred n.key n.value then begin
+            drop t n ~evicted:false;
+            walk (removed + 1) next
+          end
+          else walk removed next
+        | None -> removed
+      in
+      walk 0 t.head)
+
 let length t = locked t (fun () -> Hashtbl.length t.tbl)
 let total_cost t = locked t (fun () -> t.total)
 let capacity t = t.capacity

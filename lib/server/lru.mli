@@ -36,6 +36,10 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 
 val remove : ('k, 'v) t -> 'k -> unit
 
+val remove_if : ('k, 'v) t -> ('k -> 'v -> bool) -> int
+(** Drop every entry the predicate holds for and return how many went.
+    Like {!remove}, this is not an eviction: [on_evict] does not fire. *)
+
 val length : ('k, 'v) t -> int
 val total_cost : ('k, 'v) t -> int
 val capacity : ('k, 'v) t -> int

@@ -72,6 +72,22 @@ let test_lru_on_evict () =
   Lru.remove l "c";
   Alcotest.(check int) "remove silent" 2 (List.length !evicted)
 
+let test_lru_remove_if () =
+  let evicted = ref 0 in
+  let l =
+    Lru.create ~on_evict:(fun _ _ -> incr evicted) ~capacity:100
+      ~cost:(fun _ v -> v) ()
+  in
+  List.iter
+    (fun (k, v) -> Lru.add l k v)
+    [ ("a", 1); ("b", 2); ("c", 3); ("d", 4) ];
+  Alcotest.(check int) "two odd entries removed" 2
+    (Lru.remove_if l (fun _ v -> v mod 2 = 1));
+  Alcotest.(check (list string)) "order kept" [ "d"; "b" ] (Lru.keys l);
+  Alcotest.(check int) "cost released" 6 (Lru.total_cost l);
+  Alcotest.(check int) "nothing matches" 0 (Lru.remove_if l (fun _ _ -> false));
+  Alcotest.(check int) "not evictions" 0 (!evicted + Lru.evictions l)
+
 let test_lru_cross_domain () =
   (* Four domains hammer one byte-bounded LRU; the invariants (bounded
      cost, no crash, sane counters) must hold under the races. *)
@@ -150,6 +166,64 @@ let test_protocol_requests () =
     {|{"id":3,"ok":false,"error":{"code":"timeout","message":"late"}}|}
     (Protocol.error ~id:(Some 3) ~code:"timeout" ~message:"late")
 
+(* --- JSON string escaping ------------------------------------------------ *)
+
+(* The reference escaper: one byte at a time, the rules of the protocol's
+   string literals spelled out. *)
+let reference_literal s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let test_json_escape_golden () =
+  let lit s = Json.to_string (Json.String s) in
+  let check name expected s = Alcotest.(check string) name expected (lit s) in
+  check "empty" {|""|} "";
+  check "quote" {|"\""|} "\"";
+  check "backslash" {|"\\"|} "\\";
+  check "short escapes" {|"a\nb\rc\td"|} "a\nb\rc\td";
+  check "every control byte"
+    ({|"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n|}
+    ^ {|\u000b\u000c\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014|}
+    ^ {|\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d|}
+    ^ {|\u001e\u001f"|})
+    (String.init 32 Char.chr);
+  let utf8 = "h\xc3\xa9 \xe2\x9c\x93 \xf0\x9d\x84\x9e\x7f" in
+  check "utf-8 and DEL pass through" ("\"" ^ utf8 ^ "\"") utf8;
+  let run = String.make 10_000 'x' in
+  check "a long plain run between two escapes"
+    ({|"\"|} ^ run ^ {|\n"|})
+    ("\"" ^ run ^ "\n");
+  Alcotest.(check string) "keys escape too, raw fragments do not"
+    {|{"a\"b":"x\"y"}|}
+    (Json.to_string (Json.Obj [ ("a\"b", Json.Raw {|"x\"y"|}) ]))
+
+(* Arbitrary bytes, weighted towards the ones that need escaping. *)
+let gen_bytes =
+  QCheck2.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [ (3, char); (1, oneofl [ '"'; '\\'; '\n'; '\000'; '\031' ]) ])
+      (int_range 0 200))
+
+let escape_prop s =
+  let lit = Json.to_string (Json.String s) in
+  String.equal lit (reference_literal s)
+  && Protocol.parse_json lit = Ok (Json.String s)
+
 (* --- cache correctness --------------------------------------------------- *)
 
 let gen_catalog = Workload.Gen.xy Workload.Gen.default_xy
@@ -160,10 +234,28 @@ let stats_of f =
   let r = f stats in
   (r, stats)
 
+(* What a client reads from a reply's result: the literal, decoded. *)
+let decoded (r : Cache.reply) =
+  match Protocol.parse_json r.Cache.result_json with
+  | Ok (Json.String s) -> s
+  | _ -> Alcotest.failf "not a JSON string literal: %s" r.Cache.result_json
+
+(* The reference rendering: compiled and executed with no cache at all. *)
+let uncached ?(strategy = Core.Pipeline.Decorrelated) catalog src =
+  let expr = Result.get_ok (Lang.Parser.expr_result src) in
+  let compiled =
+    Result.get_ok (Core.Pipeline.compile strategy catalog expr)
+  in
+  Value.to_string (Core.Pipeline.execute ~jobs:1 catalog compiled)
+
+let check_bytes msg ~expected r =
+  Alcotest.(check string) msg expected r.Cache.result_json
+
 (* The differential oracle: for any corpus query, (1) a cache-off run,
    (2) the cache-miss run that fills the cache, and (3) the plan-hit run
-   agree on the value, the rendering, and the full Engine.Stats work
-   profile; (4) the result-cache hit replays the same value. *)
+   agree on the reply bytes and the full Engine.Stats work profile, and
+   those bytes decode to the uncached rendering; (4) the result-cache hit
+   replays the same bytes. *)
 let oracle_prop idx =
   let src = corpus.(idx mod Array.length corpus) in
   let strategy = Core.Pipeline.Decorrelated in
@@ -184,10 +276,11 @@ let oracle_prop idx =
   let replay, _ = run cache in
   match (off, miss, hit, replay) with
   | Ok off, Ok miss, Ok hit, Ok replay ->
-    Value.equal off.Cache.value miss.Cache.value
-    && Value.equal off.Cache.value hit.Cache.value
-    && Value.equal off.Cache.value replay.Cache.value
-    && String.equal off.Cache.rendered replay.Cache.rendered
+    let bytes = off.Cache.result_json in
+    String.equal (decoded off) (uncached gen_catalog src)
+    && List.for_all
+         (fun r -> String.equal r.Cache.result_json bytes)
+         [ miss; hit; replay ]
     && off_stats = miss_stats && off_stats = hit_stats
     && off.Cache.plan = Cache.Bypass
     && miss.Cache.plan = Cache.Miss
@@ -216,7 +309,9 @@ let test_cache_outcomes () =
   Alcotest.(check string) "second is a double hit" "hit/hit"
     (Cache.outcome_name second.Cache.plan ^ "/"
     ^ Cache.outcome_name second.Cache.result);
-  Alcotest.check value "same value" first.Cache.value second.Cache.value;
+  Alcotest.(check string) "decodes to the uncached rendering"
+    (uncached gen_catalog q) (decoded first);
+  check_bytes "same bytes" ~expected:first.Cache.result_json second;
   (* Whitespace and comments normalize into the same plan key. *)
   let third =
     Result.get_ok
@@ -250,15 +345,18 @@ let test_result_admission_policy () =
   Alcotest.(check string) "re-executes: plan hit, result miss" "hit/miss"
     (Cache.outcome_name second.Cache.plan ^ "/"
     ^ Cache.outcome_name second.Cache.result);
-  Alcotest.check value "served identically" first.Cache.value
-    second.Cache.value;
+  check_bytes "served identically" ~expected:first.Cache.result_json second;
+  Alcotest.(check string) "as the uncached rendering"
+    (uncached gen_catalog big) (decoded second);
   Alcotest.(check int) "denials counted" 2
     (Obs.Metrics.counter "server.result_cache.skipped_large");
   let s1 = run small in
   let s2 = run small in
   Alcotest.(check int) "small result admitted" 1 (Cache.result_entries cache);
   Alcotest.(check bool) "and replayed" true (s2.Cache.result = Cache.Hit);
-  Alcotest.check value "replay agrees" s1.Cache.value s2.Cache.value;
+  check_bytes "replay agrees" ~expected:s1.Cache.result_json s2;
+  Alcotest.(check string) "with the uncached rendering"
+    (uncached gen_catalog small) (decoded s2);
   Alcotest.(check int) "no further denials" 2
     (Obs.Metrics.counter "server.result_cache.skipped_large");
   Obs.Metrics.disable ();
@@ -282,13 +380,15 @@ let test_stats_version_invalidation () =
   let after = run rebuilt in
   Alcotest.(check bool) "catalog change misses" true
     (after.Cache.plan = Cache.Miss && after.Cache.result = Cache.Miss);
-  Alcotest.check value "but agrees" again.Cache.value after.Cache.value;
+  check_bytes "but agrees" ~expected:again.Cache.result_json after;
+  Alcotest.(check string) "with the uncached rendering"
+    (uncached rebuilt q) (decoded after);
   (* Nothing is flushed: a reader still on the old catalog keeps its
      result. *)
   let old = run gen_catalog in
   Alcotest.(check bool) "old catalog still hits" true
     (old.Cache.result = Cache.Hit);
-  Alcotest.check value "old result agrees" after.Cache.value old.Cache.value;
+  check_bytes "old result agrees" ~expected:after.Cache.result_json old;
   Alcotest.(check int) "one result per catalog" 2 (Cache.result_entries cache)
 
 let test_strategy_cache_keying () =
@@ -310,7 +410,9 @@ let test_strategy_cache_keying () =
     (Cache.outcome_name shred.Cache.plan);
   Alcotest.(check int) "one plan slot per backend" 2
     (Cache.plan_entries cache);
-  Alcotest.check value "backends agree" nest.Cache.value shred.Cache.value;
+  check_bytes "backends agree" ~expected:nest.Cache.result_json shred;
+  Alcotest.(check string) "with the uncached rendering"
+    (uncached gen_catalog q) (decoded nest);
   let nest2 = run Core.Pipeline.Decorrelated in
   let shred2 = run Core.Pipeline.Shredded in
   Alcotest.(check string) "nest-join replays its own plan" "hit"
@@ -319,8 +421,7 @@ let test_strategy_cache_keying () =
     (Cache.outcome_name shred2.Cache.plan);
   Alcotest.(check int) "no extra slots on replay" 2
     (Cache.plan_entries cache);
-  Alcotest.check value "replayed values agree" nest2.Cache.value
-    shred2.Cache.value
+  check_bytes "replayed bytes agree" ~expected:nest2.Cache.result_json shred2
 
 let test_cache_cross_domain () =
   (* Concurrent sessions share one cache; hammer it from four domains
@@ -344,13 +445,13 @@ let test_cache_cross_domain () =
         (Result.get_ok
            (Cache.query cache ~cache:false Core.Pipeline.Decorrelated catalog
               q))
-          .Cache.value)
+          .Cache.result_json)
       queries
   in
   let expected_gen = expected gen_catalog in
   let expected_reloaded = expected reloaded in
   Alcotest.(check bool) "the catalogs answer differently" false
-    (Array.for_all2 Value.equal expected_gen expected_reloaded);
+    (Array.for_all2 String.equal expected_gen expected_reloaded);
   let failures = Atomic.make 0 in
   let worker seed () =
     let st = Random.State.make [| seed |] in
@@ -363,7 +464,7 @@ let test_cache_cross_domain () =
       match
         Cache.query cache Core.Pipeline.Decorrelated catalog queries.(i)
       with
-      | Ok r when Value.equal r.Cache.value expected.(i) -> ()
+      | Ok r when String.equal r.Cache.result_json expected.(i) -> ()
       | _ -> Atomic.incr failures
     done
   in
@@ -372,6 +473,74 @@ let test_cache_cross_domain () =
   Alcotest.(check int) "all racing lookups agree" 0 (Atomic.get failures);
   Alcotest.(check bool) "plan cache bounded" true
     (Cache.plan_entries cache <= 4)
+
+(* A result entry is charged its heap: at least the words reachable from
+   its key and its entry record, and never more than twice that. *)
+let test_result_entry_cost () =
+  let strategy = Core.Pipeline.Decorrelated in
+  List.iter
+    (fun q ->
+      let cache =
+        Cache.create ~plan_capacity:8 ~result_capacity:(1 lsl 22) ()
+      in
+      let r = Result.get_ok (Cache.query cache strategy gen_catalog q) in
+      Alcotest.(check int) (q ^ ": admitted") 1 (Cache.result_entries cache);
+      let key =
+        Result.get_ok (Core.Pipeline.plan_key_string strategy gen_catalog q)
+      in
+      (* The entry record's shape: literal, rows, stamp. *)
+      let entry = (r.Cache.result_json, r.Cache.rows, 0) in
+      let heap =
+        (Sys.word_size / 8)
+        * (Obj.reachable_words (Obj.repr key)
+          + Obj.reachable_words (Obj.repr entry))
+      in
+      let charged = Cache.result_bytes cache in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d bytes charged for %d of heap" q charged heap)
+        true
+        (charged >= heap && charged <= 2 * heap))
+    [
+      "SELECT x.id FROM X x WHERE x.id = 1";
+      "SELECT x.id FROM X x WHERE x.a > 0";
+      "SELECT (i = x.id, zs = (SELECT y.a FROM Y y WHERE y.b = x.b)) FROM X x";
+    ]
+
+(* A session that reloads its catalog 50 times leaves one plan and one
+   result per reload; once those catalogs are collected, the next query
+   purges them all, and only the live catalog's entries remain. *)
+let test_dead_catalogs_purged () =
+  Obs.Metrics.enable ();
+  Obs.Metrics.reset ();
+  let cache = Cache.create ~plan_capacity:128 ~result_capacity:(1 lsl 22) () in
+  let q = "SELECT x.id FROM X x WHERE x.a > 0" in
+  let ask catalog =
+    match Cache.query cache Core.Pipeline.Decorrelated catalog q with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "query failed"
+  in
+  let[@inline never] session () =
+    for seed = 1 to 50 do
+      ignore (ask (Workload.Gen.xy { Workload.Gen.default_xy with seed }))
+    done
+  in
+  session ();
+  Gc.full_major ();
+  let live = ask gen_catalog in
+  Alcotest.(check string) "live catalog served" "miss"
+    (Cache.outcome_name live.Cache.result);
+  Alcotest.(check int) "one plan left" 1 (Cache.plan_entries cache);
+  Alcotest.(check int) "one result left" 1 (Cache.result_entries cache);
+  Alcotest.(check int) "plans purged" 50
+    (Obs.Metrics.counter "server.cache.plan.purged");
+  Alcotest.(check int) "results purged" 50
+    (Obs.Metrics.counter "server.cache.result.purged");
+  Alcotest.(check int) "no evictions" 0
+    (Cache.plan_evictions cache + Cache.result_evictions cache);
+  Alcotest.(check string) "the live entry still hits" "hit"
+    (Cache.outcome_name (ask gen_catalog).Cache.result);
+  Obs.Metrics.disable ();
+  Obs.Metrics.reset ()
 
 (* --- daemon round trip --------------------------------------------------- *)
 
@@ -443,7 +612,7 @@ let test_instrument_identity () =
   in
   let plain = ask false and instrumented = ask true in
   Alcotest.(check string) "rendered results byte-identical"
-    plain.Cache.rendered instrumented.Cache.rendered;
+    plain.Cache.result_json instrumented.Cache.result_json;
   Alcotest.(check int) "row counts equal" plain.Cache.rows
     instrumented.Cache.rows;
   Alcotest.(check bool) "plain run has no tree" true
@@ -671,9 +840,14 @@ let suite =
     Alcotest.test_case "lru cost bound" `Quick test_lru_cost_bound;
     Alcotest.test_case "lru replace" `Quick test_lru_replace;
     Alcotest.test_case "lru on_evict" `Quick test_lru_on_evict;
+    Alcotest.test_case "lru remove_if" `Quick test_lru_remove_if;
     Alcotest.test_case "lru cross-domain races" `Quick test_lru_cross_domain;
     Alcotest.test_case "protocol json parser" `Quick test_protocol_parse;
     Alcotest.test_case "protocol requests" `Quick test_protocol_requests;
+    Alcotest.test_case "json escaping golden cases" `Quick
+      test_json_escape_golden;
+    qcheck ~count:500 "json escaping matches the reference" gen_bytes
+      escape_prop;
     qcheck ~count:120 "cache differential oracle"
       QCheck2.Gen.(int_range 0 (Array.length corpus - 1))
       oracle_prop;
@@ -686,6 +860,10 @@ let suite =
       test_strategy_cache_keying;
     Alcotest.test_case "cache cross-domain races" `Quick
       test_cache_cross_domain;
+    Alcotest.test_case "result entry cost is its heap" `Quick
+      test_result_entry_cost;
+    Alcotest.test_case "dead catalogs are purged" `Quick
+      test_dead_catalogs_purged;
     Alcotest.test_case "daemon round trip" `Quick test_daemon_round_trip;
     Alcotest.test_case "instrumented replies are identical" `Quick
       test_instrument_identity;
