@@ -638,69 +638,69 @@ let all =
 
 (* ---------------------------------------------------------------- E10 -- *)
 
-(* Index amortization: the per-field hash index makes repeated queries skip
-   the build phase — the "several join implementations" the paper's §2
-   motivates, one step further. *)
-let index_amortization () =
+(* Build amortization: a hash join whose build side is a bare base-table
+   scan takes its hash table from the engine's per-(table, field) cache, so
+   repeated queries skip the build phase — the "several join
+   implementations" the paper's §2 motivates, one step further. *)
+let build_amortization () =
   (* one equi conjunct (x.b = y.b) plus a residual — a single-field key the
-     per-field index can serve (composite keys fall back to hashing) *)
+     cache can serve (composite keys build per run) *)
   let query =
-    "SELECT x.id FROM X x WHERE EXISTS v IN (SELECT y.a FROM Y y WHERE x.b      = y.b) (v > x.a)"
+    "SELECT x.id FROM X x WHERE EXISTS v IN (SELECT y.a FROM Y y WHERE x.b \
+     = y.b) (v > x.a)"
   in
-  Printf.printf "\n== E10: index joins amortize across queries ==\n";
+  Printf.printf "\n== E10: cached build sides amortize across queries ==\n";
   Printf.printf "query: %s\n" query;
   let rows =
     List.map
       (fun ny ->
-        (* small probe side, large build side: the hash join rebuilds the
-           big table every run, the warm index never does. Fresh catalog per
-           point so the first indexed run pays the build. *)
-        let catalog =
-          Workload.Gen.xy
-            { Workload.Gen.default_xy with
-              nx = 100; ny; key_dom = 50; dangling = 0.1; seed = 71 }
-        in
-        let compile options =
+        (* small probe side, large build side. A cold run — the first on a
+           fresh catalog — builds Y's table exactly as an uncached hash
+           join does on every run; warm runs reuse it. The cold time is the
+           median over five freshly generated catalogs. *)
+        let fresh () =
+          let catalog =
+            Workload.Gen.xy
+              { Workload.Gen.default_xy with
+                nx = 100; ny; key_dom = 50; dangling = 0.1; seed = 71 }
+          in
           match
-            Pipeline.compile_string ~options Pipeline.Decorrelated catalog
-              query
+            Pipeline.compile_string Pipeline.Decorrelated catalog query
           with
-          | Ok c -> c
+          | Ok c -> (catalog, c)
           | Error msg -> failwith msg
         in
-        let hash_c =
-          compile { Core.Planner.default_options with use_indexes = false }
+        let colds =
+          List.init 5 (fun _ ->
+              let catalog, c = fresh () in
+              let ns, v = time_once (fun () -> Pipeline.execute catalog c) in
+              (ns /. 1e6, v, catalog, c))
         in
-        let index_c = compile Core.Planner.default_options in
-        let cold_ns, v1 = time_once (fun () -> Pipeline.execute catalog index_c) in
+        let cold_ms =
+          List.nth
+            (List.sort Float.compare (List.map (fun (ms, _, _, _) -> ms) colds))
+            2
+        in
+        let _, v1, catalog, c = List.hd colds in
         let warm_ms =
-          measure_ms (fun () -> ignore (Pipeline.execute catalog index_c))
+          measure_ms (fun () -> ignore (Pipeline.execute catalog c))
         in
-        let hash_ms =
-          measure_ms (fun () -> ignore (Pipeline.execute catalog hash_c))
-        in
-        let v2 = Pipeline.execute catalog hash_c in
+        let v2 = Pipeline.execute catalog c in
         assert (Value.equal v1 v2);
-        [
-          fint ny;
-          fms (cold_ns /. 1e6);
-          fms warm_ms;
-          fms hash_ms;
-          fratio (hash_ms /. warm_ms);
-        ])
+        [ fint ny; fms cold_ms; fms warm_ms; fratio (cold_ms /. warm_ms) ])
       [ 400; 1600; 6400 ]
   in
   print_table
     ~title:
-      "|X| = 100 probes; hash semijoin rebuilds Y every run, the index is \
-       built once"
-    ~header:[ "|Y|"; "index cold ms"; "index warm ms"; "hash ms"; "hash/warm" ]
+      "|X| = 100 probes; a cold run builds Y's hash table, warm runs reuse \
+       the cached one"
+    ~header:[ "|Y|"; "cold ms"; "warm ms"; "cold/warm" ]
     rows;
   print_endline
-    "shape check: the cold indexed run ≈ the hash run (same work, shifted); \
-     warm runs skip the build, so the advantage grows with |Y| / |X|."
+    "shape check: the cold run pays the build every uncached run pays; warm \
+     runs skip it, so the advantage grows with |Y| / |X|."
 
-let all = all @ [ ("index-amortization", index_amortization) ]
+let all = all @ [ ("index-amortization", build_amortization) ]
 
 (* ---------------------------------------------------------------- E11 -- *)
 

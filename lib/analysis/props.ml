@@ -365,14 +365,6 @@ let rec of_physical catalog plan =
   | P.Project_op { vars; input } -> project_props vars (go input)
   | P.Apply_op { var; input; _ } -> apply_props var (go input)
   | P.Union_op { left; right } -> union_props (go left) (go right)
-  | P.Index_join { table; var; field; left; _ } ->
-    let pl = go left in
-    let pt = scan_props catalog table var in
-    let runique = expr_is_key pt (Ast.Field (Ast.Var var, field)) in
-    let p = join_props ~runique ~lunique:false pl pt in
-    { p with bounds = { p.bounds with lo = 0.0 } }
-  | P.Index_semijoin { left; _ } -> semi_props (go left)
-  | P.Index_nestjoin { label; left; _ } -> nestjoin_props label (go left)
 
 (* The §6 build-side obligation, generalized from "declared key of a bare
    scan" to "proven key of the whole right operand": Hash_nestjoin_left

@@ -495,30 +495,6 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     let tr = infer_under ctx sub ss "apply subquery result" subquery.P.result in
     let l = bind ctx sub l "apply" var in
     (extend s [ (var, Ctype.TSet tr) ], l)
-  | P.Index_join { lkey; table; var; field; residual; left } ->
-    let ls, ll, elt, ft = index_probe ctx sub ambient lkey table var field left in
-    let merged = extend ls (added ambient [ (var, elt) ]) in
-    ignore ft;
-    check_residual merged residual;
-    (merged, bind ctx sub ll "index join" var)
-  | P.Index_semijoin { lkey; table; var; field; residual; anti = _; left } ->
-    let ls, ll, elt, _ft =
-      index_probe ctx sub ambient lkey table var field left
-    in
-    let merged = extend ls (added ambient [ (var, elt) ]) in
-    check_residual merged residual;
-    (* semijoin: the probed variable does not escape *)
-    (ls, ll)
-  | P.Index_nestjoin { lkey; table; var; field; residual; func; label; left }
-    ->
-    let ls, ll, elt, _ft =
-      index_probe ctx sub ambient lkey table var field left
-    in
-    let merged = extend ls (added ambient [ (var, elt) ]) in
-    check_residual merged residual;
-    let tf = infer_under ctx sub merged "nest join function" func in
-    check_label ctx sub "index nest join" ll label;
-    (extend ls [ (label, Ctype.TSet tf) ], Sset.add label ll)
   | P.Union_op { left; right } ->
     let ls, ll = go_physical ctx ambient left in
     let rs, rl = go_physical ctx ambient right in
@@ -543,39 +519,6 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
         ls
     in
     (joined, ll)
-
-(* Shared checks of the index-join family: the table exists, the indexed
-   field exists, and the probe key is comparable with it. *)
-and index_probe ctx sub ambient lkey table var field left =
-  let ls, ll = go_physical ctx ambient left in
-  let elt =
-    match Cobj.Catalog.find table ctx.catalog with
-    | Some t -> Cobj.Table.elt t
-    | None ->
-      viol ctx "unknown-table" sub
-        "index join probes extension %s, which is not in the catalog \
-         (extensions: %s)"
-        table
-        (String.concat ", " (Cobj.Catalog.names ctx.catalog))
-  in
-  let ft =
-    match Ctype.field field elt with
-    | Some t -> t
-    | None ->
-      viol ctx "index-field" sub
-        "index join probes field %s, which rows of %s (%a) do not have"
-        field table Ctype.pp elt
-  in
-  let lt = infer_under ctx sub ls "probe key" lkey in
-  (match Ctype.join lt ft with
-  | Some _ -> ()
-  | None ->
-    viol ctx "hash-key-type" sub
-      "probe key %s : %a is incomparable with indexed field %s.%s : %a"
-      (Lang.Pretty.to_string lkey)
-      Ctype.pp lt table field Ctype.pp ft);
-  ignore var;
-  (ls, ll, elt, ft)
 
 let check_physical ~phase ?(ambient = []) catalog plan =
   let ctx = { phase; catalog } in
@@ -629,8 +572,7 @@ let check_flat_physical ctx (pq : P.query) =
     | P.Nl_nestjoin { label; _ }
     | P.Hash_nestjoin { label; _ }
     | P.Hash_nestjoin_left { label; _ }
-    | P.Merge_nestjoin { label; _ }
-    | P.Index_nestjoin { label; _ } ->
+    | P.Merge_nestjoin { label; _ } ->
       viol ctx "shred-flat"
         (fun () -> P.to_string plan)
         "nest join (label %s) inside a shredded flat plan" label

@@ -31,14 +31,12 @@
 
     Physical plans are additionally checked for:
 
-    - hash / merge / index join key comparability — the two key expressions
+    - hash / merge join key comparability — the two key expressions
       must have a common type under {!Cobj.Ctype.join} ({b hash-key-type},
       {b merge-key-type});
     - the paper's §6 build-side restriction: [Hash_nestjoin_left] (build on
       the left, stream the right) is only sound when the right key is a
       declared key of the scanned right operand ({b nestjoin-build-side});
-    - index joins probe an existing field of the indexed extension
-      ({b index-field});
     - Bloom-filter geometry consistency: the build-side cardinality
       estimate sizing the filter is finite, and {!Engine.Bloom.create} is
       geometry-deterministic for it — the precondition for OR-merging

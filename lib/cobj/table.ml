@@ -1,17 +1,8 @@
-module Value_tbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
 type t = {
   name : string;
   elt : Ctype.t;
   rows : Value.t list;
   key : string list option;
-  index_cache : (string, Value.t list Value_tbl.t) Hashtbl.t;
-  index_m : Mutex.t;  (* guards [index_cache]: domains share tables *)
 }
 
 let verify_key rows fields =
@@ -41,14 +32,7 @@ let create ?key ~name ~elt values =
       (Fmt.str "Table.create %s: declared key {%s} is not unique" name
          (String.concat ", " fields))
   | Some _ | None -> ());
-  {
-    name;
-    elt;
-    rows;
-    key;
-    index_cache = Hashtbl.create 4;
-    index_m = Mutex.create ();
-  }
+  { name; elt; rows; key }
 
 let name t = t.name
 let elt t = t.elt
@@ -56,35 +40,6 @@ let rows t = t.rows
 let cardinality t = List.length t.rows
 let key t = t.key
 let to_value t = Value.Set t.rows
-
-let build_index field t =
-  let index = Value_tbl.create (max 16 (List.length t.rows)) in
-  List.iter
-    (fun row ->
-      match Value.field_opt field row with
-      | None -> ()
-      | Some v ->
-        let bucket = try Value_tbl.find index v with Not_found -> [] in
-        Value_tbl.replace index v (row :: bucket))
-    t.rows;
-  (* restore table order within buckets *)
-  Value_tbl.filter_map_inplace (fun _ bucket -> Some (List.rev bucket)) index;
-  index
-
-let index field t =
-  let index =
-    Mutex.protect t.index_m (fun () ->
-        match Hashtbl.find_opt t.index_cache field with
-        | Some index -> index
-        | None ->
-          let index = build_index field t in
-          Hashtbl.add t.index_cache field index;
-          index)
-  in
-  fun v -> Option.value (Value_tbl.find_opt index v) ~default:[]
-
-let has_index field t =
-  Mutex.protect t.index_m (fun () -> Hashtbl.mem t.index_cache field)
 
 (* Grid rendering for flat tuple rows; falls back to one value per line. *)
 let pp ppf t =

@@ -27,16 +27,14 @@ let table_card catalog name =
 
 (* The base table whose scan binds [v] somewhere in the subtree. Variable
    names are unique per query (the translator generates fresh ones), so a
-   loose subtree search is sound for estimation. Index operators bind their
-   probe variable themselves. *)
+   loose subtree search is sound for estimation. A cached build side binds
+   its scan variable without appearing among the operator's children. *)
 let rec pvar_table plan v =
   let here =
-    match plan with
-    | P.Scan { table; var }
-    | P.Index_join { table; var; _ }
-    | P.Index_nestjoin { table; var; _ } ->
+    match plan, P.cached_build plan with
+    | P.Scan { table; var }, _ | _, Some (table, var, _) ->
       if String.equal var v then Some table else None
-    | _ -> None
+    | _, None -> None
   in
   match here with
   | Some _ -> here
@@ -275,29 +273,31 @@ let rec pcard catalog plan =
   | P.Extend_op { input; _ } | P.Apply_op { input; _ } -> pcard catalog input
   | P.Project_op { input; _ } -> 0.8 *. pcard catalog input
   | P.Union_op { left; right } -> pcard catalog left +. pcard catalog right
-  | P.Index_join { table; field; left; _ } ->
-    let sel =
-      match Cstats.ndv catalog ~table ~field with
-      | Some d -> 1.0 /. float_of_int d
-      | None -> sel_equi
-    in
-    pcard catalog left *. table_card catalog table *. sel
-  | P.Index_semijoin { anti; left; _ } ->
-    (if anti then 1.0 -. sel_semi else sel_semi) *. pcard catalog left
-  | P.Index_nestjoin { left; _ } -> pcard catalog left
 
 let rec cost catalog plan =
   let c = cost catalog and n = pcard catalog in
   (* probe side + weighted build side: what every hash operator pays on top
      of producing its operands *)
   let hash_work ~probe ~build = n probe +. (build_weight *. n build) in
+  (* A right-build hash operator: a cached build runs no scan and costs one
+     pass over its table when cold, nothing when warm. *)
+  let right_build left right =
+    match P.cached_build plan with
+    | Some (table, _, field) ->
+      let build =
+        match Cobj.Catalog.find table catalog with
+        | Some t when Engine.Exec.is_cached t field -> 0.0
+        | _ -> table_card catalog table
+      in
+      c left +. n left +. build
+    | None -> c left +. c right +. hash_work ~probe:left ~build:right
+  in
   match plan with
   | P.Unit_row -> 1.0
   | P.Scan { table; _ } -> table_card catalog table
   | P.Filter { pred = _; input } -> c input +. n input
   | P.Nl_join { left; right; _ } -> c left +. c right +. (n left *. n right)
-  | P.Hash_join { left; right; _ } ->
-    c left +. c right +. hash_work ~probe:left ~build:right +. n plan
+  | P.Hash_join { left; right; _ } -> right_build left right +. n plan
   | P.Merge_join { left; right; _ } ->
     c left +. c right
     +. (n left *. log2 (n left))
@@ -305,24 +305,21 @@ let rec cost catalog plan =
     +. n plan
   | P.Nl_semijoin { left; right; _ } ->
     c left +. c right +. (0.5 *. n left *. n right)
-  | P.Hash_semijoin { left; right; _ } ->
-    c left +. c right +. hash_work ~probe:left ~build:right
+  | P.Hash_semijoin { left; right; _ } -> right_build left right
   | P.Merge_semijoin { left; right; _ } ->
     c left +. c right
     +. (n left *. log2 (n left))
     +. (n right *. log2 (n right))
   | P.Nl_outerjoin { left; right; _ } ->
     c left +. c right +. (n left *. n right)
-  | P.Hash_outerjoin { left; right; _ } ->
-    c left +. c right +. hash_work ~probe:left ~build:right +. n plan
+  | P.Hash_outerjoin { left; right; _ } -> right_build left right +. n plan
   | P.Merge_outerjoin { left; right; _ } ->
     c left +. c right
     +. (n left *. log2 (n left))
     +. (n right *. log2 (n right))
     +. n plan
   | P.Nl_nestjoin { left; right; _ } -> c left +. c right +. (n left *. n right)
-  | P.Hash_nestjoin { left; right; _ } ->
-    c left +. c right +. hash_work ~probe:left ~build:right +. n plan
+  | P.Hash_nestjoin { left; right; _ } -> right_build left right +. n plan
   | P.Hash_nestjoin_left { left; right; _ } ->
     (* §6 variant: the build side is the left operand *)
     c left +. c right +. hash_work ~probe:right ~build:left +. n plan
@@ -340,16 +337,6 @@ let rec cost catalog plan =
     c input +. (evaluations *. per)
   | P.Union_op { left; right } ->
     c left +. c right +. n plan
-  | P.Index_join { table; field; left; _ }
-  | P.Index_semijoin { table; field; left; _ }
-  | P.Index_nestjoin { table; field; left; _ } ->
-    (* probing is O(1) per left row; a cold index pays one build pass *)
-    let build =
-      match Cobj.Catalog.find table catalog with
-      | Some t when Cobj.Table.has_index field t -> 0.0
-      | _ -> table_card catalog table
-    in
-    c left +. n left +. build +. n plan
 
 and query_cost_aux catalog { P.plan; _ } = cost catalog plan +. pcard catalog plan
 
@@ -430,7 +417,7 @@ let explain catalog plan =
     Printf.sprintf
       "max(|left|, |left| × |right| × fixed selectivity %.2f)" sel_equi
   | P.Nl_nestjoin _ | P.Hash_nestjoin _ | P.Hash_nestjoin_left _
-  | P.Merge_nestjoin _ | P.Index_nestjoin _ ->
+  | P.Merge_nestjoin _ ->
     "nest join preserves |left| (one output row per left row)"
   | P.Unnest_op { expr; input; _ } -> (
     match avg_card_of catalog (pvar_table input) expr with
@@ -445,17 +432,3 @@ let explain catalog plan =
   | P.Extend_op _ | P.Apply_op _ -> "|input| (one output row per input row)"
   | P.Project_op _ -> "0.8 × |input| (fixed dedup factor)"
   | P.Union_op _ -> "|left| + |right|"
-  | P.Index_join { table; field; _ } -> (
-    match Cstats.ndv catalog ~table ~field with
-    | Some d ->
-      Printf.sprintf "|left| × rows(%s)=%.0f / ndv(%s.%s)=%d" table
-        (table_card catalog table) table field d
-    | None ->
-      Printf.sprintf
-        "|left| × rows(%s)=%.0f × fixed selectivity %.2f (ndv(%s.%s) \
-         unknown)"
-        table (table_card catalog table) sel_equi table field)
-  | P.Index_semijoin { anti; _ } ->
-    Printf.sprintf "|left| × fixed %s fraction %.2f (index key ndv unused)"
-      (if anti then "antijoin" else "semijoin")
-      (if anti then 1.0 -. sel_semi else sel_semi)

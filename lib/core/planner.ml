@@ -12,10 +12,9 @@ type impl_force =
 type options = {
   force : impl_force;
   memo_applies : bool;
-  use_indexes : bool;
 }
 
-let default_options = { force = Auto; memo_applies = false; use_indexes = true }
+let default_options = { force = Auto; memo_applies = false }
 
 (* Combine equi pairs into single key expressions: one pair stays as-is,
    several become parallel tuples with positional labels. *)
@@ -30,16 +29,6 @@ let keys_of_pairs pairs =
 let residual_of = function
   | [] -> None
   | conjs -> Some (Ast.conj conjs)
-
-(* Does the right operand admit index probing: a bare base-table scan whose
-   key is a plain field of the scan variable? Returns the (table, var,
-   field) triple. *)
-let indexable right rkey =
-  match right, rkey with
-  | P.Scan { table; var }, Ast.Field (Ast.Var v, field)
-    when String.equal var v ->
-    Some (table, var, field)
-  | _, _ -> None
 
 (* Is [rkey] a declared key of the right operand? Only the simple base-table
    single-field case is recognized — enough for the §6 build-side rule. *)
@@ -129,13 +118,6 @@ let rec plan_aux options catalog lp =
           P.Merge_join { lkey; rkey; residual; left = l; right = r };
         ]
       in
-      let candidates =
-        match indexable r rkey with
-        | Some (table, var, field) when options.use_indexes ->
-          P.Index_join { lkey; table; var; field; residual; left = l }
-          :: candidates
-        | _ -> candidates
-      in
       pick ~nl candidates
   end
   | Plan.Semijoin { pred; left; right } ->
@@ -188,14 +170,6 @@ let rec plan_aux options catalog lp =
             { lkey; rkey; residual; func; label; left = l; right = r }
           :: candidates
         else candidates
-      in
-      let candidates =
-        match indexable r rkey with
-        | Some (table, var, field) when options.use_indexes ->
-          P.Index_nestjoin
-            { lkey; table; var; field; residual; func; label; left = l }
-          :: candidates
-        | _ -> candidates
       in
       (* §7: the nest join's left operand is preserved (every left row
          survives, extended with its grouped set), so it must stay on the
@@ -252,13 +226,6 @@ and plan_semi options catalog ~anti pred left right =
         P.Hash_semijoin { lkey; rkey; residual; anti; left = l; right = r };
         P.Merge_semijoin { lkey; rkey; residual; anti; left = l; right = r };
       ]
-    in
-    let candidates =
-      match indexable r rkey with
-      | Some (table, var, field) when options.use_indexes ->
-        P.Index_semijoin { lkey; table; var; field; residual; anti; left = l }
-        :: candidates
-      | _ -> candidates
     in
     cheapest catalog (allowed options.force ~nl candidates)
 

@@ -6,7 +6,10 @@
     otherwise nested loops is the only legal choice. Per the paper's §6
     restriction, the hash nest join builds on the {b right} operand; the
     left-build streaming variant is selected only when the right key is a
-    declared key of a right-side base table ([Table.key]).
+    declared key of a right-side base table ([Table.key]). A hash candidate
+    whose right operand is a bare base-table scan keyed on a plain field
+    probes a cached build ({!Engine.Physical.cached_build}), which
+    {!Cost.cost} prices at one table pass when cold and nothing when warm.
 
     Uncorrelated Apply subqueries are always memoized (they are constants of
     the ambient environment); correlated ones keep naive re-evaluation unless
@@ -21,10 +24,6 @@ type impl_force =
 type options = {
   force : impl_force;
   memo_applies : bool;  (** memoize correlated applies too *)
-  use_indexes : bool;
-      (** allow index-join variants when the right operand is a bare base
-          table and the key is a plain field (default true; [force] modes
-          other than [Auto] exclude them) *)
 }
 
 val default_options : options

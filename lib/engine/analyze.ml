@@ -3,10 +3,18 @@ module P = Physical
 let e = Lang.Pretty.pp
 
 (* Operands in the order the executor descends them (and the order of
-   [Stats.node.children]): unary → [input]; binary → [left; right];
-   apply → [input; subquery plan]; index ops → [left]. [Core] relies on
-   this order to annotate estimated cardinalities. *)
-let children = function
+   [Stats.node.children]): unary → [input]; binary → [left; right], or
+   just [left] when the right operand is a cached build the executor never
+   runs ({!Physical.cached_build}); apply → [input; subquery plan]. [Core]
+   relies on this order to annotate estimated cardinalities. *)
+let children plan =
+  match plan with
+  | P.Hash_join { left; _ }
+  | P.Hash_semijoin { left; _ }
+  | P.Hash_outerjoin { left; _ }
+  | P.Hash_nestjoin { left; _ }
+    when Option.is_some (P.cached_build plan) ->
+    [ left ]
   | P.Unit_row | P.Scan _ -> []
   | P.Filter { input; _ }
   | P.Unnest_op { input; _ }
@@ -30,10 +38,6 @@ let children = function
   | P.Union_op { left; right } ->
     [ left; right ]
   | P.Apply_op { subquery; input; _ } -> [ input; subquery.P.plan ]
-  | P.Index_join { left; _ }
-  | P.Index_semijoin { left; _ }
-  | P.Index_nestjoin { left; _ } ->
-    [ left ]
 
 let keys_detail lkey rkey residual =
   Fmt.str "[%a = %a]%a" e lkey e rkey
@@ -42,7 +46,7 @@ let keys_detail lkey rkey residual =
       | Some r -> Fmt.pf ppf " residual=[%a]" e r)
     residual
 
-let label = function
+let label_of = function
   | P.Unit_row -> ("unit", "")
   | P.Scan { table; var } -> ("scan", Printf.sprintf "%s %s" table var)
   | P.Filter { pred; _ } -> ("filter", Fmt.str "[%a]" e pred)
@@ -90,16 +94,14 @@ let label = function
   | P.Apply_op { var; subquery; memo; _ } ->
     ( (if memo then "apply(memo)" else "apply"),
       Fmt.str "%s = (result %a)" var e subquery.P.result )
-  | P.Index_join { lkey; table; var; field; _ } ->
-    ("index-join", Fmt.str "[%a → %s.%s] on %s %s" e lkey var field table var)
-  | P.Index_semijoin { lkey; table; var; field; anti; _ } ->
-    ( (if anti then "index-antijoin" else "index-semijoin"),
-      Fmt.str "[%a → %s.%s] on %s %s" e lkey var field table var )
-  | P.Index_nestjoin { lkey; table; var; field; func; label; _ } ->
-    ( "index-nestjoin",
-      Fmt.str "[%a → %s.%s] on %s %s func=%a label=%s" e lkey var field table
-        var e func label )
   | P.Union_op _ -> ("union", "")
+
+let label plan =
+  let op, detail = label_of plan in
+  match P.cached_build plan with
+  | Some (table, _, field) ->
+    (op, Printf.sprintf "%s build=cached %s.%s" detail table field)
+  | None -> (op, detail)
 
 let rec tree_of_plan plan =
   let op, detail = label plan in

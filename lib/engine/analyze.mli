@@ -9,11 +9,13 @@
 val children : Physical.t -> Physical.t list
 (** Operands in instrumentation order — the order of
     [Stats.node.children]: unary operators expose [input]; binary ones
-    [left; right]; [Apply_op] exposes [input] then the subquery plan; index
-    operators expose [left]. *)
+    [left; right], except that a hash operator with a cached build side
+    ({!Physical.cached_build}) exposes only [left], since its scan never
+    runs; [Apply_op] exposes [input] then the subquery plan. *)
 
 val label : Physical.t -> string * string
-(** [(op, detail)] display strings for one operator (not its operands). *)
+(** [(op, detail)] display strings for one operator (not its operands). A
+    cached build side shows in the detail as [build=cached T.f]. *)
 
 val tree_of_plan : Physical.t -> Stats.node
 val tree_of_query : Physical.query -> Stats.node

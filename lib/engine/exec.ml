@@ -85,23 +85,6 @@ let rec free_vars plan =
       (Sset.diff (query_free_vars subquery) (bound_of input))
   | P.Union_op { left; right } ->
     Sset.union (free_vars left) (free_vars right)
-  | P.Index_join { lkey; residual; left; var; _ }
-  | P.Index_semijoin { lkey; residual; left; var; _ } ->
-    let lb = bound_of left in
-    Sset.union (free_vars left)
-      (Sset.union (expr_free lb lkey)
-         (match residual with
-         | None -> Sset.empty
-         | Some r -> expr_free (Sset.add var lb) r))
-  | P.Index_nestjoin { lkey; residual; func; left; var; _ } ->
-    let lb = bound_of left in
-    let both = Sset.add var lb in
-    Sset.union (free_vars left)
-      (Sset.union (expr_free lb lkey)
-         (Sset.union (expr_free both func)
-            (match residual with
-            | None -> Sset.empty
-            | Some r -> expr_free both r)))
 
 and query_free_vars { P.plan; result } =
   Sset.union (free_vars plan)
@@ -145,11 +128,6 @@ let rec exprs_of_plan plan acc =
     exprs_of_plan input
       (exprs_of_plan subquery.P.plan (subquery.P.result :: acc))
   | P.Union_op { left; right } -> exprs_of_plan left (exprs_of_plan right acc)
-  | P.Index_join { lkey; residual; left; _ }
-  | P.Index_semijoin { lkey; residual; left; _ } ->
-    exprs_of_plan left ((lkey :: Option.to_list residual) @ acc)
-  | P.Index_nestjoin { lkey; residual; func; left; _ } ->
-    exprs_of_plan left ((lkey :: func :: Option.to_list residual) @ acc)
 
 let exprs_of_query { P.plan; result } = exprs_of_plan plan [ result ]
 
@@ -313,32 +291,37 @@ let rok_part st rokfn merged =
     st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
     f merged
 
-(* Hash-partitioned parallel join core: both sides split on the
-   precomputed key hash; each partition builds and probes its own table on
-   a worker, exactly as the serial operator would over that key subset.
-   [emit st l matches] produces the output rows for one probe row (matches
-   arrive in build-input order, like a serial probe); results scatter back
-   into probe-input order, so the concatenation is the serial output,
-   dangling tuples included.
+(* A hash operator's build table: [find] answers a probe key with its
+   matching build rows in build-input order, and [filter], present only
+   when the frame's [bloom] is on, screens keys before the lookup. A serial
+   build, a partitioned build and a cached build all come out in this
+   shape, so every probe loop is written once. *)
+type table = { find : Hkey.t -> Env.t list; filter : Bloom.t option }
+
+let no_table = { find = (fun _ -> []); filter = None }
+
+let nparts_of jobs = jobs * 2
+let part nparts h = h land max_int mod nparts
+
+let bucket_rows tbl k =
+  match Htbl.find_opt tbl k with Some bucket -> List.rev bucket | None -> []
+
+(* Hash-partitioned parallel build: the build rows split on the
+   precomputed key hash and each partition builds its own table on a
+   worker; [find] looks a key up in the partition its hash selects.
 
    With [bloom], each build partition populates its own filter, all sized
    from the *total* build count — the same geometry a serial build uses —
    so their OR-merge is bit-identical to the serial filter and the prune
-   counters are invariant under [jobs]. The merged filter screens probe
-   rows before partitioning: a pruned row emits its (empty-match) output
-   immediately and never touches a partition list, a worker, or the
-   scatter machinery. This is the sideways-information-passing pushdown —
-   probe rows are filtered at the source, upstream of partitioning. *)
-let par_hash_partitioned ~jobs ~bloom ~stats ~lkeyfn ~rkeyfn ~emit lrows rrows
-    =
-  let nparts = jobs * 2 in
-  let part h = h land max_int mod nparts in
+   counters are invariant under [jobs]. *)
+let par_build ~jobs ~bloom ~stats ~rkeyfn rrows =
+  let nparts = nparts_of jobs in
   let rparts = Array.make nparts [] in
   let nbuild =
     List.fold_left
       (fun n r ->
         let k = hkey (rkeyfn r) in
-        let p = part k.Hkey.h in
+        let p = part nparts k.Hkey.h in
         rparts.(p) <- (r, k) :: rparts.(p);
         n + 1)
       0 rrows
@@ -385,6 +368,23 @@ let par_hash_partitioned ~jobs ~bloom ~stats ~lkeyfn ~rkeyfn ~emit lrows rrows
         global)
       filters
   in
+  { find = (fun k -> bucket_rows tables.(part nparts k.Hkey.h) k); filter }
+
+(* Partition-parallel probe of one shared [table]: probe rows split on the
+   precomputed key hash into morsels probed on workers, exactly as the
+   serial operator would probe that key subset. [emit st l matches]
+   produces the output rows for one probe row (matches arrive in
+   build-input order, like a serial probe); results scatter back into
+   probe-input order, so the concatenation is the serial output, dangling
+   tuples included.
+
+   The filter screens probe rows before partitioning: a pruned row emits
+   its (empty-match) output immediately and never touches a partition
+   list, a worker, or the scatter machinery. This is the
+   sideways-information-passing pushdown — probe rows are filtered at the
+   source, upstream of partitioning. *)
+let par_probe ~jobs ~stats ~lkeyfn ~emit table lrows =
+  let nparts = nparts_of jobs in
   let nl = List.length lrows in
   let out = Array.make nl [] in
   let lparts = Array.make nparts [] in
@@ -392,10 +392,10 @@ let par_hash_partitioned ~jobs ~bloom ~stats ~lkeyfn ~rkeyfn ~emit lrows rrows
     (fun i l ->
       let k = hkey (lkeyfn l) in
       let enqueue () =
-        let p = part k.Hkey.h in
+        let p = part nparts k.Hkey.h in
         lparts.(p) <- (i, l, k) :: lparts.(p)
       in
-      match filter with
+      match table.filter with
       | None -> enqueue ()
       | Some f ->
         stats.Stats.bloom_checks <- stats.Stats.bloom_checks + 1;
@@ -409,19 +409,120 @@ let par_hash_partitioned ~jobs ~bloom ~stats ~lkeyfn ~rkeyfn ~emit lrows rrows
   let pparts = Array.init nparts (fun _ -> Stats.create ()) in
   Pool.run ~jobs nparts (fun p ->
       let st = pparts.(p) in
-      let table = tables.(p) in
       List.iter
         (fun (i, l, k) ->
           st.Stats.hash_probes <- st.Stats.hash_probes + 1;
-          let matches =
-            match Htbl.find_opt table k with
-            | Some bucket -> List.rev bucket
-            | None -> []
-          in
-          out.(i) <- emit st l matches)
+          out.(i) <- emit st l (table.find k))
         lparts.(p));
   merge_parts stats pparts;
   List.concat (Array.to_list out)
+
+(* --- cached build sides ------------------------------------------------ *)
+
+(* The build side of a [Physical.cached_build] operator, per (table,
+   field): the table's rows bucketed by the field's value in table order,
+   plus a Bloom filter over every key. Rows are stored as table values and
+   bound to the query's own scan variable at probe time; rows lacking the
+   field are absent. The cache is keyed on ephemerons, so an entry lives
+   exactly as long as its table, and it is filled under one lock, so
+   domains and sessions sharing a table build each entry once. *)
+type cached = { by_key : Value.t list Htbl.t; keys : Bloom.t }
+
+module Cache = Ephemeron.K1.Make (struct
+  type t = Cobj.Table.t
+
+  let equal = ( == )
+  let hash t = Hashtbl.hash (Cobj.Table.name t)
+end)
+
+let cache_lock = Mutex.create ()
+let cache : (string * cached) list Cache.t = Cache.create 16
+
+let build_cached t field =
+  let rows = Cobj.Table.rows t in
+  let by_key = Htbl.create (max 16 (List.length rows)) in
+  let keys = Bloom.create (List.length rows) in
+  List.iter
+    (fun row ->
+      match Value.field_opt field row with
+      | None -> ()
+      | Some v ->
+        let k = hkey v in
+        Bloom.add keys k.Hkey.h;
+        let bucket = Option.value (Htbl.find_opt by_key k) ~default:[] in
+        Htbl.replace by_key k (row :: bucket))
+    rows;
+  Htbl.filter_map_inplace (fun _ bucket -> Some (List.rev bucket)) by_key;
+  { by_key; keys }
+
+let cached_table t field =
+  Mutex.protect cache_lock (fun () ->
+      let built = Option.value (Cache.find_opt cache t) ~default:[] in
+      match List.assoc_opt field built with
+      | Some c -> c
+      | None ->
+        if Obs.Metrics.enabled () then Obs.Metrics.incr "exec.cached_builds";
+        let c = build_cached t field in
+        Cache.replace cache t ((field, c) :: built);
+        c)
+
+let is_cached t field =
+  Mutex.protect cache_lock (fun () ->
+      match Cache.find_opt cache t with
+      | Some built -> List.mem_assoc field built
+      | None -> false)
+
+(* The cached build seen by one operator run: rows bound to [var] over the
+   ambient [env], exactly the rows the skipped scan would have produced. *)
+let cached_view ~bloom catalog env (table, var, field) =
+  let c = cached_table (Cobj.Catalog.find_exn table catalog) field in
+  {
+    find =
+      (fun k ->
+        match Htbl.find_opt c.by_key k with
+        | Some vs -> List.map (fun v -> Env.bind var v env) vs
+        | None -> []);
+    filter = (if bloom then Some c.keys else None);
+  }
+
+let parallel fr nprobe = fr.jobs > 1 && nprobe >= join_min
+
+(* Hash [rows] on [keyfn] into a build table, partitioned over the pool
+   when [par]. Input order is preserved within buckets. *)
+let hash_rows ~par fr keyfn rows =
+  let stats = fr.sink in
+  if par then par_build ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~rkeyfn:keyfn rows
+  else begin
+    let table = Htbl.create 256 in
+    let filter =
+      if fr.bloom then Some (Bloom.create (List.length rows)) else None
+    in
+    List.iter
+      (fun r ->
+        stats.Stats.hash_builds <- stats.Stats.hash_builds + 1;
+        let k = hkey (keyfn r) in
+        Option.iter (fun f -> Bloom.add f k.Hkey.h) filter;
+        match Htbl.find_opt table k with
+        | Some bucket -> Htbl.replace table k (r :: bucket)
+        | None -> Htbl.add table k [ r ])
+      rows;
+    { find = bucket_rows table; filter }
+  end
+
+let probe ~stats table k =
+  stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
+  let pruned =
+    match table.filter with
+    | None -> false
+    | Some f ->
+      stats.Stats.bloom_checks <- stats.Stats.bloom_checks + 1;
+      not (Bloom.mem f k.Hkey.h)
+  in
+  if pruned then begin
+    stats.Stats.bloom_prunes <- stats.Stats.bloom_prunes + 1;
+    []
+  end
+  else table.find k
 
 (* What an operator's one implementation produces: the columnar operators
    (scan, filter, extend, project and the hash-join family) emit batches,
@@ -431,13 +532,6 @@ type produced = Batches of Batch.t list | Rows of Env.t list
 let produced_count = function
   | Batches bs -> Batch.live_total bs
   | Rows rows -> List.length rows
-
-(* An index operator's probe into [t]'s index on [field], fetched once
-   before the row loop. An empty left side probes nothing and so builds
-   no index, which the cost model would otherwise price as warm. *)
-let index_probe field t = function
-  | [] -> fun _ -> []
-  | _ :: _ -> Cobj.Table.index field t
 
 let rec rows_fr fr catalog env plan =
   match exec_timed fr catalog env plan with
@@ -566,38 +660,49 @@ and exec fr catalog env plan =
            (List.sort_uniq Env.compare (List.rev !acc)))
     | P.Hash_join { lkey; rkey; residual; left; right } ->
       let lb = batches_fr (c0 fr) catalog env left in
-      let rb = batches_fr (c1 fr) catalog env right in
-      let nl = Batch.live_total lb and nr = Batch.live_total rb in
-      let swap = nr > nl in
-      if swap then
-        stats.Stats.build_side_swaps <- stats.Stats.build_side_swaps + 1;
-      let probe_b, build_b, probe_key, build_key =
-        if swap then (rb, lb, rkey, lkey) else (lb, rb, lkey, rkey)
+      let nl = Batch.live_total lb in
+      (* A cached build is never swapped: its table already exists. *)
+      let swap, probe_b, probe_key, table =
+        match P.cached_build plan with
+        | Some _ ->
+          ( false,
+            lb,
+            lkey,
+            build_table fr catalog env plan ~nprobe:nl right rkey )
+        | None ->
+          let rb = batches_fr (c1 fr) catalog env right in
+          let nr = Batch.live_total rb in
+          let swap = nr > nl in
+          if swap then
+            stats.Stats.build_side_swaps <- stats.Stats.build_side_swaps + 1;
+          let probe_b, build_b, probe_key, build_key =
+            if swap then (rb, lb, rkey, lkey) else (lb, rb, lkey, rkey)
+          in
+          ( swap,
+            probe_b,
+            probe_key,
+            hash_rows
+              ~par:(parallel fr (if swap then nr else nl))
+              fr
+              (Compile.expr catalog build_key)
+              (Batch.rows_of_batches build_b) )
       in
       let merged_of p m = if swap then Env.append p m else Env.append m p in
       let pkeyfn = Compile.expr catalog probe_key in
-      let nprobe = if swap then nr else nl in
       let out_rows =
-        if fr.jobs > 1 && nprobe >= join_min then
-          let bkeyfn = Compile.expr catalog build_key in
+        if parallel fr (Batch.live_total probe_b) then
           let rokfn = residual_fn catalog residual in
-          par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats
-            ~lkeyfn:pkeyfn ~rkeyfn:bkeyfn
+          par_probe ~jobs:fr.jobs ~stats ~lkeyfn:pkeyfn
             ~emit:(fun st p matches ->
               List.filter_map
                 (fun m ->
                   let merged = merged_of p m in
                   if rok_part st rokfn merged then Some merged else None)
                 matches)
+            table
             (Batch.rows_of_batches probe_b)
-            (Batch.rows_of_batches build_b)
         else begin
           let rok = compile_residual ~stats catalog residual in
-          let table =
-            build_rows_table ~stats ~bloom:fr.bloom
-              (Compile.expr catalog build_key)
-              (Batch.rows_of_batches build_b)
-          in
           let kern = Vexpr.compile catalog probe_key in
           let acc = ref [] in
           List.iter
@@ -626,10 +731,11 @@ and exec fr catalog env plan =
       let lkeyfn = Compile.expr catalog lkey in
       let lb = batches_fr (c0 fr) catalog env left in
       let nl = Batch.live_total lb in
-      if fr.jobs > 1 && nl >= join_min then begin
-        (* Delegate to the partitioned core over (batch, slot) pairs so
-           the output keeps the serial shape — narrowed input batches —
-           and the batch metrics stay jobs-invariant. *)
+      let table = build_table fr catalog env plan ~nprobe:nl right rkey in
+      if parallel fr nl then begin
+        (* Probe (batch, slot) pairs so the output keeps the serial shape
+           — narrowed input batches — and the batch metrics stay
+           jobs-invariant. *)
         let pairs =
           List.concat_map
             (fun b ->
@@ -639,9 +745,8 @@ and exec fr catalog env plan =
             lb
         in
         let kept =
-          par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats
+          par_probe ~jobs:fr.jobs ~stats
             ~lkeyfn:(fun (b, i) -> lkeyfn (Batch.env_at b i))
-            ~rkeyfn:(Compile.expr catalog rkey)
             ~emit:
               (let rokfn = residual_fn catalog residual in
                fun st (b, i) matches ->
@@ -656,8 +761,7 @@ and exec fr catalog env plan =
                  in
                  if (if anti then not found else found) then [ (b, i) ]
                  else [])
-            pairs
-            (rows_fr (c1 fr) catalog env right)
+            table pairs
         in
         (* [kept] preserves input order: split it back per source batch. *)
         let rem = ref kept in
@@ -677,9 +781,6 @@ and exec fr catalog env plan =
       end
       else begin
         let rok = compile_residual ~stats catalog residual in
-        let table =
-          build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey
-        in
         let kern = Vexpr.compile catalog lkey in
         let out =
           List.filter_map
@@ -708,10 +809,10 @@ and exec fr catalog env plan =
       let rvars = P.vars_of right in
       let lb = batches_fr (c0 fr) catalog env left in
       let nl = Batch.live_total lb in
+      let table = build_table fr catalog env plan ~nprobe:nl right rkey in
       let out_rows =
-        if fr.jobs > 1 && nl >= join_min then
-          par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~lkeyfn
-            ~rkeyfn:(Compile.expr catalog rkey)
+        if parallel fr nl then
+          par_probe ~jobs:fr.jobs ~stats ~lkeyfn
             ~emit:
               (let rokfn = residual_fn catalog residual in
                fun st l matches ->
@@ -725,13 +826,10 @@ and exec fr catalog env plan =
                  match kept with
                  | [] -> [ pad_nulls rvars l ]
                  | _ :: _ -> kept)
+            table
             (Batch.rows_of_batches lb)
-            (rows_fr (c1 fr) catalog env right)
         else begin
           let rok = compile_residual ~stats catalog residual in
-          let table =
-            build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey
-          in
           let kern = Vexpr.compile catalog lkey in
           let acc = ref [] in
           List.iter
@@ -762,10 +860,10 @@ and exec fr catalog env plan =
       let funcfn = Compile.expr catalog func in
       let lb = batches_fr (c0 fr) catalog env left in
       let nl = Batch.live_total lb in
+      let table = build_table fr catalog env plan ~nprobe:nl right rkey in
       let out_rows =
-        if fr.jobs > 1 && nl >= join_min then
-          par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~lkeyfn
-            ~rkeyfn:(Compile.expr catalog rkey)
+        if parallel fr nl then
+          par_probe ~jobs:fr.jobs ~stats ~lkeyfn
             ~emit:
               (let rokfn = residual_fn catalog residual in
                fun st l matches ->
@@ -778,13 +876,10 @@ and exec fr catalog env plan =
                      matches
                  in
                  [ Env.bind label (Value.set members) l ])
+            table
             (Batch.rows_of_batches lb)
-            (rows_fr (c1 fr) catalog env right)
         else begin
           let rok = compile_residual ~stats catalog residual in
-          let table =
-            build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey
-          in
           let kern = Vexpr.compile catalog lkey in
           let acc = ref [] in
           List.iter
@@ -1128,54 +1223,6 @@ and exec fr catalog env plan =
         end
       in
       Rows (List.map (fun r -> Env.bind var (apply r) r) input_rows)
-    | P.Index_join { lkey; table; var; field; residual; left } ->
-      let lkeyfn = Compile.expr catalog lkey in
-      let rok = compile_residual ~stats catalog residual in
-      let t = Cobj.Catalog.find_exn table catalog in
-      let lefts = rows_fr (c0 fr) catalog env left in
-      let probe = index_probe field t lefts in
-      Rows
-        (lefts
-        |> List.concat_map (fun l ->
-               stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-               probe (lkeyfn l)
-               |> List.filter_map (fun rv ->
-                      let merged = Env.bind var rv l in
-                      if rok merged then Some merged else None)))
-    | P.Index_semijoin { lkey; table; var; field; residual; anti; left } ->
-      let lkeyfn = Compile.expr catalog lkey in
-      let rok = compile_residual ~stats catalog residual in
-      let t = Cobj.Catalog.find_exn table catalog in
-      let lefts = rows_fr (c0 fr) catalog env left in
-      let probe = index_probe field t lefts in
-      Rows
-        (lefts
-        |> List.filter (fun l ->
-               stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-               let found =
-                 probe (lkeyfn l)
-                 |> List.exists (fun rv -> rok (Env.bind var rv l))
-               in
-               if anti then not found else found))
-    | P.Index_nestjoin { lkey; table; var; field; residual; func; label; left }
-      ->
-      let lkeyfn = Compile.expr catalog lkey in
-      let rok = compile_residual ~stats catalog residual in
-      let funcfn = Compile.expr catalog func in
-      let t = Cobj.Catalog.find_exn table catalog in
-      let lefts = rows_fr (c0 fr) catalog env left in
-      let probe = index_probe field t lefts in
-      Rows
-        (lefts
-        |> List.map (fun l ->
-               stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-               let members =
-                 probe (lkeyfn l)
-                 |> List.filter_map (fun rv ->
-                        let merged = Env.bind var rv l in
-                        if rok merged then Some (funcfn merged) else None)
-               in
-               Env.bind label (Value.set members) l))
     | P.Union_op { left; right } ->
       Rows
         (List.sort_uniq Env.compare
@@ -1198,43 +1245,18 @@ and compile_residual ~stats catalog residual =
       stats.Stats.predicate_evals <- stats.Stats.predicate_evals + 1;
       f merged
 
-and build_rows_table ~stats ~bloom keyfn rows =
-  let table = Htbl.create 256 in
-  let filter = if bloom then Some (Bloom.create (List.length rows)) else None in
-  (* Preserve input order within buckets. *)
-  List.iter
-    (fun r ->
-      stats.Stats.hash_builds <- stats.Stats.hash_builds + 1;
-      let k = hkey (keyfn r) in
-      Option.iter (fun f -> Bloom.add f k.Hkey.h) filter;
-      match Htbl.find_opt table k with
-      | Some bucket -> Htbl.replace table k (r :: bucket)
-      | None -> Htbl.add table k [ r ])
-    rows;
-  (table, filter)
-
-and build ~stats ~bloom fr catalog env plan key_expr =
-  build_rows_table ~stats ~bloom
-    (Compile.expr catalog key_expr)
-    (rows_fr fr catalog env plan)
-
-and probe ~stats (table, filter) k =
-  stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-  let pruned =
-    match filter with
-    | None -> false
-    | Some f ->
-      stats.Stats.bloom_checks <- stats.Stats.bloom_checks + 1;
-      not (Bloom.mem f k.Hkey.h)
-  in
-  if pruned then begin
-    stats.Stats.bloom_prunes <- stats.Stats.bloom_prunes + 1;
-    []
-  end
-  else
-    match Htbl.find_opt table k with
-    | Some bucket -> List.rev bucket
-    | None -> []
+(* The build table of the right-build hash operator [plan] for [nprobe]
+   probe rows. A cacheable build ([Physical.cached_build]) comes from the
+   cache without running its scan or counting [hash_builds]; an empty
+   probe side fetches nothing, so an unused entry stays cold. Any other
+   build runs the right operand and hashes it. *)
+and build_table fr catalog env plan ~nprobe right rkey =
+  match P.cached_build plan with
+  | Some _ when nprobe = 0 -> no_table
+  | Some c -> cached_view ~bloom:fr.bloom catalog env c
+  | None ->
+    hash_rows ~par:(parallel fr nprobe) fr (Compile.expr catalog rkey)
+      (rows_fr (c1 fr) catalog env right)
 
 and sorted_groups ~stats fr catalog env plan key_expr =
   let keyfn = Compile.expr catalog key_expr in

@@ -35,6 +35,15 @@ val rows :
     their apply loop (classified with {!query_free_vars}); values above
     [Pool.max_jobs] are clamped.
 
+    A hash operator whose build operand is a bare base-table scan keyed on
+    a plain field ({!Physical.cached_build}) does not run that scan: it
+    probes a hash table of the table's rows kept per (table, field) in a
+    process-wide cache. The first use builds it, under a lock, so domains
+    sharing a table build it once; the entry dies with its table. A cached
+    build counts no [hash_builds], cold or warm, is never swapped, and an
+    empty probe side leaves the cache untouched. Under [jobs > 1] only the
+    probe side is partitioned, over the one shared table.
+
     [bloom] (default true) enables sideways information passing in the
     hash-join family: every build side populates a blocked Bloom filter on
     its keys (hashes computed once and shared with the partition index and
@@ -109,6 +118,11 @@ val run_under :
   Cobj.Env.t ->
   Physical.query ->
   Cobj.Value.t
+
+val is_cached : Cobj.Table.t -> string -> bool
+(** [is_cached t field]: whether the cached build side of [t] keyed on
+    [field] exists already (the cost model prices a warm one at no build
+    cost). See {!rows} for when the cache is used. *)
 
 val query_free_vars : Physical.query -> Lang.Ast.String_set.t
 (** Correlation variables a physical query needs from its enclosing scope

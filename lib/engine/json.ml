@@ -72,8 +72,18 @@ let rec emit buf = function
       fields;
     Buffer.add_char buf '}'
 
+(* Bytes the document's strings contribute before escaping: a cached reply
+   splices a long [Raw] literal, so sizing the buffer from it saves the
+   regrowth copies. Keys and scalars go in the slack; a document with
+   many of them still grows the buffer as before. *)
+let rec payload_bytes = function
+  | Null | Bool _ | Int _ | Int64 _ | Float _ -> 0
+  | String s | Raw s -> String.length s
+  | List xs -> List.fold_left (fun n x -> n + payload_bytes x) 0 xs
+  | Obj fields -> List.fold_left (fun n (_, v) -> n + payload_bytes v) 0 fields
+
 let to_string j =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create (payload_bytes j + 256) in
   emit buf j;
   Buffer.contents buf
 

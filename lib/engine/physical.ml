@@ -96,37 +96,21 @@ type t =
   | Extend_op of { var : string; expr : expr; input : t }
   | Project_op of { vars : string list; input : t }
   | Apply_op of { var : string; subquery : query; memo : bool; input : t }
-  | Index_join of {
-      lkey : expr;
-      table : string;
-      var : string;
-      field : string;
-      residual : expr option;
-      left : t;
-    }
-  | Index_semijoin of {
-      lkey : expr;
-      table : string;
-      var : string;
-      field : string;
-      residual : expr option;
-      anti : bool;
-      left : t;
-    }
-  | Index_nestjoin of {
-      lkey : expr;
-      table : string;
-      var : string;
-      field : string;
-      residual : expr option;
-      func : expr;
-      label : string;
-      left : t;
-    }
-
   | Union_op of { left : t; right : t }
 
 and query = { plan : t; result : expr }
+
+let cached_build = function
+  | Hash_join { rkey; right; _ }
+  | Hash_semijoin { rkey; right; _ }
+  | Hash_outerjoin { rkey; right; _ }
+  | Hash_nestjoin { rkey; right; _ } -> (
+    match right, rkey with
+    | Scan { table; var }, Lang.Ast.Field (Lang.Ast.Var v, field)
+      when String.equal var v ->
+      Some (table, var, field)
+    | _, _ -> None)
+  | _ -> None
 
 let rec vars_of = function
   | Unit_row -> []
@@ -152,10 +136,7 @@ let rec vars_of = function
   | Extend_op { var; input; _ } -> vars_of input @ [ var ]
   | Project_op { vars; _ } -> vars
   | Apply_op { var; input; _ } -> vars_of input @ [ var ]
-  | Index_join { var; left; _ } -> vars_of left @ [ var ]
   | Union_op { left; _ } -> vars_of left
-  | Index_semijoin { left; _ } -> vars_of left
-  | Index_nestjoin { left; label; _ } -> vars_of left @ [ label ]
 
 let rec size = function
   | Unit_row | Scan _ -> 1
@@ -180,9 +161,6 @@ let rec size = function
   | Merge_nestjoin { left; right; _ } ->
     1 + size left + size right
   | Apply_op { subquery; input; _ } -> 1 + size subquery.plan + size input
-  | Index_join { left; _ } | Index_semijoin { left; _ }
-  | Index_nestjoin { left; _ } ->
-    1 + size left
   | Union_op { left; right } -> 1 + size left + size right
 
 let e = Lang.Pretty.pp
@@ -276,32 +254,8 @@ let rec pp ppf plan =
     Fmt.pf ppf "@[<v>apply%s %s = (result %a)@,├─ @[<v>%a@]@,└─ @[<v>%a@]@]"
       (if memo then "(memo)" else "")
       var e subquery.result pp subquery.plan pp input
-  | Index_join { lkey; table; var; field; residual; left } ->
-    unary "index-join"
-      (fun ppf ->
-        Fmt.pf ppf " [%a → %s.%s] on %s %s%a" e lkey var field table var
-          pp_residual residual)
-      left
-  | Index_semijoin { lkey; table; var; field; residual; anti; left } ->
-    unary
-      (if anti then "index-antijoin" else "index-semijoin")
-      (fun ppf ->
-        Fmt.pf ppf " [%a → %s.%s] on %s %s%a" e lkey var field table var
-          pp_residual residual)
-      left
-  | Index_nestjoin { lkey; table; var; field; residual; func; label; left } ->
-    unary "index-nestjoin"
-      (fun ppf ->
-        Fmt.pf ppf " [%a → %s.%s] on %s %s func=%a label=%s%a" e lkey var
-          field table var e func label pp_residual residual)
-      left
-
   | Union_op { left; right } ->
     binary "union" (fun _ -> ()) left right
-
-and pp_residual ppf = function
-  | None -> ()
-  | Some r -> Fmt.pf ppf " residual=[%a]" e r
 
 let pp_query ppf { plan; result } =
   Fmt.pf ppf "@[<v>result %a@,└─ @[<v>%a@]@]" e result pp plan

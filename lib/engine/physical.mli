@@ -111,40 +111,20 @@ type t =
   | Project_op of { vars : string list; input : t }
   | Apply_op of { var : string; subquery : query; memo : bool; input : t }
       (** [memo] caches subquery results per correlation-variable value *)
-  | Index_join of {
-      lkey : expr;
-      table : string;
-      var : string;
-      field : string;
-      residual : expr option;
-      left : t;
-    }  (** probe the right base table's per-field hash index with the left
-           key value — a hash join whose build is amortized across queries
-           (the "alternative join implementations" of the paper's §2) *)
-  | Index_semijoin of {
-      lkey : expr;
-      table : string;
-      var : string;
-      field : string;
-      residual : expr option;
-      anti : bool;
-      left : t;
-    }
-  | Index_nestjoin of {
-      lkey : expr;
-      table : string;
-      var : string;
-      field : string;
-      residual : expr option;
-      func : expr;
-      label : string;
-      left : t;
-    }
-
   | Union_op of { left : t; right : t }
       (** set union; operands bind the same variables *)
 
 and query = { plan : t; result : expr }
+
+val cached_build : t -> (string * string * string) option
+(** [Some (table, var, field)] when [t] is a right-build hash operator
+    ([Hash_join], [Hash_semijoin], [Hash_outerjoin], [Hash_nestjoin])
+    whose build operand is a bare [Scan { table; var }] keyed on the plain
+    field [var.field]. Such a build side is the same hash table for every
+    query over [table]: the executor takes it from a per-(table, field)
+    cache instead of running the scan — the amortized join implementation
+    of the paper's §2. The executor, the cost model and the EXPLAIN tree
+    all ask this one predicate. *)
 
 val vars_of : t -> string list
 (** Variables bound in output rows (mirrors {!Algebra.Plan.vars_of}). *)

@@ -101,12 +101,14 @@ let swap_catalog =
   Workload.Gen.xy
     { Workload.Gen.default_xy with nx = 8; ny = 40; key_dom = 5; seed = 11 }
 
+(* The computed right key keeps the build out of the cache, so the right
+   operand is a run-time build the executor may swap. *)
 let join ~left ~right =
   let lv, rv = if left = "X" then ("x", "y") else ("y", "x") in
   P.Hash_join
     {
       lkey = parse (lv ^ ".b");
-      rkey = parse (rv ^ ".b");
+      rkey = parse (rv ^ ".b + 0");
       residual = None;
       left = P.Scan { table = left; var = lv };
       right = P.Scan { table = right; var = rv };
@@ -155,17 +157,36 @@ let build_side_swap () =
           && List.for_all2 Env.equal (canonical a) (canonical b))
       in
       check_same "swapped = nested loop" rows_nl rows_xy;
-      check_same "orientations agree" rows_xy rows_yx)
+      check_same "orientations agree" rows_xy rows_yx;
+      (* A cached build side is never swapped: its table already exists. *)
+      let cached =
+        P.Hash_join
+          {
+            lkey = parse "x.b";
+            rkey = parse "y.b";
+            residual = None;
+            left = P.Scan { table = "X"; var = "x" };
+            right = P.Scan { table = "Y"; var = "y" };
+          }
+      in
+      let rows_c, st_c = run_counted ~jobs cached in
+      Alcotest.(check int) (tag "cached: no swap") 0
+        st_c.Stats.build_side_swaps;
+      Alcotest.(check int) (tag "cached: no builds") 0 st_c.Stats.hash_builds;
+      Alcotest.(check int) (tag "cached: probes with the 8 left rows") 8
+        st_c.Stats.hash_probes;
+      check_same "cached = nested loop" rows_nl rows_c)
     [ 1; 4 ]
 
 (* §7: the nest join's left operand is preserved, so it must stay on the
-   probe side no matter how lopsided the cardinalities are. *)
+   probe side no matter how lopsided the cardinalities are. The computed
+   right key keeps the build out of the cache, so it is built per run. *)
 let nestjoin_never_swaps () =
   let nj =
     P.Hash_nestjoin
       {
         lkey = parse "x.b";
-        rkey = parse "y.b";
+        rkey = parse "y.b + 0";
         residual = None;
         func = parse "y.a";
         label = "g";

@@ -282,13 +282,25 @@ let test_unnest_nest_extend_project () =
 let test_stats_counters () =
   let catalog = Workload.Gen.xy Workload.Gen.default_xy in
   let stats = Engine.Stats.create () in
+  (* a computed key keeps the build out of the cache: Y is built per run *)
   ignore
     (Exec.rows ~stats catalog Env.empty
-       (P.Hash_join { lkey; rkey; residual = None; left = sx; right = sy }));
+       (P.Hash_join
+          { lkey; rkey = parse "y.b + 0"; residual = None; left = sx;
+            right = sy }));
   Alcotest.check Alcotest.bool "builds counted" true
     (stats.Engine.Stats.hash_builds = 100);
   Alcotest.check Alcotest.bool "probes counted" true
     (stats.Engine.Stats.hash_probes = 100);
+  Engine.Stats.reset stats;
+  (* the bare scan keyed on y.b probes the cached build: no build work *)
+  ignore
+    (Exec.rows ~stats catalog Env.empty
+       (P.Hash_join { lkey; rkey; residual = None; left = sx; right = sy }));
+  Alcotest.check Alcotest.int "cached build counts no builds" 0
+    stats.Engine.Stats.hash_builds;
+  Alcotest.check Alcotest.int "cached build probes counted" 100
+    stats.Engine.Stats.hash_probes;
   Engine.Stats.reset stats;
   Alcotest.check Alcotest.int "reset" 0 (Engine.Stats.total_work stats)
 

@@ -38,30 +38,20 @@ let rec find_op pred plan =
       find_op pred left || find_op pred right
     | P.Apply_op { subquery; input; _ } ->
       find_op pred subquery.P.plan || find_op pred input
-    | P.Index_join { left; _ }
-    | P.Index_semijoin { left; _ }
-    | P.Index_nestjoin { left; _ } ->
-      find_op pred left
     | P.Union_op { left; right } -> find_op pred left || find_op pred right
 
 let test_equi_join_hashes () =
-  (* with indexes enabled the planner picks the index probe (same asymptotic
-     cost, amortized build); with indexes off it must hash *)
+  (* the hash join builds on the bare scan of Y, which makes its build side
+     the cached table *)
   let physical =
     Core.Planner.plan catalog (Plan.Join { pred; left = x; right = y })
   in
-  Alcotest.check Alcotest.bool "hash or index join selected" true
+  Alcotest.check Alcotest.bool "cached-build hash join selected" true
     (find_op
-       (function P.Hash_join _ | P.Index_join _ -> true | _ -> false)
-       physical);
-  let no_idx =
-    Core.Planner.plan
-      ~options:{ Core.Planner.default_options with use_indexes = false }
-      catalog
-      (Plan.Join { pred; left = x; right = y })
-  in
-  Alcotest.check Alcotest.bool "hash join without indexes" true
-    (find_op (function P.Hash_join _ -> true | _ -> false) no_idx)
+       (function
+         | P.Hash_join _ as p -> P.cached_build p = Some ("Y", "y", "b")
+         | _ -> false)
+       physical)
 
 let test_non_equi_join_nl () =
   let physical =
@@ -96,9 +86,7 @@ let test_residual_extracted () =
   Alcotest.check Alcotest.bool "equi key + residual" true
     (find_op
        (function
-         | P.Hash_join { residual = Some _; _ }
-         | P.Index_join { residual = Some _; _ } ->
-           true
+         | P.Hash_join { residual = Some _; _ } -> true
          | _ -> false)
        physical)
 
@@ -170,47 +158,143 @@ let test_correlated_apply_memo_option () =
   Alcotest.check Alcotest.bool "memo_applies forces memoization" true
     (find_op (function P.Apply_op { memo; _ } -> memo | _ -> false) memoed)
 
-let test_index_operators_correct () =
-  (* each index operator agrees with the oracle *)
-  let check logical physical =
-    let expected = Algebra.Sem.rows catalog Cobj.Env.empty logical in
-    let got =
-      Engine.Exec.rows catalog Cobj.Env.empty physical
-      |> List.sort_uniq Cobj.Env.compare
-    in
-    if
-      not
-        (List.length expected = List.length got
-        && List.for_all2 Cobj.Env.equal expected got)
-    then Alcotest.fail "index operator diverged from oracle"
-  in
+(* Every hash operator over a bare scan of Y probes the cached build of
+   Y.b. Each runs cold (a freshly generated catalog, so a fresh table) and
+   then warm, at jobs 1 and 4 with Bloom on and off; both runs must equal
+   the reference interpreter, every operator's counters must be identical
+   between them, and the hash operator counts no [hash_builds]. *)
+let test_cached_builds_correct () =
+  let fresh () = Workload.Gen.xy { Workload.Gen.default_xy with seed = 13 } in
   let sx = P.Scan { table = "X"; var = "x" } in
-  check
-    (Plan.Join { pred; left = x; right = y })
-    (P.Index_join
-       { lkey = parse "x.b"; table = "Y"; var = "y"; field = "b";
-         residual = None; left = sx });
-  check
-    (Plan.Semijoin { pred; left = x; right = y })
-    (P.Index_semijoin
-       { lkey = parse "x.b"; table = "Y"; var = "y"; field = "b";
-         residual = None; anti = false; left = sx });
-  check
-    (Plan.Antijoin { pred; left = x; right = y })
-    (P.Index_semijoin
-       { lkey = parse "x.b"; table = "Y"; var = "y"; field = "b";
-         residual = None; anti = true; left = sx });
-  check
-    (Plan.Nestjoin
-       { pred; func = parse "y.a"; label = "g"; left = x; right = y })
-    (P.Index_nestjoin
-       { lkey = parse "x.b"; table = "Y"; var = "y"; field = "b";
-         residual = None; func = parse "y.a"; label = "g"; left = sx });
-  check
-    (Plan.Join { pred = parse "x.b = y.b AND x.a < y.a"; left = x; right = y })
-    (P.Index_join
-       { lkey = parse "x.b"; table = "Y"; var = "y"; field = "b";
-         residual = Some (parse "x.a < y.a"); left = sx })
+  let sy = P.Scan { table = "Y"; var = "y" } in
+  let lkey = parse "x.b" and rkey = parse "y.b" in
+  let nest_src =
+    "SELECT (i = x.id, g = (SELECT y.a FROM Y y WHERE y.b = x.b)) FROM X x"
+  in
+  let cases =
+    [
+      ( "join",
+        "SELECT (i = x.id, j = y.id) FROM X x, Y y WHERE x.b = y.b AND x.a < \
+         y.a",
+        {
+          P.plan =
+            P.Hash_join
+              { lkey; rkey; residual = Some (parse "x.a < y.a"); left = sx;
+                right = sy };
+          result = parse "(i = x.id, j = y.id)";
+        } );
+      ( "semijoin",
+        "SELECT x.id FROM X x WHERE EXISTS y IN Y (x.b = y.b)",
+        {
+          P.plan =
+            P.Hash_semijoin
+              { lkey; rkey; residual = None; anti = false; left = sx;
+                right = sy };
+          result = parse "x.id";
+        } );
+      ( "antijoin",
+        "SELECT x.id FROM X x WHERE NOT EXISTS y IN Y (x.b = y.b)",
+        {
+          P.plan =
+            P.Hash_semijoin
+              { lkey; rkey; residual = None; anti = true; left = sx;
+                right = sy };
+          result = parse "x.id";
+        } );
+      (* ν*(X ⟗ Y) = X Δ Y: the padded outerjoin regrouped by x *)
+      ( "outerjoin",
+        nest_src,
+        {
+          P.plan =
+            P.Nest_op
+              {
+                by = [ "x" ];
+                label = "g";
+                func = parse "y.a";
+                nulls = [ "y" ];
+                input =
+                  P.Hash_outerjoin
+                    { lkey; rkey; residual = None; left = sx; right = sy };
+              };
+          result = parse "(i = x.id, g = g)";
+        } );
+      ( "nest join",
+        nest_src,
+        {
+          P.plan =
+            P.Hash_nestjoin
+              { lkey; rkey; residual = None; func = parse "y.a"; label = "g";
+                left = sx; right = sy };
+          result = parse "(i = x.id, g = g)";
+        } );
+    ]
+  in
+  List.iter
+    (fun (name, src, q) ->
+      let expected = run_strategy Core.Pipeline.Interp (fresh ()) src in
+      List.iter
+        (fun (jobs, bloom) ->
+          let what = Printf.sprintf "%s, jobs=%d, bloom=%b" name jobs bloom in
+          let catalog = fresh () in
+          let y = Cobj.Catalog.find_exn "Y" catalog in
+          Alcotest.(check bool) (what ^ ": fresh table is cold") false
+            (Engine.Exec.is_cached y "b");
+          let run () = Engine.Exec.run_instrumented ~jobs ~bloom catalog q in
+          let cold, cold_tree = run () in
+          Alcotest.(check bool) (what ^ ": cold run fills the cache") true
+            (Engine.Exec.is_cached y "b");
+          let warm, warm_tree = run () in
+          Alcotest.check value (what ^ ": cold = interp") expected cold;
+          Alcotest.check value (what ^ ": warm = interp") expected warm;
+          let counters t = Engine.Analyze.to_string ~timing:false t in
+          Alcotest.(check string) (what ^ ": counters cold = warm")
+            (counters cold_tree) (counters warm_tree);
+          let rec hash_node (n : Engine.Stats.node) =
+            if String.starts_with ~prefix:"hash-" n.Engine.Stats.op then Some n
+            else List.find_map hash_node n.Engine.Stats.children
+          in
+          match hash_node cold_tree with
+          | Some n ->
+            Alcotest.(check int) (what ^ ": no hash builds") 0
+              n.Engine.Stats.counters.Engine.Stats.hash_builds
+          | None -> Alcotest.fail (what ^ ": no hash operator"))
+        [ (1, true); (1, false); (4, true); (4, false) ])
+    cases;
+  (* an empty probe side fetches nothing, so the entry stays cold *)
+  let catalog = fresh () in
+  let none = P.Filter { pred = parse "x.id < 0"; input = sx } in
+  ignore
+    (Engine.Exec.rows catalog Cobj.Env.empty
+       (P.Hash_semijoin
+          { lkey; rkey; residual = None; anti = false; left = none;
+            right = sy }));
+  Alcotest.(check bool) "empty probe side leaves the cache cold" false
+    (Engine.Exec.is_cached (Cobj.Catalog.find_exn "Y" catalog) "b")
+
+(* Two domains run the same cached-build join on a fresh catalog: the
+   table is built once, under the cache lock, and both agree. *)
+let test_cached_build_shared () =
+  let module M = Obs.Metrics in
+  let catalog = Workload.Gen.xy { Workload.Gen.default_xy with seed = 17 } in
+  let q =
+    {
+      P.plan =
+        P.Hash_nestjoin
+          { lkey = parse "x.b"; rkey = parse "y.b"; residual = None;
+            func = parse "y.a"; label = "g";
+            left = P.Scan { table = "X"; var = "x" };
+            right = P.Scan { table = "Y"; var = "y" } };
+      result = parse "(i = x.id, g = g)";
+    }
+  in
+  M.enable ();
+  M.reset ();
+  Fun.protect ~finally:M.disable (fun () ->
+      let run () = Engine.Exec.run catalog q in
+      let d1 = Domain.spawn run and d2 = Domain.spawn run in
+      let v1 = Domain.join d1 and v2 = Domain.join d2 in
+      Alcotest.check value "both domains agree" v1 v2;
+      Alcotest.(check int) "built once" 1 (M.counter "exec.cached_builds"))
 
 let test_cost_sanity () =
   (* hash beats nested loops on equal inputs at these sizes *)
@@ -238,7 +322,9 @@ let suite =
       test_uncorrelated_apply_memoized;
     Alcotest.test_case "memo_applies option" `Quick
       test_correlated_apply_memo_option;
-    Alcotest.test_case "index operators correct" `Quick
-      test_index_operators_correct;
+    Alcotest.test_case "cached builds correct" `Quick
+      test_cached_builds_correct;
+    Alcotest.test_case "cached build shared by domains" `Quick
+      test_cached_build_shared;
     Alcotest.test_case "cost model sanity" `Quick test_cost_sanity;
   ]

@@ -47,11 +47,19 @@ let table_size catalog name =
   List.length (Cobj.Table.rows (Cobj.Catalog.find_exn name catalog))
 
 (* Counters land on the node doing the work: the nest-join node owns the
-   build and the probes, each scan child owns its own row production. *)
+   build and the probes, each scan child owns its own row production. The
+   computed key [y.b + 0] keeps the build out of the cache, so the right
+   scan runs; the bare-scan [hash_nestjoin] probes the cached build, with
+   no right child, no build work and the same probes. *)
 let per_node_attribution () =
   let catalog = List.assoc "default" catalogs in
   let nx = table_size catalog "X" and ny = table_size catalog "Y" in
-  let rows, tree = instrument catalog hash_nestjoin in
+  let built =
+    P.Hash_nestjoin
+      { lkey = parse "x.b"; rkey = parse "y.b + 0"; residual = None;
+        func = parse "y.a"; label = "s"; left = sx; right = sy }
+  in
+  let rows, tree = instrument catalog built in
   Alcotest.(check int) "nestjoin preserves left rows" nx (List.length rows);
   Alcotest.(check int) "root rows_out" nx tree.Stats.counters.Stats.rows_out;
   Alcotest.(check int) "one build insertion per right row" ny
@@ -69,7 +77,17 @@ let per_node_attribution () =
       + r.Stats.counters.Stats.hash_probes
       + r.Stats.counters.Stats.hash_builds)
   | cs -> Alcotest.failf "expected 2 children, got %d" (List.length cs));
-  Alcotest.(check int) "each node ran once" 1 tree.Stats.loops
+  Alcotest.(check int) "each node ran once" 1 tree.Stats.loops;
+  let cached_rows, cached = instrument catalog hash_nestjoin in
+  Alcotest.(check int) "cached: same rows" (List.length rows)
+    (List.length cached_rows);
+  Alcotest.(check int) "cached: no build insertions" 0
+    cached.Stats.counters.Stats.hash_builds;
+  Alcotest.(check int) "cached: one probe per left row" nx
+    cached.Stats.counters.Stats.hash_probes;
+  Alcotest.(check (list string)) "cached: only the probe side runs"
+    [ "scan" ]
+    (List.map (fun c -> c.Stats.op) cached.Stats.children)
 
 (* Hash and nested-loop nest-join must agree on rows_out everywhere in the
    tree — including catalogs where every left row is dangling, i.e. the

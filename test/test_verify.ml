@@ -125,6 +125,25 @@ let test_hash_key_type () =
          result = parse "x.a";
        })
 
+let test_cached_build_missing_field () =
+  (* a bare-scan build keyed on a plain field is a cached build: its key
+     must name a field the scanned table's rows have *)
+  let plan =
+    P.Hash_semijoin
+      {
+        lkey = parse "x.b";
+        rkey = parse "y.zz";
+        residual = None;
+        anti = false;
+        left = P.Scan { table = "X"; var = "x" };
+        right = P.Scan { table = "Y"; var = "y" };
+      }
+  in
+  Alcotest.(check bool) "cached build" true (P.cached_build plan <> None);
+  expect_rule ~phase:"plan" ~rule:"ill-typed"
+    (V.check_physical_query ~phase:"plan" catalog
+       { P.plan; result = parse "x.a" })
+
 let test_unknown_table () =
   expect_rule ~phase:"translate" ~rule:"unknown-table"
     (check ~phase:"translate" (Plan.Table { name = "NOPE"; var = "n" }))
@@ -254,6 +273,8 @@ let suite =
       test_apply_free_vars;
     Alcotest.test_case "incomparable hash-join key types" `Quick
       test_hash_key_type;
+    Alcotest.test_case "cached build keyed on a missing field" `Quick
+      test_cached_build_missing_field;
     Alcotest.test_case "unknown table" `Quick test_unknown_table;
     Alcotest.test_case "nest groups by unbound variable" `Quick
       test_nest_unbound;
