@@ -307,27 +307,6 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     | None -> ()
     | Some r -> check_pred ctx sub merged "residual predicate" r
   in
-  (* Bloom sideways information passing: the filter over the build side is
-     sized from the build cardinality estimate; per-partition filters are
-     OR-merged, which requires [Bloom.create] to be geometry-deterministic
-     for that size and the size itself to be well defined. *)
-  let check_bloom build =
-    let est = Core.Cost.card_physical ctx.catalog build in
-    if not (Float.is_finite est) || est < 0. then
-      viol ctx "bloom-geometry" sub
-        "build-side cardinality estimate is %f — the Bloom filter geometry \
-         (word count) would be undefined"
-        est;
-    let n = int_of_float (Float.min est 1_000_000.) in
-    let a = Engine.Bloom.create n and b = Engine.Bloom.create n in
-    if not (Engine.Bloom.same_geometry a b) then
-      viol ctx "bloom-geometry" sub
-        "Bloom.create %d is not geometry-deterministic (%d vs %d words) — \
-         per-partition filters could not be OR-merged"
-        n
-        (Engine.Bloom.geometry a)
-        (Engine.Bloom.geometry b)
-  in
   let binary left right =
     let ls, ll = go_physical ctx ambient left in
     let rs, rl = go_physical ctx ambient right in
@@ -357,7 +336,6 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     let ls, ll, rs, rl, merged = binary left right in
     check_keys "hash-key-type" ls rs lkey rkey;
     check_residual merged residual;
-    check_bloom right;
     (merged, Sset.union ll rl)
   | P.Merge_join { lkey; rkey; residual; left; right } ->
     let ls, ll, rs, rl, merged = binary left right in
@@ -372,7 +350,6 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     let ls, ll, rs, _rl, merged = binary left right in
     check_keys "hash-key-type" ls rs lkey rkey;
     check_residual merged residual;
-    check_bloom right;
     (ls, ll)
   | P.Merge_semijoin { lkey; rkey; residual; anti = _; left; right } ->
     let ls, ll, rs, _rl, merged = binary left right in
@@ -387,7 +364,6 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     let ls, ll, rs, rl, merged = binary left right in
     check_keys "hash-key-type" ls rs lkey rkey;
     check_residual merged residual;
-    check_bloom right;
     (merged, Sset.union ll rl)
   | P.Merge_outerjoin { lkey; rkey; residual; left; right } ->
     let ls, ll, rs, rl, merged = binary left right in
@@ -406,7 +382,6 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     check_residual merged residual;
     let tf = infer_under ctx sub merged "nest join function" func in
     check_label ctx sub "nest join" ll label;
-    check_bloom right;
     (extend ls [ (label, Ctype.TSet tf) ], Sset.add label ll)
   | P.Hash_nestjoin_left { lkey; rkey; residual; func; label; left; right }
     ->
@@ -421,7 +396,6 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
          a declared key of the scanned right operand (§6: otherwise \
          streamed right rows cannot regroup by left row)"
         (Lang.Pretty.to_string rkey);
-    check_bloom left;
     (extend ls [ (label, Ctype.TSet tf) ], Sset.add label ll)
   | P.Merge_nestjoin { lkey; rkey; residual; func; label; left; right } ->
     let ls, ll, rs, _rl, merged = binary left right in

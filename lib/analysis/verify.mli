@@ -36,11 +36,7 @@
       {b merge-key-type});
     - the paper's §6 build-side restriction: [Hash_nestjoin_left] (build on
       the left, stream the right) is only sound when the right key is a
-      declared key of the scanned right operand ({b nestjoin-build-side});
-    - Bloom-filter geometry consistency: the build-side cardinality
-      estimate sizing the filter is finite, and {!Engine.Bloom.create} is
-      geometry-deterministic for it — the precondition for OR-merging
-      per-partition filters ({b bloom-geometry}).
+      declared key of the scanned right operand ({b nestjoin-build-side}).
 
     Violations are reported with the phase that produced the plan, the
     specific rule, a detail message and the pretty-printed offending

@@ -331,7 +331,7 @@ let default_jobs () =
     | Some _ | None -> 1)
 
 (* Flat execution counters become exec.* metrics (par.* for the
-   jobs-dependent partition counters) so bench artifacts and --trace runs
+   jobs-dependent morsel counters) so bench artifacts and --trace runs
    carry them without EXPLAIN ANALYZE. *)
 let record_exec_metrics (s : Engine.Stats.t) =
   let c name v = if v > 0 then Obs.Metrics.incr ~by:v name in

@@ -130,7 +130,7 @@ let pp_counters ~timing ppf (c : Stats.t) =
         field "bloom-prunes" c.Stats.bloom_prunes;
         field "swaps" c.Stats.build_side_swaps;
       ]
-    (* partition counters are jobs-dependent, so like wall-clock they hide
+    (* morsel counters are jobs-dependent, so like wall-clock they hide
        behind --no-timing (which promises jobs-invariant output) *)
     @ (if timing then
          List.filter_map Fun.id
@@ -160,7 +160,7 @@ let pp_annot ~timing ppf (n : Stats.node) =
       (String.concat "|" (List.map (Printf.sprintf "{%s}") keys)));
   if timing then begin
     Fmt.pf ppf " time=%.3fms" (Int64.to_float n.Stats.time_ns /. 1e6);
-    (* Like the partition counters, the engine marker hides behind
+    (* Like the morsel counters, the engine marker hides behind
        --no-timing, whose output is promised identical between the row
        and vector engines. *)
     if n.Stats.vectorized then Fmt.string ppf " vectorized"

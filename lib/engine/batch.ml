@@ -75,6 +75,13 @@ let env_at b i =
 
 let narrow b sel = { b with sel = Some sel }
 
+let slices ~size b =
+  let size = max 1 size in
+  let live = match b.sel with Some s -> s | None -> Array.init b.len Fun.id in
+  let n = Array.length live in
+  List.init ((n + size - 1) / size) (fun k ->
+      narrow b (Array.sub live (k * size) (min size (n - (k * size)))))
+
 let add_col b x c =
   match b.data with
   | Cols { cols; tail } -> { b with data = Cols { cols = (x, c) :: cols; tail } }

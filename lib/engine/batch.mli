@@ -48,6 +48,10 @@ val env_at : t -> int -> Cobj.Env.t
 val narrow : t -> int array -> t
 (** Replace the selection vector (shares the underlying data). *)
 
+val slices : size:int -> t -> t list
+(** Cut the live rows into contiguous pieces of at most [size] (at least
+    1), in order, each a {!narrow}ing of the batch. *)
+
 val add_col : t -> string -> col -> t
 (** Prepend a column to a [Cols] batch; raises [Invalid_argument] on a
     rows batch. *)

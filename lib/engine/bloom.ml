@@ -38,11 +38,6 @@ let mem t h =
   let w, bits = slots t h in
   t.words.(w) land bits = bits
 
-let merge ~into src =
-  if into.mask <> src.mask then
-    invalid_arg "Bloom.merge: geometry mismatch (filters sized differently)";
-  Array.iteri (fun i w -> into.words.(i) <- into.words.(i) lor w) src.words
-
 let popcount x =
   let rec go acc x = if x = 0 then acc else go (acc + (x land 1)) (x lsr 1) in
   go 0 x
@@ -50,7 +45,3 @@ let popcount x =
 let fill_ratio t =
   let set = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words in
   float_of_int set /. float_of_int (bits_per_word * Array.length t.words)
-
-let geometry t = Array.length t.words
-
-let same_geometry a b = a.mask = b.mask

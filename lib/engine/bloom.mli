@@ -2,16 +2,12 @@
 
     Built over build-side join keys and consulted before each probe: a
     negative answer is definitive (the key is not in the build table), so
-    the probe — and, in the partition-parallel path, the whole
-    partition/scatter machinery for that row — can be skipped. Positives
-    may be false; the hash-table probe stays authoritative.
+    the probe and the probe row's materialization can be skipped.
+    Positives may be false; the hash-table probe stays authoritative.
 
-    Filters are deterministic functions of (size at creation, inserted
-    hashes): two filters created with the same [expected] count hold
-    identical geometry, so per-partition filters built on worker domains
-    and OR-[merge]d equal the filter a serial build would have produced
-    bit-for-bit. The executor relies on this to keep bloom counters
-    invariant under [--jobs]. *)
+    The executor builds one filter per build side, serially; parallel
+    probes share it, which keeps bloom counters invariant under
+    [--jobs]. *)
 
 type t
 
@@ -25,17 +21,5 @@ val add : t -> int -> unit
 val mem : t -> int -> bool
 (** May return a false positive; never a false negative for added hashes. *)
 
-val merge : into:t -> t -> unit
-(** Bitwise OR. Raises [Invalid_argument] when geometries differ. *)
-
 val fill_ratio : t -> float
 (** Fraction of set bits — prune-rate diagnostics and saturation tests. *)
-
-val geometry : t -> int
-(** Number of words — filters [merge] only when geometries are equal.
-    Deterministic in the [expected] count passed to {!create}: the plan
-    verifier's bloom-geometry rule relies on equal counts producing equal
-    geometry (the precondition for OR-merging per-partition filters). *)
-
-val same_geometry : t -> t -> bool
-(** The {!merge} precondition. *)

@@ -12,9 +12,9 @@ module Vtbl = Hashtbl.Make (struct
 end)
 
 (* A join key paired with its [Value.hash], computed exactly once per row
-   and reused for the Bloom filter, the partition index and the hash-table
-   insert/probe (Hashtbl.Make calls [Hkey.hash], which is now a field
-   read — no rehash of the value). *)
+   and reused for the Bloom filter and the hash-table insert/probe
+   (Hashtbl.Make calls [Hkey.hash], which is a field read — no rehash of
+   the value). *)
 module Hkey = struct
   type t = { h : int; v : Value.t }
 
@@ -202,17 +202,18 @@ let correlation_key_exprs corr query =
    single global sink for every operator (the legacy [?stats] behaviour);
    instrumented runs give each operator its own [Stats.node], descending
    the annotation tree in lockstep with the plan ([Analyze.children]
-   order). [jobs] is the partition-parallel width: 1 executes everything on
-   the calling domain, larger values let the hash-join family partition
-   its build and probe work over a domain pool (operands are still
-   produced serially, so child counters and timings are untouched). [bloom]
+   order). [jobs] is the parallel width: 1 executes everything on the
+   calling domain; larger values let a hash operator whose probe side has
+   at least [gate] rows run its probe loop as morsels on the pool
+   (operands and builds are still produced serially, so child counters
+   and timings are untouched). [bloom]
    enables sideways information passing in the hash-join family: build
    sides populate a Bloom filter consulted before each probe. Pruned probes
    still count in [hash_probes], so disabling bloom changes only the bloom
    counters, never the rest of a Stats tree. [batch] is the physical batch
    width of the columnar operators. *)
 type frame = { sink : Stats.t; node : Stats.node option; jobs : int;
-               bloom : bool; batch : int }
+               gate : int; bloom : bool; batch : int }
 
 let child_frame fr i =
   match fr.node with
@@ -244,178 +245,173 @@ let default_batch () =
 let note_fallback () =
   if Obs.Metrics.enabled () then Obs.Metrics.incr "exec.batch.kernel_fallbacks"
 
-(* Evaluate a key expression over a batch: kernel when possible, row
-   closure otherwise.  A kernel that raises is discarded before any
-   probe ran, so replaying row-at-a-time reproduces row-order counters
-   and first error exactly. *)
-let key_col kern b =
-  match kern with
-  | Some k when Batch.is_cols b -> (
-    match k b with
-    | c -> `Col c
-    | exception (Value.Type_error _ | Interp.Undefined _) -> `RowWise)
-  | _ -> `RowWise
+(* --- hash keys ------------------------------------------------------- *)
 
-let key_at keyv keyfn b i =
-  match keyv with
-  | `Col c -> Batch.get c i
-  | `RowWise -> keyfn (Batch.env_at b i)
+(* A hash key evaluator: [key b] reads the key of live slot [i] of batch
+   [b] as [key b i] — from a kernel column when the batch is columnar and
+   the kernel succeeds, else by evaluating the row's env. A kernel that
+   raises is discarded before any slot is read, so the row-at-a-time
+   replay reproduces row-order counters and first error exactly. *)
+type keyer = Batch.t -> int -> Hkey.t
 
-(* --- partition-parallel helpers ------------------------------------------ *)
+(* All of [kerns] applied to a columnar batch, or [None] when one is
+   missing, the batch holds rows, or a kernel raises. *)
+let kernel_cols kerns b =
+  match kerns with
+  | Some ks when Batch.is_cols b -> (
+    match List.map (fun k -> k b) ks with
+    | cols -> Some cols
+    | exception (Value.Type_error _ | Interp.Undefined _) -> None)
+  | Some _ | None -> None
 
-(* Parallel sections run operator-local work (probes, predicate and
-   function evaluation) on pool domains. Each worker partition gets a
-   private [Stats.t], merged into the operator's own sink in deterministic
-   partition order afterwards, so instrumented trees and global totals are
-   identical to a serial run. Output comes back in serial row order: hash
-   partitions scatter per-left-row results into a dense array indexed by
-   the left row's input position.
-   Operands are always produced serially before a region starts, and
-   worker bodies never re-enter the executor, so regions never nest. *)
+let kernels catalog es =
+  let ks = List.map (Vexpr.compile catalog) es in
+  if List.for_all Option.is_some ks then Some (List.map Option.get ks)
+  else None
 
-let join_min = 2 (* partitioned joins parallelize from this many left rows *)
+let plain_keyer catalog key : keyer =
+  let fn = Compile.expr catalog key in
+  let kerns = kernels catalog [ key ] in
+  fun b ->
+    match kernel_cols kerns b with
+    | Some [ c ] -> fun i -> hkey (Batch.get c i)
+    | Some _ | None -> fun i -> hkey (fn (Batch.env_at b i))
 
-let merge_parts stats parts =
-  Array.iter (fun p -> Stats.add ~into:stats p) parts
+(* A composite key [(l1 = e1, ..., ln = en)], which [Decorrelate] builds
+   for IN and NOT IN, is compared as the vector of its components in label
+   order ([Value.List]), not as a sorted [Value.Tuple]: each component
+   runs its own kernel and no env is built. Its hash is the one
+   [Value.hash] gives the tuple, so Bloom screens prune the same probes.
+   The row fallback evaluates the components in source order, as the
+   tuple's own closure would. *)
+let composite_keyer catalog fields : keyer =
+  let sorted =
+    List.mapi (fun j (l, e) -> (l, j, e)) fields
+    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+  in
+  let order = List.map (fun (_, j, _) -> j) sorted in
+  let label_hashes = List.map (fun (l, _, _) -> Hashtbl.hash l) sorted in
+  let key vals =
+    let h =
+      List.fold_left2
+        (fun acc lh v -> (acc * 31) + lh + Value.hash v)
+        7 label_hashes vals
+    in
+    { Hkey.h; v = Value.List vals }
+  in
+  let fns =
+    Array.of_list (List.map (fun (_, e) -> Compile.expr catalog e) fields)
+  in
+  let kerns = kernels catalog (List.map (fun (_, _, e) -> e) sorted) in
+  fun b ->
+    match kernel_cols kerns b with
+    | Some cols -> fun i -> key (List.map (fun c -> Batch.get c i) cols)
+    | None ->
+      fun i ->
+        let env = Batch.env_at b i in
+        let vals = Array.map (fun f -> f env) fns in
+        key (List.map (fun j -> vals.(j)) order)
 
-(* Residual compiled once per operator; evaluation counts into the
-   partition's sink (the parallel counterpart of [compile_residual]). *)
-let residual_fn catalog = function
-  | None -> None
-  | Some pred -> Some (Compile.pred catalog pred)
+(* The probe and build keyers of one operator. Both sides must agree on
+   the representation, so component vectors are used only when both keys
+   are tuples over the same distinct labels; a tuple with a repeated label
+   keeps the row path, which raises on it. *)
+let key_pair catalog lkey rkey =
+  let labels fields = List.sort_uniq String.compare (List.map fst fields) in
+  match lkey, rkey with
+  | Ast.TupleE lf, Ast.TupleE rf
+    when List.length (labels lf) = List.length lf
+         && List.equal String.equal (labels lf) (labels rf) ->
+    (composite_keyer catalog lf, composite_keyer catalog rf)
+  | _ -> (plain_keyer catalog lkey, plain_keyer catalog rkey)
 
-let rok_part st rokfn merged =
-  match rokfn with
-  | None -> true
-  | Some f ->
-    st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
-    f merged
+(* --- morsel-driven probes --------------------------------------------- *)
+
+(* Probe rows from which a hash operator under [jobs > 1] runs its probe
+   loop as morsels on the pool. Below it an operator never touches
+   [Pool]: a region pays for spawning and joining its worker domains, so
+   parallel probing loses to the serial loop on small inputs (see
+   [bench/main.ml]'s parallel case). *)
+let parallel_rows = 20_000
+
+(* Morsels per domain: enough that an uneven slice does not leave a
+   domain idle, few enough that per-morsel set-up stays negligible. *)
+let morsels_per_domain = 4
+
+(* Residual compiled once per operator; an evaluation counts into the
+   sink it is given (the operator's, or a morsel's). *)
+let residual_check catalog = function
+  | None -> fun _ _ -> true
+  | Some pred ->
+    let f = Compile.pred catalog pred in
+    fun (st : Stats.t) merged ->
+      st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
+      f merged
 
 (* A hash operator's build table: [find] answers a probe key with its
    matching build rows in build-input order, and [filter], present only
-   when the frame's [bloom] is on, screens keys before the lookup. A serial
-   build, a partitioned build and a cached build all come out in this
-   shape, so every probe loop is written once. *)
+   when the frame's [bloom] is on, screens keys before the lookup. A
+   built table and a cached build both come out in this shape, so every
+   probe loop is written once. *)
 type table = { find : Hkey.t -> Env.t list; filter : Bloom.t option }
 
 let no_table = { find = (fun _ -> []); filter = None }
 
-let nparts_of jobs = jobs * 2
-let part nparts h = h land max_int mod nparts
-
 let bucket_rows tbl k =
   match Htbl.find_opt tbl k with Some bucket -> List.rev bucket | None -> []
 
-(* Hash-partitioned parallel build: the build rows split on the
-   precomputed key hash and each partition builds its own table on a
-   worker; [find] looks a key up in the partition its hash selects.
-
-   With [bloom], each build partition populates its own filter, all sized
-   from the *total* build count — the same geometry a serial build uses —
-   so their OR-merge is bit-identical to the serial filter and the prune
-   counters are invariant under [jobs]. *)
-let par_build ~jobs ~bloom ~stats ~rkeyfn rrows =
-  let nparts = nparts_of jobs in
-  let rparts = Array.make nparts [] in
-  let nbuild =
-    List.fold_left
-      (fun n r ->
-        let k = hkey (rkeyfn r) in
-        let p = part nparts k.Hkey.h in
-        rparts.(p) <- (r, k) :: rparts.(p);
-        n + 1)
-      0 rrows
-  in
-  let tables = Array.init nparts (fun _ -> Htbl.create 64) in
-  let filters =
-    if bloom then Some (Array.init nparts (fun _ -> Bloom.create nbuild))
-    else None
-  in
-  let bparts = Array.init nparts (fun _ -> Stats.create ()) in
-  Pool.run ~jobs nparts (fun p ->
-      let st = bparts.(p) in
-      let table = tables.(p) in
-      List.iter
-        (fun (r, k) ->
-          st.Stats.hash_builds <- st.Stats.hash_builds + 1;
-          (match filters with
-          | Some fs -> Bloom.add fs.(p) k.Hkey.h
-          | None -> ());
-          match Htbl.find_opt table k with
-          | Some bucket -> Htbl.replace table k (r :: bucket)
-          | None -> Htbl.add table k [ r ])
-        (List.rev rparts.(p)));
-  merge_parts stats bparts;
-  (* Skew accounting: the largest build partition bounds the parallel
-     speedup of the whole join, so record max rows (per-operator via the
-     sink) and the full per-partition distribution (metrics histogram). *)
-  stats.Stats.partitions <- stats.Stats.partitions + nparts;
-  Array.iter
-    (fun l ->
-      let rows = List.length l in
-      if rows > stats.Stats.partition_max_rows then
-        stats.Stats.partition_max_rows <- rows)
-    rparts;
-  if Obs.Metrics.enabled () then
-    Array.iter
-      (fun l -> Obs.Metrics.observe "par.partition_build_rows" (List.length l))
-      rparts;
-  let filter =
-    Option.map
-      (fun fs ->
-        let global = Bloom.create nbuild in
-        Array.iter (fun f -> Bloom.merge ~into:global f) fs;
-        global)
-      filters
-  in
-  { find = (fun k -> bucket_rows tables.(part nparts k.Hkey.h) k); filter }
-
-(* Partition-parallel probe of one shared [table]: probe rows split on the
-   precomputed key hash into morsels probed on workers, exactly as the
-   serial operator would probe that key subset. [emit st l matches]
-   produces the output rows for one probe row (matches arrive in
-   build-input order, like a serial probe); results scatter back into
-   probe-input order, so the concatenation is the serial output, dangling
-   tuples included.
-
-   The filter screens probe rows before partitioning: a pruned row emits
-   its (empty-match) output immediately and never touches a partition
-   list, a worker, or the scatter machinery. This is the
-   sideways-information-passing pushdown — probe rows are filtered at the
-   source, upstream of partitioning. *)
-let par_probe ~jobs ~stats ~lkeyfn ~emit table lrows =
-  let nparts = nparts_of jobs in
-  let nl = List.length lrows in
-  let out = Array.make nl [] in
-  let lparts = Array.make nparts [] in
-  List.iteri
-    (fun i l ->
-      let k = hkey (lkeyfn l) in
-      let enqueue () =
-        let p = part nparts k.Hkey.h in
-        lparts.(p) <- (i, l, k) :: lparts.(p)
+(* Run an operator's one per-batch probe loop [loop st b] over its probe
+   batches, returning each source batch's output. Serially the loop sees
+   whole batches and counts into the operator's sink. From the frame's
+   gate under [jobs > 1], each batch's selection is cut into contiguous
+   slices, the morsels, which run on the pool with a private [Stats.t]
+   each; outputs and counters merge back in slice order per source batch,
+   so rows, batch shapes and every counter are those of a serial run. *)
+let probe_batches fr batches loop =
+  let n = Batch.live_total batches in
+  if fr.jobs <= 1 || n < fr.gate then List.map (loop fr.sink) batches
+  else begin
+    let per = morsels_per_domain * fr.jobs in
+    let size = (n + per - 1) / per in
+    let cuts = List.map (Batch.slices ~size) batches in
+    let morsels = Array.of_list (List.concat cuts) in
+    let nm = Array.length morsels in
+    let sinks = Array.map (fun _ -> Stats.create ()) morsels in
+    let outs = Array.make nm None in
+    let stats = fr.sink in
+    (* Morsels up to the one that failed first in row order: all of them
+       when none failed. *)
+    let merge upto =
+      for i = 0 to upto - 1 do
+        Stats.add ~into:stats sinks.(i);
+        stats.Stats.partition_max_rows <-
+          max stats.Stats.partition_max_rows (Batch.live morsels.(i))
+      done;
+      stats.Stats.partitions <- stats.Stats.partitions + upto
+    in
+    (match
+       Pool.run ~jobs:fr.jobs nm (fun i ->
+           outs.(i) <- Some (loop sinks.(i) morsels.(i)))
+     with
+    | () -> merge nm
+    | exception e ->
+      (* [Pool.run] raised the lowest failing morsel's exception; every
+         morsel below it completed, so the counters are a serial run's
+         up to the same row. *)
+      let bt = Printexc.get_raw_backtrace () in
+      let rec first_failed i =
+        if i < nm && Option.is_some outs.(i) then first_failed (i + 1) else i
       in
-      match table.filter with
-      | None -> enqueue ()
-      | Some f ->
-        stats.Stats.bloom_checks <- stats.Stats.bloom_checks + 1;
-        if Bloom.mem f k.Hkey.h then enqueue ()
-        else begin
-          stats.Stats.bloom_prunes <- stats.Stats.bloom_prunes + 1;
-          stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-          out.(i) <- emit stats l []
-        end)
-    lrows;
-  let pparts = Array.init nparts (fun _ -> Stats.create ()) in
-  Pool.run ~jobs nparts (fun p ->
-      let st = pparts.(p) in
-      List.iter
-        (fun (i, l, k) ->
-          st.Stats.hash_probes <- st.Stats.hash_probes + 1;
-          out.(i) <- emit st l (table.find k))
-        lparts.(p));
-  merge_parts stats pparts;
-  List.concat (Array.to_list out)
+      merge (min nm (first_failed 0 + 1));
+      Printexc.raise_with_backtrace e bt);
+    let next = ref 0 in
+    List.map
+      (List.concat_map (fun _ ->
+           let out = Option.value outs.(!next) ~default:[] in
+           incr next;
+           out))
+      cuts
+  end
 
 (* --- cached build sides ------------------------------------------------ *)
 
@@ -485,29 +481,27 @@ let cached_view ~bloom catalog env (table, var, field) =
     filter = (if bloom then Some c.keys else None);
   }
 
-let parallel fr nprobe = fr.jobs > 1 && nprobe >= join_min
-
-(* Hash [rows] on [keyfn] into a build table, partitioned over the pool
-   when [par]. Input order is preserved within buckets. *)
-let hash_rows ~par fr keyfn rows =
+(* Hash the live rows of [batches] on [key] into a build table, serially
+   and in input order within buckets. *)
+let hash_batches fr (key : keyer) batches =
   let stats = fr.sink in
-  if par then par_build ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~rkeyfn:keyfn rows
-  else begin
-    let table = Htbl.create 256 in
-    let filter =
-      if fr.bloom then Some (Bloom.create (List.length rows)) else None
-    in
-    List.iter
-      (fun r ->
-        stats.Stats.hash_builds <- stats.Stats.hash_builds + 1;
-        let k = hkey (keyfn r) in
-        Option.iter (fun f -> Bloom.add f k.Hkey.h) filter;
-        match Htbl.find_opt table k with
-        | Some bucket -> Htbl.replace table k (r :: bucket)
-        | None -> Htbl.add table k [ r ])
-      rows;
-    { find = bucket_rows table; filter }
-  end
+  let table = Htbl.create 256 in
+  let filter =
+    if fr.bloom then Some (Bloom.create (Batch.live_total batches)) else None
+  in
+  List.iter
+    (fun b ->
+      let at = key b in
+      Batch.iter_live b (fun i ->
+          stats.Stats.hash_builds <- stats.Stats.hash_builds + 1;
+          let k = at i in
+          Option.iter (fun f -> Bloom.add f k.Hkey.h) filter;
+          let r = Batch.env_at b i in
+          match Htbl.find_opt table k with
+          | Some bucket -> Htbl.replace table k (r :: bucket)
+          | None -> Htbl.add table k [ r ]))
+    batches;
+  { find = bucket_rows table; filter }
 
 let probe ~stats table k =
   stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
@@ -532,6 +526,11 @@ type produced = Batches of Batch.t list | Rows of Env.t list
 let produced_count = function
   | Batches bs -> Batch.live_total bs
   | Rows rows -> List.length rows
+
+(* Output rows of a row-emitting hash operator, per source batch, as
+   batches of the frame's width. *)
+let rebatch fr per_batch =
+  Batches (Batch.of_rows ~size:fr.batch (List.concat per_batch))
 
 let rec rows_fr fr catalog env plan =
   match exec_timed fr catalog env plan with
@@ -661,247 +660,127 @@ and exec fr catalog env plan =
     | P.Hash_join { lkey; rkey; residual; left; right } ->
       let lb = batches_fr (c0 fr) catalog env left in
       let nl = Batch.live_total lb in
+      let lkeyer, rkeyer = key_pair catalog lkey rkey in
       (* A cached build is never swapped: its table already exists. *)
       let swap, probe_b, probe_key, table =
         match P.cached_build plan with
         | Some _ ->
           ( false,
             lb,
-            lkey,
-            build_table fr catalog env plan ~nprobe:nl right rkey )
+            lkeyer,
+            build_table fr catalog env plan ~nprobe:nl right rkeyer )
         | None ->
           let rb = batches_fr (c1 fr) catalog env right in
-          let nr = Batch.live_total rb in
-          let swap = nr > nl in
+          let swap = Batch.live_total rb > nl in
           if swap then
             stats.Stats.build_side_swaps <- stats.Stats.build_side_swaps + 1;
           let probe_b, build_b, probe_key, build_key =
-            if swap then (rb, lb, rkey, lkey) else (lb, rb, lkey, rkey)
+            if swap then (rb, lb, rkeyer, lkeyer) else (lb, rb, lkeyer, rkeyer)
           in
-          ( swap,
-            probe_b,
-            probe_key,
-            hash_rows
-              ~par:(parallel fr (if swap then nr else nl))
-              fr
-              (Compile.expr catalog build_key)
-              (Batch.rows_of_batches build_b) )
+          (swap, probe_b, probe_key, hash_batches fr build_key build_b)
       in
       let merged_of p m = if swap then Env.append p m else Env.append m p in
-      let pkeyfn = Compile.expr catalog probe_key in
-      let out_rows =
-        if parallel fr (Batch.live_total probe_b) then
-          let rokfn = residual_fn catalog residual in
-          par_probe ~jobs:fr.jobs ~stats ~lkeyfn:pkeyfn
-            ~emit:(fun st p matches ->
-              List.filter_map
-                (fun m ->
-                  let merged = merged_of p m in
-                  if rok_part st rokfn merged then Some merged else None)
-                matches)
-            table
-            (Batch.rows_of_batches probe_b)
-        else begin
-          let rok = compile_residual ~stats catalog residual in
-          let kern = Vexpr.compile catalog probe_key in
+      let rok = residual_check catalog residual in
+      probe_batches fr probe_b (fun st b ->
+          let key = probe_key b in
           let acc = ref [] in
-          List.iter
-            (fun b ->
-              let keyv = key_col kern b in
-              Batch.iter_live b (fun i ->
-                  let kv = key_at keyv pkeyfn b i in
-                  match probe ~stats table (hkey kv) with
-                  | [] -> ()
-                  | ms ->
-                    (* Late materialization: the probe env is only built
-                       once the Bloom screen and table lookup found
-                       matches. *)
-                    let p = Batch.env_at b i in
-                    List.iter
-                      (fun m ->
-                        let merged = merged_of p m in
-                        if rok merged then acc := merged :: !acc)
-                      ms))
-            probe_b;
-          List.rev !acc
-        end
-      in
-      Batches (Batch.of_rows ~size:fr.batch out_rows)
+          Batch.iter_live b (fun i ->
+              match probe ~stats:st table (key i) with
+              | [] -> ()
+              | ms ->
+                (* Late materialization: the probe env is only built once
+                   the Bloom screen and table lookup found matches. *)
+                let p = Batch.env_at b i in
+                List.iter
+                  (fun m ->
+                    let merged = merged_of p m in
+                    if rok st merged then acc := merged :: !acc)
+                  ms);
+          List.rev !acc)
+      |> rebatch fr
     | P.Hash_semijoin { lkey; rkey; residual; anti; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
       let lb = batches_fr (c0 fr) catalog env left in
-      let nl = Batch.live_total lb in
-      let table = build_table fr catalog env plan ~nprobe:nl right rkey in
-      if parallel fr nl then begin
-        (* Probe (batch, slot) pairs so the output keeps the serial shape
-           — narrowed input batches — and the batch metrics stay
-           jobs-invariant. *)
-        let pairs =
-          List.concat_map
-            (fun b ->
-              let acc = ref [] in
-              Batch.iter_live b (fun i -> acc := (b, i) :: !acc);
-              List.rev !acc)
-            lb
-        in
-        let kept =
-          par_probe ~jobs:fr.jobs ~stats
-            ~lkeyfn:(fun (b, i) -> lkeyfn (Batch.env_at b i))
-            ~emit:
-              (let rokfn = residual_fn catalog residual in
-               fun st (b, i) matches ->
-                 let found =
-                   match matches with
-                   | [] -> false
-                   | _ ->
-                     let l = Batch.env_at b i in
-                     List.exists
-                       (fun r -> rok_part st rokfn (Env.append r l))
-                       matches
-                 in
-                 if (if anti then not found else found) then [ (b, i) ]
-                 else [])
-            table pairs
-        in
-        (* [kept] preserves input order: split it back per source batch. *)
-        let rem = ref kept in
-        let out =
-          List.filter_map
-            (fun b ->
-              let rec take acc = function
-                | (b', i) :: tl when b' == b -> take (i :: acc) tl
-                | tl -> (Array.of_list (List.rev acc), tl)
-              in
-              let sel, tl = take [] !rem in
-              rem := tl;
-              if Array.length sel = 0 then None else Some (Batch.narrow b sel))
-            lb
-        in
-        Batches out
-      end
-      else begin
-        let rok = compile_residual ~stats catalog residual in
-        let kern = Vexpr.compile catalog lkey in
-        let out =
-          List.filter_map
-            (fun b ->
-              let keyv = key_col kern b in
-              let acc = ref [] in
-              Batch.iter_live b (fun i ->
-                  let kv = key_at keyv lkeyfn b i in
-                  let ms = probe ~stats table (hkey kv) in
-                  let found =
-                    match residual with
-                    | None -> ms <> []
-                    | Some _ ->
-                      let l = Batch.env_at b i in
-                      List.exists (fun r -> rok (Env.append r l)) ms
-                  in
-                  if (if anti then not found else found) then acc := i :: !acc);
-              let sel = Array.of_list (List.rev !acc) in
-              if Array.length sel = 0 then None else Some (Batch.narrow b sel))
-            lb
-        in
-        Batches out
-      end
+      let lkeyer, rkeyer = key_pair catalog lkey rkey in
+      let table =
+        build_table fr catalog env plan ~nprobe:(Batch.live_total lb) right
+          rkeyer
+      in
+      let rok = residual_check catalog residual in
+      let sels =
+        probe_batches fr lb (fun st b ->
+            let key = lkeyer b in
+            let acc = ref [] in
+            Batch.iter_live b (fun i ->
+                let ms = probe ~stats:st table (key i) in
+                let found =
+                  match residual with
+                  | None -> ms <> []
+                  | Some _ ->
+                    let l = Batch.env_at b i in
+                    List.exists (fun r -> rok st (Env.append r l)) ms
+                in
+                if found <> anti then acc := i :: !acc);
+            List.rev !acc)
+      in
+      Batches
+        (List.filter_map
+           (fun (b, sel) ->
+             match sel with
+             | [] -> None
+             | _ :: _ -> Some (Batch.narrow b (Array.of_list sel)))
+           (List.combine lb sels))
     | P.Hash_outerjoin { lkey; rkey; residual; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
       let rvars = P.vars_of right in
       let lb = batches_fr (c0 fr) catalog env left in
-      let nl = Batch.live_total lb in
-      let table = build_table fr catalog env plan ~nprobe:nl right rkey in
-      let out_rows =
-        if parallel fr nl then
-          par_probe ~jobs:fr.jobs ~stats ~lkeyfn
-            ~emit:
-              (let rokfn = residual_fn catalog residual in
-               fun st l matches ->
-                 let kept =
-                   List.filter_map
-                     (fun r ->
-                       let merged = Env.append r l in
-                       if rok_part st rokfn merged then Some merged else None)
-                     matches
-                 in
-                 match kept with
-                 | [] -> [ pad_nulls rvars l ]
-                 | _ :: _ -> kept)
-            table
-            (Batch.rows_of_batches lb)
-        else begin
-          let rok = compile_residual ~stats catalog residual in
-          let kern = Vexpr.compile catalog lkey in
-          let acc = ref [] in
-          List.iter
-            (fun b ->
-              let keyv = key_col kern b in
-              Batch.iter_live b (fun i ->
-                  let kv = key_at keyv lkeyfn b i in
-                  let ms = probe ~stats table (hkey kv) in
-                  let l = Batch.env_at b i in
-                  let matches =
-                    List.filter_map
-                      (fun r ->
-                        let merged = Env.append r l in
-                        if rok merged then Some merged else None)
-                      ms
-                  in
-                  match matches with
-                  | [] -> acc := pad_nulls rvars l :: !acc
-                  | _ :: _ ->
-                    List.iter (fun m -> acc := m :: !acc) matches))
-            lb;
-          List.rev !acc
-        end
+      let lkeyer, rkeyer = key_pair catalog lkey rkey in
+      let table =
+        build_table fr catalog env plan ~nprobe:(Batch.live_total lb) right
+          rkeyer
       in
-      Batches (Batch.of_rows ~size:fr.batch out_rows)
+      let rok = residual_check catalog residual in
+      probe_batches fr lb (fun st b ->
+          let key = lkeyer b in
+          let acc = ref [] in
+          Batch.iter_live b (fun i ->
+              let ms = probe ~stats:st table (key i) in
+              let l = Batch.env_at b i in
+              let matches =
+                List.filter_map
+                  (fun r ->
+                    let merged = Env.append r l in
+                    if rok st merged then Some merged else None)
+                  ms
+              in
+              match matches with
+              | [] -> acc := pad_nulls rvars l :: !acc
+              | _ :: _ -> List.iter (fun m -> acc := m :: !acc) matches);
+          List.rev !acc)
+      |> rebatch fr
     | P.Hash_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
       let funcfn = Compile.expr catalog func in
       let lb = batches_fr (c0 fr) catalog env left in
-      let nl = Batch.live_total lb in
-      let table = build_table fr catalog env plan ~nprobe:nl right rkey in
-      let out_rows =
-        if parallel fr nl then
-          par_probe ~jobs:fr.jobs ~stats ~lkeyfn
-            ~emit:
-              (let rokfn = residual_fn catalog residual in
-               fun st l matches ->
-                 let members =
-                   List.filter_map
-                     (fun r ->
-                       let merged = Env.append r l in
-                       if rok_part st rokfn merged then Some (funcfn merged)
-                       else None)
-                     matches
-                 in
-                 [ Env.bind label (Value.set members) l ])
-            table
-            (Batch.rows_of_batches lb)
-        else begin
-          let rok = compile_residual ~stats catalog residual in
-          let kern = Vexpr.compile catalog lkey in
-          let acc = ref [] in
-          List.iter
-            (fun b ->
-              let keyv = key_col kern b in
-              Batch.iter_live b (fun i ->
-                  let kv = key_at keyv lkeyfn b i in
-                  let ms = probe ~stats table (hkey kv) in
-                  let l = Batch.env_at b i in
-                  let members =
-                    List.filter_map
-                      (fun r ->
-                        let merged = Env.append r l in
-                        if rok merged then Some (funcfn merged) else None)
-                      ms
-                  in
-                  acc := Env.bind label (Value.set members) l :: !acc))
-            lb;
-          List.rev !acc
-        end
+      let lkeyer, rkeyer = key_pair catalog lkey rkey in
+      let table =
+        build_table fr catalog env plan ~nprobe:(Batch.live_total lb) right
+          rkeyer
       in
-      Batches (Batch.of_rows ~size:fr.batch out_rows)
+      let rok = residual_check catalog residual in
+      probe_batches fr lb (fun st b ->
+          let key = lkeyer b in
+          let acc = ref [] in
+          Batch.iter_live b (fun i ->
+              let ms = probe ~stats:st table (key i) in
+              let l = Batch.env_at b i in
+              let members =
+                List.filter_map
+                  (fun r ->
+                    let merged = Env.append r l in
+                    if rok st merged then Some (funcfn merged) else None)
+                  ms
+              in
+              acc := Env.bind label (Value.set members) l :: !acc);
+          List.rev !acc)
+      |> rebatch fr
     | P.Unit_row -> Rows [ env ]
     | P.Nl_join { pred; left; right } ->
       let predfn = Compile.pred catalog pred in
@@ -917,7 +796,7 @@ and exec fr catalog env plan =
                    if predfn merged then Some merged else None)
                  rrows))
     | P.Merge_join { lkey; rkey; residual; left; right } ->
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_check catalog residual stats in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
       let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
       Rows
@@ -947,7 +826,7 @@ and exec fr catalog env plan =
                in
                if anti then not found else found))
     | P.Merge_semijoin { lkey; rkey; residual; anti; left; right } ->
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_check catalog residual stats in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
       let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
       (* march the two sorted group lists; every left group is emitted or
@@ -994,7 +873,7 @@ and exec fr catalog env plan =
                | [] -> [ pad_nulls rvars l ]
                | _ :: _ -> matches))
     | P.Merge_outerjoin { lkey; rkey; residual; left; right } ->
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_check catalog residual stats in
       let rvars = P.vars_of right in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
       let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
@@ -1054,7 +933,7 @@ and exec fr catalog env plan =
          on the right input (§6). Dangling left rows flush at the end. *)
       let lkeyfn = Compile.expr catalog lkey in
       let rkeyfn = Compile.expr catalog rkey in
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_check catalog residual stats in
       let funcfn = Compile.expr catalog func in
       let lrows = rows_fr (c0 fr) catalog env left in
       let table = Htbl.create 256 in
@@ -1111,7 +990,7 @@ and exec fr catalog env plan =
       in
       Rows (emitted @ dangling)
     | P.Merge_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_check catalog residual stats in
       let funcfn = Compile.expr catalog func in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
       let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
@@ -1232,31 +1111,16 @@ and exec fr catalog env plan =
   stats.Stats.rows_out <- stats.Stats.rows_out + produced_count out;
   out
 
-(* [rok] below is the residual check compiled once per operator; [keyfn]
-   likewise for key expressions. Hash/sort work counts on the operator that
-   does it; the rows produced by the operand count on the operand's own
-   frame. *)
-and compile_residual ~stats catalog residual =
-  match residual with
-  | None -> fun _ -> true
-  | Some pred ->
-    let f = Compile.pred catalog pred in
-    fun merged ->
-      stats.Stats.predicate_evals <- stats.Stats.predicate_evals + 1;
-      f merged
-
 (* The build table of the right-build hash operator [plan] for [nprobe]
    probe rows. A cacheable build ([Physical.cached_build]) comes from the
    cache without running its scan or counting [hash_builds]; an empty
    probe side fetches nothing, so an unused entry stays cold. Any other
-   build runs the right operand and hashes it. *)
-and build_table fr catalog env plan ~nprobe right rkey =
+   build runs the right operand and hashes it on [key]. *)
+and build_table fr catalog env plan ~nprobe right key =
   match P.cached_build plan with
   | Some _ when nprobe = 0 -> no_table
   | Some c -> cached_view ~bloom:fr.bloom catalog env c
-  | None ->
-    hash_rows ~par:(parallel fr nprobe) fr (Compile.expr catalog rkey)
-      (rows_fr (c1 fr) catalog env right)
+  | None -> hash_batches fr key (batches_fr (c1 fr) catalog env right)
 
 and sorted_groups ~stats fr catalog env plan key_expr =
   let keyfn = Compile.expr catalog key_expr in
@@ -1295,32 +1159,32 @@ and run_under_fr fr catalog env { P.plan; result } =
 
 let clamp_jobs jobs = max 1 (min jobs Pool.max_jobs)
 
-let frame ?node ~jobs ~bloom ~batch sink =
+let frame ?node ?(gate = parallel_rows) ~jobs ~bloom ~batch sink =
   let batch = max 1 (Option.value batch ~default:(default_batch ())) in
-  { sink; node; jobs = clamp_jobs jobs; bloom; batch }
+  { sink; node; jobs = clamp_jobs jobs; gate = max 1 gate; bloom; batch }
 
-let rows ?(stats = no_stats) ?(jobs = 1) ?(bloom = true) ?batch catalog env
-    plan =
-  rows_fr (frame ~jobs ~bloom ~batch stats) catalog env plan
+let rows ?(stats = no_stats) ?(jobs = 1) ?gate ?(bloom = true) ?batch catalog
+    env plan =
+  rows_fr (frame ~jobs ?gate ~bloom ~batch stats) catalog env plan
 
-let rows_instrumented ?(jobs = 1) ?(bloom = true) ?batch node catalog env plan
-    =
+let rows_instrumented ?(jobs = 1) ?gate ?(bloom = true) ?batch node catalog
+    env plan =
   rows_fr
-    (frame ~node ~jobs ~bloom ~batch node.Stats.counters)
+    (frame ~node ~jobs ?gate ~bloom ~batch node.Stats.counters)
     catalog env plan
 
-let run_under ?(stats = no_stats) ?(jobs = 1) ?(bloom = true) ?batch catalog
-    env query =
-  run_under_fr (frame ~jobs ~bloom ~batch stats) catalog env query
+let run_under ?(stats = no_stats) ?(jobs = 1) ?gate ?(bloom = true) ?batch
+    catalog env query =
+  run_under_fr (frame ~jobs ?gate ~bloom ~batch stats) catalog env query
 
-let run ?stats ?jobs ?bloom ?batch catalog query =
-  run_under ?stats ?jobs ?bloom ?batch catalog Env.empty query
+let run ?stats ?jobs ?gate ?bloom ?batch catalog query =
+  run_under ?stats ?jobs ?gate ?bloom ?batch catalog Env.empty query
 
-let run_instrumented ?(jobs = 1) ?(bloom = true) ?batch catalog query =
+let run_instrumented ?(jobs = 1) ?gate ?(bloom = true) ?batch catalog query =
   let tree = Analyze.tree_of_query query in
   let v =
     run_under_fr
-      (frame ~node:tree ~jobs ~bloom ~batch tree.Stats.counters)
+      (frame ~node:tree ~jobs ?gate ~bloom ~batch tree.Stats.counters)
       catalog Env.empty query
   in
   (v, tree)

@@ -15,6 +15,7 @@
 val rows :
   ?stats:Stats.t ->
   ?jobs:int ->
+  ?gate:int ->
   ?bloom:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
@@ -24,16 +25,21 @@ val rows :
 (** Rows produced under an ambient environment (for correlation variables),
     in implementation order (not canonicalized).
 
-    [jobs] (default 1) is the partition-parallel width. With [jobs > 1],
-    the hash-based joins (join, semijoin, antijoin, outerjoin, nest join)
-    hash-partition both operands on the join key and run per-partition
-    joins on worker domains; every other operator runs on the calling
-    domain. Results come
-    back in serial row order and every counter lands on the same operator
-    it would serially, so output and statistics are identical for every
-    [jobs] value. Correlated apply subplans always execute serially inside
-    their apply loop (classified with {!query_free_vars}); values above
-    [Pool.max_jobs] are clamped.
+    [jobs] (default 1) is the parallel width. With [jobs > 1], a hash
+    operator (join, semijoin, antijoin, outerjoin, nest join, cached builds
+    included) whose probe side has at least [gate] rows (default
+    {!parallel_rows}) runs its one per-batch probe loop over contiguous
+    slices of its probe batches — morsels — on {!Pool}, each with its own
+    counters, merged back in slice order per source batch. Builds stay
+    serial, into one shared table; below the gate, and for every other
+    operator, nothing touches the pool. Rows, batch shapes and every
+    counter are those of a serial run, and the first error is the one a
+    serial run raises. Only [Stats.partitions] (morsels run) and
+    [partition_max_rows] (largest morsel) depend on [jobs]. Correlated
+    apply subplans always execute serially inside their apply loop
+    (classified with {!query_free_vars}); values above [Pool.max_jobs] are
+    clamped. [gate] exists so tests can reach the morsel path on small
+    inputs.
 
     A hash operator whose build operand is a bare base-table scan keyed on
     a plain field ({!Physical.cached_build}) does not run that scan: it
@@ -41,16 +47,13 @@ val rows :
     process-wide cache. The first use builds it, under a lock, so domains
     sharing a table build it once; the entry dies with its table. A cached
     build counts no [hash_builds], cold or warm, is never swapped, and an
-    empty probe side leaves the cache untouched. Under [jobs > 1] only the
-    probe side is partitioned, over the one shared table.
+    empty probe side leaves the cache untouched.
 
     [bloom] (default true) enables sideways information passing in the
     hash-join family: every build side populates a blocked Bloom filter on
-    its keys (hashes computed once and shared with the partition index and
-    the hash table), and each probe key is screened against it first — a
-    negative skips the hash lookup, and in the parallel path a pruned row
-    never reaches the partition/scatter machinery at all (the filter is
-    applied at the probe source, upstream of partitioning). Output is
+    its keys (hashes computed once and shared with the hash table), and
+    each probe key is screened against it first — a negative skips the
+    hash lookup and the probe row's materialization. Output is
     byte-identical with bloom on or off, and so is every [Stats] counter
     except [bloom_checks]/[bloom_prunes] (a pruned probe still counts in
     [hash_probes]). The commutative [Hash_join] additionally builds on the
@@ -64,8 +67,11 @@ val rows :
     hash joins probe per batch with late materialization. The other
     operators run row-at-a-time, with batches built or flattened where
     the two meet. Expression kernels ({!Vexpr}) cover the scalar
-    fragment; anything else, and everything when [Compile.enabled] is
-    false, evaluates through the {!Compile} closures in row order.
+    fragment, and a hash key that is a tuple of such expressions on both
+    sides is evaluated component-wise and compared as the vector of its
+    components in label order; anything else, and everything when
+    [Compile.enabled] is false, evaluates through the {!Compile} closures
+    in row order.
 
     [batch] (default {!default_batch}, i.e. [NESTQL_BATCH] or 1024) is
     the physical batch width; values below 1 are clamped to 1. Results,
@@ -73,6 +79,7 @@ val rows :
 
 val rows_instrumented :
   ?jobs:int ->
+  ?gate:int ->
   ?bloom:bool ->
   ?batch:int ->
   Stats.node ->
@@ -84,12 +91,12 @@ val rows_instrumented :
     wall-clock into a {!Stats.node} tree (built with
     [Analyze.tree_of_plan] so its shape matches the plan). Summing the tree
     ({!Stats.totals}) yields exactly what {!rows} would have put in a
-    global [Stats.t] — under any [jobs]: per-domain counter sets are merged
-    back into the owning operator's node in deterministic partition
-    order. *)
+    global [Stats.t] — under any [jobs]: per-morsel counter sets are merged
+    back into the owning operator's node in slice order. *)
 
 val run_instrumented :
   ?jobs:int ->
+  ?gate:int ->
   ?bloom:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
@@ -102,6 +109,7 @@ val run_instrumented :
 val run :
   ?stats:Stats.t ->
   ?jobs:int ->
+  ?gate:int ->
   ?bloom:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
@@ -112,6 +120,7 @@ val run :
 val run_under :
   ?stats:Stats.t ->
   ?jobs:int ->
+  ?gate:int ->
   ?bloom:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
@@ -127,6 +136,11 @@ val is_cached : Cobj.Table.t -> string -> bool
 val query_free_vars : Physical.query -> Lang.Ast.String_set.t
 (** Correlation variables a physical query needs from its enclosing scope
     (used for apply memoization). *)
+
+val parallel_rows : int
+(** Default gate: the probe rows from which a hash operator under
+    [jobs > 1] runs its probe as morsels. Below it a parallel region's
+    worker start-up costs more than the probe work it would share. *)
 
 val default_batch : unit -> int
 (** Batch width default: [NESTQL_BATCH] when it parses as a positive

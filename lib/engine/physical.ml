@@ -175,9 +175,17 @@ let rec pp ppf plan =
   let unary name args input =
     Fmt.pf ppf "@[<v>%s%t@,└─ @[<v>%a@]@]" name args pp input
   in
+  (* A cached build never runs its scan: show the table it probes
+     instead, as EXPLAIN ANALYZE does. *)
   let binary name args left right =
-    Fmt.pf ppf "@[<v>%s%t@,├─ @[<v>%a@]@,└─ @[<v>%a@]@]" name args pp left pp
-      right
+    match cached_build plan with
+    | Some (table, _, field) ->
+      unary name
+        (fun ppf -> Fmt.pf ppf "%t build=cached %s.%s" args table field)
+        left
+    | None ->
+      Fmt.pf ppf "@[<v>%s%t@,├─ @[<v>%a@]@,└─ @[<v>%a@]@]" name args pp left
+        pp right
   in
   match plan with
   | Unit_row -> Fmt.pf ppf "unit"

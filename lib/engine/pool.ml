@@ -1,93 +1,20 @@
-(* A tiny work-sharing domain pool — the morsel scheduler behind
-   partition-parallel execution.
+(* The morsel scheduler behind parallel execution.
 
-   One job is active at a time: the caller publishes an item count and a
-   body, wakes the workers, then drains items itself alongside them. Items
-   are claimed from a shared atomic counter (dynamic, morsel-style
-   scheduling); a per-job ticket counter caps how many workers join, so a
-   pool grown to 7 workers still runs a [~jobs:2] region on exactly two
-   domains. Worker domains are spawned lazily on first use, reused across
-   jobs, and joined at process exit. *)
-
-type job = {
-  body : int -> unit; (* never raises: exceptions are captured in [run] *)
-  n : int;
-  next : int Atomic.t; (* next unclaimed item *)
-  remaining : int Atomic.t; (* items not yet finished *)
-  tickets : int Atomic.t; (* worker slots left for this job *)
-}
-
-type pool = {
-  m : Mutex.t;
-  cv : Condition.t; (* new job / shutdown (workers); job finished (caller) *)
-  mutable job : job option;
-  mutable seq : int; (* job sequence number, to dedupe wake-ups *)
-  mutable shutdown : bool;
-  mutable workers : unit Domain.t list;
-}
-
-let pool =
-  {
-    m = Mutex.create ();
-    cv = Condition.create ();
-    job = None;
-    seq = 0;
-    shutdown = false;
-    workers = [];
-  }
+   A region spawns its worker domains, drains items from a shared atomic
+   counter alongside them (dynamic, morsel-style scheduling), and joins
+   them before it returns. No domain outlives its region: OCaml 5 minor
+   collections stop every running domain, so an idle worker kept for the
+   next region taxes all serial work in between, while a spawn plus join
+   costs well under the work of a region large enough to be worth
+   running in parallel. *)
 
 (* The OCaml runtime caps live domains at 128; stay well below it. *)
 let max_jobs = 64
 
-let drain job =
-  let rec loop () =
-    let i = Atomic.fetch_and_add job.next 1 in
-    if i < job.n then begin
-      job.body i;
-      (* the finisher of the last item wakes the (possibly waiting) caller *)
-      if Atomic.fetch_and_add job.remaining (-1) = 1 then begin
-        Mutex.lock pool.m;
-        Condition.broadcast pool.cv;
-        Mutex.unlock pool.m
-      end;
-      loop ()
-    end
-  in
-  loop ()
+let live = Atomic.make 0
 
-let rec worker_loop seen =
-  Mutex.lock pool.m;
-  while (not pool.shutdown) && (pool.job = None || pool.seq = seen) do
-    Condition.wait pool.cv pool.m
-  done;
-  if pool.shutdown then Mutex.unlock pool.m
-  else begin
-    let job = Option.get pool.job in
-    let seq = pool.seq in
-    Mutex.unlock pool.m;
-    if Atomic.fetch_and_add job.tickets (-1) > 0 then drain job;
-    worker_loop seq
-  end
-
-let exit_hook_installed = ref false
-
-(* Called from the main domain only, between jobs (pool.job = None). *)
-let ensure_workers count =
-  let missing = count - List.length pool.workers in
-  if missing > 0 then begin
-    if not !exit_hook_installed then begin
-      exit_hook_installed := true;
-      at_exit (fun () ->
-          Mutex.lock pool.m;
-          pool.shutdown <- true;
-          Condition.broadcast pool.cv;
-          Mutex.unlock pool.m;
-          List.iter Domain.join pool.workers)
-    end;
-    for _ = 1 to missing do
-      pool.workers <- Domain.spawn (fun () -> worker_loop 0) :: pool.workers
-    done
-  end
+(* A failed item with its exception: the lowest seen so far. *)
+type failure = { item : int; exn : exn; bt : Printexc.raw_backtrace }
 
 let run ~jobs n body =
   let jobs = min jobs max_jobs in
@@ -97,12 +24,11 @@ let run ~jobs n body =
         body i
       done
     else begin
-      ensure_workers (jobs - 1);
       (* Morsel spans are emitted per claimed item, from whichever domain
          claimed it — Perfetto renders one row per domain id, which is the
-         worker-utilization / partition-skew view. Only the parallel path
-         is wrapped: serial execution never reaches here, keeping trace
-         span *structure* comparable across jobs for the "phase"/"operator"
+         worker-utilization view. Only the parallel path is wrapped:
+         serial execution never reaches here, keeping trace span
+         *structure* comparable across jobs for the "phase"/"operator"
          categories (morsel spans are jobs-dependent by nature). *)
       let body =
         if Obs.Trace.enabled () then fun i ->
@@ -112,37 +38,44 @@ let run ~jobs n body =
             (fun () -> body i)
         else body
       in
-      let first_exn = Atomic.make None in
-      let guarded i =
-        try body i
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          ignore (Atomic.compare_and_set first_exn None (Some (e, bt)))
+      let next = Atomic.make 0 in
+      let failed = Atomic.make None in
+      let below_failure i =
+        match Atomic.get failed with None -> true | Some f -> i < f.item
       in
-      let job =
-        {
-          body = guarded;
-          n;
-          next = Atomic.make 0;
-          remaining = Atomic.make n;
-          tickets = Atomic.make (jobs - 1);
-        }
+      let rec record f =
+        let cur = Atomic.get failed in
+        match cur with
+        | Some g when g.item < f.item -> ()
+        | _ -> if not (Atomic.compare_and_set failed cur (Some f)) then record f
       in
-      Mutex.lock pool.m;
-      pool.job <- Some job;
-      pool.seq <- pool.seq + 1;
-      Condition.broadcast pool.cv;
-      Mutex.unlock pool.m;
-      drain job;
-      Mutex.lock pool.m;
-      while Atomic.get job.remaining > 0 do
-        Condition.wait pool.cv pool.m
-      done;
-      pool.job <- None;
-      Mutex.unlock pool.m;
-      match Atomic.get first_exn with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      (* Items above a recorded failure are skipped: a serial loop would
+         never have reached them. *)
+      let rec drain () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          if below_failure i then begin
+            try body i
+            with exn ->
+              record { item = i; exn; bt = Printexc.get_raw_backtrace () }
+          end;
+          drain ()
+        end
+      in
+      let workers =
+        List.init (min (jobs - 1) (n - 1)) (fun _ ->
+            Atomic.incr live;
+            Domain.spawn drain)
+      in
+      drain ();
+      List.iter
+        (fun d ->
+          Domain.join d;
+          Atomic.decr live)
+        workers;
+      match Atomic.get failed with
+      | Some f -> Printexc.raise_with_backtrace f.exn f.bt
       | None -> ()
     end
 
-let size () = List.length pool.workers
+let size () = Atomic.get live

@@ -1,19 +1,18 @@
-(** A tiny work-sharing domain pool — the morsel scheduler behind
-    partition-parallel execution.
+(** The morsel scheduler behind parallel execution.
 
     [run ~jobs n body] evaluates [body i] for every [0 <= i < n] on at most
     [jobs] domains in total: the calling domain plus up to [jobs - 1]
-    pooled workers. Worker domains are spawned lazily on first use, reused
-    across calls, and joined at process exit. Items are claimed from a
-    shared atomic counter, so scheduling is dynamic (morsel-style);
-    [body] must be safe to run concurrently on distinct indices.
-    Exceptions raised by [body] are re-raised in the caller once all items
-    have finished (the first one wins).
+    worker domains spawned for this call and joined before it returns, so
+    no worker outlives the region that needed it. Items are claimed from a
+    shared atomic counter, so scheduling is dynamic (morsel-style); [body]
+    must be safe to run concurrently on distinct indices.
 
-    Intended usage is single-threaded orchestration: only the main domain
-    calls [run], and [body] never calls [run] re-entrantly — the executor
-    guarantees both (parallel regions hand worker bodies a serial
-    execution context). *)
+    If items raise, [run] re-raises, once every worker has stopped, the
+    exception of the lowest failing item — the one a serial loop over
+    [0 .. n-1] would have raised. Items above a failure may be skipped.
+
+    [body] never calls [run] re-entrantly: the executor hands worker bodies
+    a serial execution context. *)
 
 val max_jobs : int
 (** Hard cap on [jobs]: the OCaml runtime limits live domains to 128, so
@@ -24,4 +23,4 @@ val run : jobs:int -> int -> (int -> unit) -> unit
     plain serial loop on the calling domain, spawning nothing. *)
 
 val size : unit -> int
-(** Number of worker domains currently alive (for tests). *)
+(** Number of worker domains currently alive: 0 outside {!run}. *)

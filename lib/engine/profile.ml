@@ -1,7 +1,7 @@
 (* Self-time attribution over an EXPLAIN ANALYZE tree. Stats.node.time_ns
    is inclusive wall-clock (children included, summed over loops); every
    child span nests inside its parent's span on the orchestrating domain
-   (partition parallelism happens *inside* one operator, never by timing
+   (morsel parallelism happens *inside* one operator, never by timing
    children on workers), so
 
      self(n) = time(n) - Σ time(child)

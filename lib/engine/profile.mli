@@ -2,7 +2,7 @@
 
     {!Stats.node.time_ns} is inclusive wall-clock: a node's span covers
     its children's spans (all timing happens on the orchestrating
-    domain — partition parallelism lives {e inside} an operator, so
+    domain — morsel parallelism lives {e inside} an operator, so
     child spans always nest). Exclusive (self) time is therefore
 
     [self(n) = max 0 (time(n) − Σ time(child))]
@@ -23,7 +23,7 @@ type row = {
   loops : int;          (** invocations (re-runs under Apply) *)
   vectorized : bool;    (** ran on the columnar batch engine *)
   bloom_prunes : int;
-  partitions : int;     (** parallel hash partitions (0 in serial runs) *)
+  partitions : int;     (** morsels run by parallel probes (0 in serial runs) *)
 }
 
 type t = {

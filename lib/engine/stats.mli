@@ -24,12 +24,12 @@ type t = {
       (** commutative hash joins that built on the left operand because it
           was the smaller one at runtime *)
   mutable partitions : int;
-      (** hash partitions built by parallel joins (0 in serial runs) *)
+      (** morsels run by parallel hash probes (0 in serial runs and
+          below the row gate) *)
   mutable partition_max_rows : int;
-      (** largest build partition seen — with [partitions] and
-          [hash_builds] this exposes partition skew (max vs mean rows),
-          which bounds parallel speedup. [add] takes the max, not the
-          sum. *)
+      (** largest morsel seen, in probe rows — with [partitions] and
+          [hash_probes] this shows how evenly the probe was cut. [add]
+          takes the max, not the sum. *)
 }
 
 val create : unit -> t

@@ -6,11 +6,10 @@
     Concurrency model: one listener loop on the calling thread, one
     systhread per accepted connection (sessions are concurrent — parse,
     I/O and cache lookups interleave freely), and one process-wide
-    executor lock serializing compile + execute. The lock keeps the
-    engine's domain pool on its single-orchestrator contract
-    ({!Engine.Pool.run} is called from one thread at a time); inside it,
-    each query still fans out over [jobs] domains, so the pool provides
-    the parallelism and the cache provides the amortization. Gauge
+    executor lock serializing compile + execute. Inside it, a hash
+    operator whose probe side reaches the executor's row gate still fans
+    out over [jobs] domains, so the pool provides the parallelism and the
+    cache provides the amortization. Gauge
     [server.queue.depth] counts requests waiting on the lock.
 
     Timeouts are cooperative: the deadline is checked when the request

@@ -132,9 +132,11 @@ let test_join_edges () =
     "SELECT x.a + x.b FROM X x WHERE x.a * 2 < x.b + 10 AND x.a MOD 2 = 0"
 
 (* Batch-width sensitivity on random queries: the width is physical
-   layout only, never semantics. Every width must reproduce width 1024's
-   outcome (value or identical error) and complete Stats, and a value at
-   1024 must equal the reference interpreter's. *)
+   layout only, never semantics. Every width, serially and as morsels on 4
+   domains (row gate lowered to 1), must reproduce serial width 1024's
+   outcome (value or identical error) and complete Stats — the morsel
+   counters aside, which count slices of each width's batches — and a
+   value at 1024 must equal the reference interpreter's. *)
 let prop_batch_width_invariant =
   qcheck ~count:60 "batch width never changes value or stats"
     Test_random_queries.query_gen
@@ -147,17 +149,20 @@ let prop_batch_width_invariant =
         QCheck2.Test.fail_reportf "compile failed on %s: %s" src msg
       | Ok { Core.Pipeline.physical = None; _ } -> true
       | Ok { Core.Pipeline.physical = Some pq; _ } ->
-        let run ~batch =
+        let run ?(jobs = 1) ~batch () =
           let stats = Stats.create () in
           let outcome =
-            match Exec.run_under ~stats ~jobs:1 ~batch cat Env.empty pq with
+            match
+              Exec.run_under ~stats ~jobs ~gate:1 ~batch cat Env.empty pq
+            with
             | v -> Ok v
             | exception Cobj.Value.Type_error m -> Error m
             | exception Lang.Interp.Undefined m -> Error m
           in
-          (outcome, stats)
+          ( outcome,
+            { stats with Stats.partitions = 0; partition_max_rows = 0 } )
         in
-        let rv, rs = run ~batch:1024 in
+        let rv, rs = run ~batch:1024 () in
         let interp_agrees =
           match (Core.Pipeline.run Core.Pipeline.Interp cat src, rv) with
           | Ok a, Ok b -> Value.equal a b
@@ -167,8 +172,8 @@ let prop_batch_width_invariant =
         (interp_agrees
         || QCheck2.Test.fail_reportf "interpreter differs on %s" src)
         && List.for_all
-             (fun batch ->
-               let vv, vs = run ~batch in
+             (fun (jobs, batch) ->
+               let vv, vs = run ~jobs ~batch () in
                let same =
                  match (rv, vv) with
                  | Ok a, Ok b -> Value.equal a b
@@ -176,8 +181,12 @@ let prop_batch_width_invariant =
                  | _ -> false
                in
                (same && vs = rs)
-               || QCheck2.Test.fail_reportf "batch=%d differs on %s" batch src)
-             [ 1; 2; 3; 7; 64 ])
+               || QCheck2.Test.fail_reportf "jobs=%d batch=%d differs on %s"
+                    jobs batch src)
+             (List.concat_map
+                (fun jobs -> List.map (fun b -> (jobs, b)) [ 1; 2; 3; 7; 64 ])
+                [ 1; 4 ]
+             @ [ (4, 1024) ]))
 
 (* [~vector:false] names an engine that does not exist: the pipeline
    rejects it instead of silently running the only one there is. *)

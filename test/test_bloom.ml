@@ -31,32 +31,6 @@ let no_false_negatives () =
     (fun h -> Alcotest.(check bool) "added hash is member" true (Bloom.mem f h))
     hs
 
-(* OR-merging per-partition filters reproduces the serial filter exactly:
-   same members, same fill ratio (the geometries are identical, so equal
-   fill ratio on the same inserts means equal bits). *)
-let merge_is_or () =
-  let expected = 32 in
-  let evens, odds =
-    List.partition (fun h -> h land 1 = 0) (hashes 64)
-  in
-  let f1 = Bloom.create expected
-  and f2 = Bloom.create expected
-  and serial = Bloom.create expected in
-  List.iter (Bloom.add f1) evens;
-  List.iter (Bloom.add f2) odds;
-  List.iter (Bloom.add serial) (evens @ odds);
-  Bloom.merge ~into:f1 f2;
-  List.iter
-    (fun h -> Alcotest.(check bool) "merged membership" true (Bloom.mem f1 h))
-    (evens @ odds);
-  Alcotest.(check (float 1e-9)) "merged = serial bits"
-    (Bloom.fill_ratio serial) (Bloom.fill_ratio f1)
-
-let merge_rejects_mismatch () =
-  Alcotest.check_raises "different geometries"
-    (Invalid_argument "Bloom.merge: geometry mismatch (filters sized differently)")
-    (fun () -> Bloom.merge ~into:(Bloom.create 8) (Bloom.create 10_000))
-
 (* --- catalog statistics -------------------------------------------------- *)
 
 (* Hand-checked numbers on the fixture catalog: X.a = {1,2,0,3,2},
@@ -116,9 +90,14 @@ let join ~left ~right =
 
 let canonical rows = List.sort Env.compare rows
 
+(* Parallel runs lower the row gate to 1, so they probe as morsels. *)
 let run_counted ?(jobs = 1) plan =
   let stats = Stats.create () in
-  let rows = Exec.rows ~stats ~jobs swap_catalog Env.empty plan in
+  let rows = Exec.rows ~stats ~jobs ~gate:1 swap_catalog Env.empty plan in
+  if jobs > 1 then
+    Alcotest.(check bool)
+      (Printf.sprintf "jobs=%d: probed as morsels" jobs)
+      true (stats.Stats.partitions > 0);
   (rows, stats)
 
 (* The commutative hash join builds on the smaller operand whichever side
@@ -228,7 +207,7 @@ let pruning_observable () =
   in
   let run ~bloom ~jobs =
     let stats = Stats.create () in
-    let rows = Exec.rows ~stats ~jobs ~bloom catalog Env.empty semi in
+    let rows = Exec.rows ~stats ~jobs ~gate:1 ~bloom catalog Env.empty semi in
     (rows, stats)
   in
   let rows_on, on = run ~bloom:true ~jobs:1 in
@@ -243,11 +222,14 @@ let pruning_observable () =
   Alcotest.(check bool) "same rows" true
     (List.length rows_on = List.length rows_off
     && List.for_all2 Env.equal (canonical rows_on) (canonical rows_off));
-  (* jobs-invariance: per-partition filters are sized from the total build
-     count and OR-merged, so parallel pruning equals serial pruning. *)
+  (* jobs-invariance: morsels screen against the one shared filter, so
+     parallel pruning equals serial pruning. *)
   List.iter
     (fun jobs ->
       let _, par = run ~bloom:true ~jobs in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d probed as morsels" jobs)
+        true (par.Stats.partitions > 0);
       Alcotest.(check int)
         (Printf.sprintf "jobs=%d same checks" jobs)
         on.Stats.bloom_checks par.Stats.bloom_checks;
@@ -283,7 +265,9 @@ let prop_bloom_invisible =
           | Ok { Pipeline.physical = Some pq; _ } ->
             let run ~bloom ~jobs =
               let stats = Stats.create () in
-              let v = Exec.run_under ~stats ~jobs ~bloom cat Env.empty pq in
+              let v =
+                Exec.run_under ~stats ~jobs ~gate:1 ~bloom cat Env.empty pq
+              in
               (v, stats)
             in
             let ref_v, ref_s = run ~bloom:true ~jobs:1 in
@@ -318,9 +302,6 @@ let suite =
   [
     Alcotest.test_case "no false negatives at 1/2 fill" `Quick
       no_false_negatives;
-    Alcotest.test_case "merge is bitwise or" `Quick merge_is_or;
-    Alcotest.test_case "merge rejects geometry mismatch" `Quick
-      merge_rejects_mismatch;
     Alcotest.test_case "catalog statistics" `Quick catalog_stats;
     Alcotest.test_case "build-side swap" `Quick build_side_swap;
     Alcotest.test_case "nest join never swaps" `Quick nestjoin_never_swaps;

@@ -33,4 +33,5 @@ let () =
       ("profile", Test_profile.suite);
       ("shred", Test_shred.suite);
       ("server", Test_server.suite);
+      ("morsel", Test_morsel.suite);
     ]

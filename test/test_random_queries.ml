@@ -250,13 +250,40 @@ let prop_forced_impls_agree =
               QCheck2.Test.fail_reportf "forced impl failed on %s: %s" src msg)
           Core.Planner.[ Force_nl; Force_hash; Force_merge ])
 
-(* --- partition-parallel execution ---------------------------------------- *)
+(* --- parallel execution ---------------------------------------------------- *)
 
 (* Three-way differential oracle: reference interpreter vs serial engine vs
-   partition-parallel engine at 2 and 4 domains, on the mixed catalog and
-   on an all-dangling one. [Decorrelated] exercises the parallel hash
-   joins; [Naive] keeps Apply nodes, exercising the correlated-stays-serial
-   classification under a parallel outer plan. *)
+   morsel-parallel engine at 2 and 4 domains, on the mixed catalog and on
+   an all-dangling one. The parallel runs lower the row gate to 1, so every
+   hash operator probes as morsels even on these small catalogs.
+   [Decorrelated] exercises the parallel hash joins; [Naive] keeps Apply
+   nodes, exercising the correlated-stays-serial classification under a
+   parallel outer plan. *)
+let run_gated ~jobs strategy cat src =
+  match Core.Pipeline.compile_string strategy cat src with
+  | Error _ as e -> e
+  | Ok { Core.Pipeline.physical = None; _ } -> Error "no physical plan"
+  | Ok { Core.Pipeline.physical = Some pq; _ } -> (
+    match Engine.Exec.run ~jobs ~gate:1 cat pq with
+    | v -> Ok v
+    | exception Cobj.Value.Type_error msg -> Error msg
+    | exception Lang.Interp.Undefined msg -> Error msg)
+
+(* Every hash operator that probed outside an apply subplan (which may run
+   serially) ran its probe as morsels. *)
+let rec morsels_ran (n : Engine.Stats.node) =
+  let module Stats = Engine.Stats in
+  match n.Stats.op with
+  | "apply" | "apply(memo)" -> true
+  | op ->
+    (not
+       (List.mem op
+          [ "hash-join"; "hash-semijoin"; "hash-antijoin"; "hash-outerjoin";
+            "hash-nestjoin" ]
+       && n.Stats.counters.Stats.hash_probes > 0
+       && n.Stats.counters.Stats.partitions = 0))
+    && List.for_all morsels_ran n.Stats.children
+
 let prop_parallel_agrees =
   qcheck ~count:120 "parallel execution agrees with serial and interpreter"
     query_gen
@@ -272,7 +299,7 @@ let prop_parallel_agrees =
               (fun strategy ->
                 List.for_all
                   (fun jobs ->
-                    match Core.Pipeline.run ~jobs strategy cat src with
+                    match run_gated ~jobs strategy cat src with
                     | Ok v ->
                       Value.equal reference v
                       || QCheck2.Test.fail_reportf
@@ -290,7 +317,8 @@ let prop_parallel_agrees =
 
 (* Merged parallel instrumentation is exact: the flat totals of the
    annotation tree and every node's rows_out are invariant in the domain
-   count, on the mixed catalog and on the all-dangling one. *)
+   count, on the mixed catalog and on the all-dangling one, with the gate
+   lowered so that every probing hash operator runs as morsels. *)
 let prop_parallel_stats_exact =
   let module Stats = Engine.Stats in
   let rec same_shape_rows (a : Stats.node) (b : Stats.node) =
@@ -308,8 +336,8 @@ let prop_parallel_stats_exact =
     && a.Stats.sorts = b.Stats.sorts
     && a.Stats.applies = b.Stats.applies
     && a.Stats.apply_hits = b.Stats.apply_hits
-    (* bloom counters are jobs-invariant by design: per-partition filters
-       are sized from the total build count and OR-merged *)
+    (* bloom counters are jobs-invariant by design: morsels screen against
+       the one shared filter *)
     && a.Stats.bloom_checks = b.Stats.bloom_checks
     && a.Stats.bloom_prunes = b.Stats.bloom_prunes
     && a.Stats.build_side_swaps = b.Stats.build_side_swaps
@@ -328,8 +356,8 @@ let prop_parallel_stats_exact =
             let instrument jobs =
               let tree = Engine.Analyze.tree_of_query pq in
               ignore
-                (Engine.Exec.rows_instrumented ~jobs tree cat Cobj.Env.empty
-                   pq.Engine.Physical.plan);
+                (Engine.Exec.rows_instrumented ~jobs ~gate:1 tree cat
+                   Cobj.Env.empty pq.Engine.Physical.plan);
               tree
             in
             let serial = instrument 1 in
@@ -345,7 +373,12 @@ let prop_parallel_stats_exact =
                 && (same_shape_rows serial par
                    || QCheck2.Test.fail_reportf
                         "per-node rows_out differs at jobs=%d on %s (%s)" jobs
-                        src cname))
+                        src cname)
+                && (morsels_ran par
+                   || QCheck2.Test.fail_reportf
+                        "a hash operator probed without morsels at jobs=%d \
+                         on %s (%s)"
+                        jobs src cname))
               [ 2; 4 ])
         [ ("mixed", catalog); ("all-dangling", all_dangling_catalog) ])
 

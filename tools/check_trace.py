@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Validate a Chrome trace-event file produced by `nestql run --trace`.
 
-Usage: check_trace.py TRACE.json [--min-domains N] [--require-phase NAME]...
-                      [--min-requests N]
+Usage: check_trace.py TRACE.json [--min-domains N] [--max-domains N]
+                      [--require-phase NAME]... [--min-requests N]
 
 Checks, in order:
   - the document parses and has the {"traceEvents": [...]} shape;
@@ -13,7 +13,10 @@ Checks, in order:
   - with --min-requests N, at least N request spans (cat == "request",
     emitted by `nestql serve`) exist, each naming its op in args;
   - spans cover >= --min-domains distinct tids (counting all categories;
-    under --jobs N the morsel spans are what spread across domains).
+    under --jobs N the morsel spans are what spread across domains);
+  - with --max-domains N, spans cover at most N distinct tids (a query
+    whose probes stay under the executor's row gate runs on one domain
+    whatever --jobs says).
 
 Exit 0 when the trace is well-formed, 1 with a FAIL line otherwise.
 The checker is schema-only by design: timings vary per host, structure
@@ -36,6 +39,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("trace")
     ap.add_argument("--min-domains", type=int, default=1)
+    ap.add_argument("--max-domains", type=int, default=None)
     ap.add_argument("--require-phase", action="append", default=[])
     ap.add_argument("--min-requests", type=int, default=0)
     args = ap.parse_args()
@@ -92,6 +96,11 @@ def main():
     if len(tids) < args.min_domains:
         return fail(
             f"only {len(tids)} distinct domain tid(s), need >= {args.min_domains}"
+        )
+
+    if args.max_domains is not None and len(tids) > args.max_domains:
+        return fail(
+            f"{len(tids)} distinct domain tids, need <= {args.max_domains}"
         )
 
     print(
