@@ -177,9 +177,9 @@ def validate_server(doc):
 
 def validate_vector(doc):
     """Structural invariants of the columnar-engine case: every benched
-    plan must actually run vectorized (a silently row-bound plan would
-    still "pass" on timings alone) and batch-size sensitivity must have
-    been recorded."""
+    plan must actually run vectorized, with no batch falling back to the
+    row closures (a silently row-bound plan would still "pass" on
+    timings alone), and batch-size sensitivity must have been recorded."""
     rows = doc.get("vector")
     if not rows:
         print("FAIL: artifact has no vector section")
@@ -192,6 +192,15 @@ def validate_vector(doc):
             print(f"FAIL: {where}: plan has no vectorized operators")
             ok = False
             continue
+        fell = e.get("kernel_fallbacks")
+        if fell is None:
+            print(f"FAIL: {where}: kernel fallbacks not recorded")
+            ok = False
+            continue
+        if fell > 0:
+            print(f"FAIL: {where}: {fell} batch(es) fell back to row closures")
+            ok = False
+            continue
         widths = e.get("batch_sensitivity") or []
         if len(widths) < 3:
             print(f"FAIL: {where}: batch-size sensitivity sweep missing")
@@ -199,7 +208,7 @@ def validate_vector(doc):
             continue
         print(
             f"ok: {where}: {e['vector_ms']:.2f} ms,"
-            f" {frac:.0%} of operators vectorized,"
+            f" {frac:.0%} of operators vectorized, no fallbacks,"
             f" widths {[w['batch'] for w in widths]}"
         )
     return ok

@@ -450,9 +450,10 @@ let shred_case ~suite =
    (jobs=1 keeps partition parallelism out of the timing). The values at
    the swept widths are asserted identical before anything is timed;
    timings are min-of-3 rounds, each after a compaction. The artifact
-   also records the vectorized fraction of the annotation tree (the
-   regression gate checks it structurally — a silently row-bound plan
-   would otherwise still "pass" on a fast machine) and a batch-width
+   also records the vectorized fraction of the annotation tree and the
+   batches that fell back to row closures (the regression gate checks
+   both structurally — a silently row-bound plan would otherwise still
+   "pass" on a fast machine) and a batch-width
    sensitivity sweep (NESTQL_BATCH ∈ {64, 1024, 4096}). *)
 let vector_case ~suite =
   let scale = if suite = "smoke" then 10_000 else 100_000 in
@@ -475,7 +476,22 @@ let vector_case ~suite =
       ( "nestjoin",
         "SELECT (i = x.id, zs = (SELECT y.a FROM Y y WHERE y.b = x.b)) FROM \
          X x" );
+      ( "unnest-join",
+        "UNNEST(SELECT (SELECT (i = x.id, a = y.a) FROM Y y WHERE x.b = y.b \
+         AND y.a < 10) FROM X x)" );
     ]
+  in
+  (* Batches that fell back to the row closures in one execution: a join
+     that binds rows, or a kernel that misses, shows up here even though
+     its operator still reports [vectorized]. *)
+  let fallbacks c =
+    let was = Obs.Metrics.enabled () in
+    Obs.Metrics.enable ();
+    let before = Obs.Metrics.counter "exec.batch.kernel_fallbacks" in
+    ignore (Pipeline.execute ~jobs:1 catalog c);
+    let n = Obs.Metrics.counter "exec.batch.kernel_fallbacks" - before in
+    if not was then Obs.Metrics.disable ();
+    n
   in
   let vectorized_fraction c =
     match Pipeline.analyze ~jobs:1 catalog c with
@@ -524,11 +540,13 @@ let vector_case ~suite =
       in
       let vector_ms = min3 () in
       let fraction = vectorized_fraction c in
+      let fell_back = fallbacks c in
       let widths =
         List.map (fun batch -> (batch, min3 ~batch ())) [ 64; 1024; 4096 ]
       in
       rows :=
-        ([ qname; Harness.fms vector_ms; Printf.sprintf "%.2f" fraction ]
+        ([ qname; Harness.fms vector_ms; Printf.sprintf "%.2f" fraction;
+           string_of_int fell_back ]
         @ List.map (fun (_, ms) -> Harness.fms ms) widths)
         :: !rows;
       entries :=
@@ -539,6 +557,7 @@ let vector_case ~suite =
             ("jobs", Json.Int 1);
             ("vector_ms", Json.Float vector_ms);
             ("vectorized_fraction", Json.Float fraction);
+            ("kernel_fallbacks", Json.Int fell_back);
             ( "batch_sensitivity",
               Json.List
                 (List.map
@@ -551,7 +570,8 @@ let vector_case ~suite =
     queries;
   Harness.print_table
     ~title:(Printf.sprintf "columnar batch engine, jobs=1 (n=%d)" scale)
-    ~header:[ "query"; "ms"; "vec-frac"; "b=64"; "b=1024"; "b=4096" ]
+    ~header:
+      [ "query"; "ms"; "vec-frac"; "fallbacks"; "b=64"; "b=1024"; "b=4096" ]
     (List.rev !rows);
   Json.List (List.rev !entries)
 

@@ -17,6 +17,11 @@ val lookup : string -> t -> Value.t option
 val find : string -> t -> Value.t
 (** Raises [Value.Type_error] if unbound. *)
 
+val prepend : (string * Value.t) list -> t -> t
+(** [prepend bs env] binds every name of [bs] over [env] in one pass: the
+    first of a repeated name wins, and [bs] shadow [env]. Equal, binding
+    order included, to folding {!bind} over [bs] from last to first. *)
+
 val unbind : string -> t -> t
 val mem : string -> t -> bool
 val vars : t -> string list

@@ -25,7 +25,9 @@ let rank = function
   | List _ -> 6
   | Variant _ -> 7
 
-let rec compare a b =
+let rec compare a b = if a == b then 0 else compare_distinct a b
+
+and compare_distinct a b =
   match a, b with
   | Null, Null -> 0
   | Bool x, Bool y -> Bool.compare x y
@@ -59,7 +61,8 @@ and compare_fields xs ys =
   | [], _ :: _ -> -1
   | _ :: _, [] -> 1
   | (lx, x) :: xs', (ly, y) :: ys' ->
-    let c = String.compare lx ly in
+    (* Labels of values built by one expression are shared strings. *)
+    let c = if lx == ly then 0 else String.compare lx ly in
     if c <> 0 then c
     else
       let c = compare x y in
@@ -96,13 +99,57 @@ let tuple fields =
   check sorted;
   Tuple sorted
 
-let set elems = Set (List.sort_uniq compare elems)
+(* Long inputs sort as an array, which allocates a few words per element
+   where the list sort allocates a cons per element per merge level. Of
+   equal elements [List.sort_uniq] keeps one its merges pick; the array
+   path keeps the first, so it only answers when every equal pair is
+   identical and the pick cannot show. *)
+let sort_uniq elems =
+  let a = Array.of_list elems in
+  Array.stable_sort compare a;
+  let n = Array.length a in
+  let rec build i acc =
+    if i < 0 then Some acc
+    else
+      let c = if i = 0 then 1 else compare a.(i - 1) a.(i) in
+      if c <> 0 then build (i - 1) (a.(i) :: acc)
+      else if a.(i - 1) = a.(i) then build (i - 1) acc
+      else None
+  in
+  match build (n - 1) [] with
+  | Some sorted -> sorted
+  | None -> List.sort_uniq compare elems
+
+let set elems =
+  match elems with
+  | [] | [ _ ] -> Set elems
+  | _ when List.compare_length_with elems 16 < 0 ->
+    Set (List.sort_uniq compare elems)
+  | _ -> Set (sort_uniq elems)
 let set_of_seq seq = set (List.of_seq seq)
 
+let rec assoc_label l = function
+  | [] -> None
+  | (l', v) :: rest -> if String.equal l l' then Some v else assoc_label l rest
+
 let field_opt l = function
-  | Tuple fields -> List.assoc_opt l fields
+  | Tuple fields -> assoc_label l fields
   | Null | Bool _ | Int _ | Float _ | String _ | Set _ | List _ | Variant _ ->
     None
+
+(* Decimal digits straight into the buffer, as [string_of_int] spells
+   them. Digits come from the non-positive [-|n|], which exists for
+   [min_int] too. *)
+let add_int buf n =
+  let rec digits m =
+    if m <= -10 then digits (m / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+  in
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    digits n
+  end
+  else digits (-n)
 
 (* Every rendering goes through one buffer, on one line; value.mli lists
    the tokens. *)
@@ -119,7 +166,7 @@ let rec write buf v =
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f -> Buffer.add_string buf (Printf.sprintf "%F" f)
   | String s ->
     Buffer.add_char buf '"';

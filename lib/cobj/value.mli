@@ -87,6 +87,10 @@ val variant_payload : string -> t -> t
 (** [variant_payload tag v] — payload of [v] if tagged [tag]; raises
     [Type_error] otherwise (including on a different tag). *)
 
+val add_int : Buffer.t -> int -> unit
+(** Append the decimal form of an integer, byte-identical to
+    [string_of_int], without building the intermediate string. *)
+
 val to_string : t -> string
 (** Renders in TM-like concrete syntax, [(a = 1, b = {2, 3})], always on
     one line, newline-free whatever the value's width: strings quoted and

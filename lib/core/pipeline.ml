@@ -474,7 +474,7 @@ let analyze ?jobs ?bloom ?vector ?batch catalog compiled =
     let before = Obs.Memory.snapshot () in
     match
       phase "execute" (fun () ->
-          Engine.Exec.rows_instrumented ~jobs ?bloom ?batch tree
+          Engine.Exec.batches_instrumented ~jobs ?bloom ?batch tree
             catalog Cobj.Env.empty pq.Engine.Physical.plan)
     with
     | produced ->
@@ -492,10 +492,10 @@ let analyze ?jobs ?bloom ?vector ?batch catalog compiled =
         match bounds_violation tree with
         | Some msg -> Error msg
         | None ->
-          let resultfn =
-            Engine.Compile.expr catalog pq.Engine.Physical.result
+          let values =
+            Engine.Exec.values catalog pq.Engine.Physical.result produced
           in
-          Ok (Cobj.Value.set (List.map resultfn produced), tree)
+          Ok (Cobj.Value.set values, tree)
       end
     | exception Cobj.Value.Type_error msg -> Error ("runtime error: " ^ msg)
     | exception Lang.Interp.Undefined msg -> Error ("undefined: " ^ msg))

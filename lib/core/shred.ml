@@ -331,61 +331,124 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-let key_value key env = Env.to_value (Env.project key env)
+module Batch = Engine.Batch
+module Exec = Engine.Exec
 
-let all_null nulls env =
+(* Flat results flow as batches: columns over the ambient environment.
+   Every expression runs through [Exec]'s kernels, falling back to the
+   row closures batch by batch, so values and first errors are those of
+   row-at-a-time evaluation. *)
+
+(* A group key: the key columns' values in label order, which equal
+   exactly when the projected rows' tuples do. A key naming a column twice
+   takes the tuple's own path, which rejects the duplicate label. *)
+let key_value key =
+  let sorted = List.sort String.compare key in
+  if List.length (List.sort_uniq String.compare key) = List.length key then
+    fun b i -> Value.List (List.map (fun x -> Batch.value b x i) sorted)
+  else fun b i -> Env.to_value (Env.project key (Batch.env_at b i))
+
+let all_null nulls b i =
   nulls <> []
   && List.for_all
-       (fun v -> match Env.find v env with Value.Null -> true | _ -> false)
+       (fun v -> match Batch.value b v i with Value.Null -> true | _ -> false)
        nulls
 
-let apply_step catalog rows = function
+let apply_step catalog batches = function
   | Bind (v, e) ->
-    let f = Engine.Compile.expr catalog e in
-    List.map (fun r -> Env.bind v (f r) r) rows
+    let col = Exec.column catalog e in
+    List.map (fun b -> Batch.add_col b v (col b)) batches
   | Keep p ->
-    let f = Engine.Compile.pred catalog p in
-    List.filter f rows
+    let sel = Exec.select catalog p in
+    List.filter_map
+      (fun b -> match sel b with [||] -> None | s -> Some (Batch.narrow b s))
+      batches
   | Unfold (v, e) ->
     let f = Engine.Compile.expr catalog e in
-    List.concat_map
-      (fun r -> List.map (fun x -> Env.bind v x r) (Value.elements (f r)))
-      rows
+    let kcol = Exec.kernel_column catalog e in
+    List.filter_map
+      (fun b ->
+        (* Per live row in order, its value's elements: from the kernel's
+           column, or evaluating each row just before unfolding it. *)
+        let at =
+          match kcol b with
+          | Some c -> fun i -> Batch.get c i
+          | None -> fun i -> f (Batch.env_at b i)
+        in
+        let src = ref [] and elems = ref [] and n = ref 0 in
+        Batch.iter_live b (fun i ->
+            List.iter
+              (fun x ->
+                src := i :: !src;
+                elems := x :: !elems;
+                incr n)
+              (Value.elements (at i)));
+        if !n = 0 then None
+        else
+          let src = Array.of_list (List.rev !src) in
+          Some
+            (Batch.of_cols !n
+               ((v, Batch.Boxed (Array.of_list (List.rev !elems)))
+               :: List.map (fun (x, c) -> (x, Batch.gather c src)) b.Batch.cols)
+               b.Batch.tail))
+      batches
 
-(* [exec] abstracts how one flat plan produces rows, so the plain and
+(* [exec] abstracts how one flat plan produces batches, so the plain and
    instrumented runners share the stitch. *)
 let rec run_node ~exec catalog env n =
-  let rows = exec n env in
-  let rows =
+  let batches = exec n env in
+  let batches =
     List.fold_left
-      (fun rows c -> stitch_child ~exec catalog env rows c)
-      rows n.xchildren
+      (fun batches c -> stitch_child ~exec catalog env batches c)
+      batches n.xchildren
   in
-  List.fold_left (apply_step catalog) rows n.xpost
+  List.fold_left (apply_step catalog) batches n.xpost
 
-and stitch_child ~exec catalog env rows c =
+and stitch_child ~exec catalog env batches c =
   let members = run_node ~exec catalog env c.xbody in
   let funcfn = Engine.Compile.expr catalog c.xfunc in
-  let tbl = Vtbl.create (max 16 (List.length members)) in
+  let kfunc = Exec.kernel_column catalog c.xfunc in
+  let key = key_value c.xkey in
+  let tbl = Vtbl.create (max 16 (Batch.live_total members)) in
   List.iter
     (fun m ->
-      if not (all_null c.xnulls m) then
-        Vtbl.add tbl (key_value c.xkey m) (funcfn m))
+      (* The member rows that contribute, and [func] on them: by kernel
+         over those rows, or per row just before its key, as the row loop
+         evaluated them. *)
+      let live =
+        List.filter
+          (fun i -> not (all_null c.xnulls m i))
+          (Array.to_list (Batch.live_slots m))
+      in
+      match live with
+      | [] -> ()
+      | _ -> (
+        let m' = Batch.narrow m (Array.of_list live) in
+        match kfunc m' with
+        | Some col ->
+          List.iter (fun i -> Vtbl.add tbl (key m i) (Batch.get col i)) live
+        | None ->
+          List.iter
+            (fun i ->
+              let v = funcfn (Batch.env_at m i) in
+              Vtbl.add tbl (key m i) v)
+            live))
     members;
   List.map
-    (fun r ->
-      (* find_all on an absent key is [] — the empty inner set. *)
-      let v = Value.set (Vtbl.find_all tbl (key_value c.xkey r)) in
-      Env.bind c.xlabel v r)
-    rows
+    (fun b ->
+      let out = Array.make b.Batch.len Value.Null in
+      Batch.iter_live b (fun i ->
+          (* find_all on an absent key is [] — the empty inner set. *)
+          out.(i) <- Value.set (Vtbl.find_all tbl (key b i)));
+      Batch.add_col b c.xlabel (Batch.Boxed out))
+    batches
 
-let finish catalog result rows =
-  let resultfn = Engine.Compile.expr catalog result in
-  Value.set (List.map resultfn rows)
+let finish catalog result batches =
+  Value.set (Exec.values catalog result batches)
 
 let run_under ?stats ?jobs ?bloom ?batch catalog env exe =
   let exec n env =
-    Engine.Exec.rows ?stats ?jobs ?bloom ?batch catalog env n.xplan
+    Engine.Exec.batches ?stats ?jobs ?bloom ?batch catalog env n.xplan
   in
   finish catalog exe.xresult (run_node ~exec catalog env exe.xbody)
 
@@ -415,7 +478,7 @@ let analyze ?jobs ?bloom ?batch catalog exe =
       trees
   in
   let exec n env =
-    Engine.Exec.rows_instrumented ?jobs ?bloom ?batch arr.(n.id)
+    Engine.Exec.batches_instrumented ?jobs ?bloom ?batch arr.(n.id)
       catalog env n.xplan
   in
   let t0 = Monotonic_clock.now () in

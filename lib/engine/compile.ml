@@ -10,6 +10,19 @@ let enabled = ref true
    children. *)
 type t = Env.t -> Value.t
 
+let member x = function
+  | Value.Set _ as s -> Value.set_mem x s
+  | Value.List elems -> List.exists (Value.equal x) elems
+  | v -> Value.type_error "IN expects a collection, got %s" (Value.to_string v)
+
+let set_test_of = function
+  | Ast.Subseteq -> Value.set_subseteq
+  | Ast.Subset -> Value.set_subset
+  | Ast.Supseteq -> fun x y -> Value.set_subseteq y x
+  | Ast.Supset -> fun x y -> Value.set_subset y x
+  | Ast.Mem -> member
+  | _ -> invalid_arg "Compile.set_test_of"
+
 let cmp_op op : Value.t -> Value.t -> bool =
   match op with
   | Ast.Eq -> fun a b -> Value.compare a b = 0
@@ -70,23 +83,16 @@ let rec compile catalog e : t =
     fun env -> Value.Bool (c (fa env) (fb env))
   | Ast.Binop (Ast.Mem, a, b) ->
     let fa = compile catalog a and fb = compile catalog b in
-    fun env -> (
+    fun env ->
       let x = fa env in
-      match fb env with
-      | Value.Set _ as s -> Value.Bool (Value.set_mem x s)
-      | Value.List elems -> Value.Bool (List.exists (Value.equal x) elems)
-      | v ->
-        Value.type_error "IN expects a collection, got %s" (Value.to_string v))
+      Value.Bool (member x (fb env))
   | Ast.Binop (Ast.Union, a, b) -> set_binop catalog Value.set_union a b
   | Ast.Binop (Ast.Inter, a, b) -> set_binop catalog Value.set_inter a b
   | Ast.Binop (Ast.Diff, a, b) -> set_binop catalog Value.set_diff a b
-  | Ast.Binop (Ast.Subseteq, a, b) ->
-    set_test catalog Value.set_subseteq a b
-  | Ast.Binop (Ast.Subset, a, b) -> set_test catalog Value.set_subset a b
-  | Ast.Binop (Ast.Supseteq, a, b) ->
-    set_test catalog (fun x y -> Value.set_subseteq y x) a b
-  | Ast.Binop (Ast.Supset, a, b) ->
-    set_test catalog (fun x y -> Value.set_subset y x) a b
+  | Ast.Binop
+      (((Ast.Subseteq | Ast.Subset | Ast.Supseteq | Ast.Supset) as op), a, b)
+    ->
+    set_test catalog (set_test_of op) a b
   | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod) as op), a, b)
     ->
     let fa = compile catalog a and fb = compile catalog b in

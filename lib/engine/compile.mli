@@ -24,3 +24,8 @@ val expr : Cobj.Catalog.t -> Lang.Ast.expr -> Cobj.Env.t -> Cobj.Value.t
 val pred : Cobj.Catalog.t -> Lang.Ast.expr -> Cobj.Env.t -> bool
 (** Predicate variant with the partial-aggregate reading of
     {!Lang.Interp.truth} (an undefined aggregate is false). *)
+
+val set_test_of : Lang.Ast.binop -> Cobj.Value.t -> Cobj.Value.t -> bool
+(** The test behind [IN] ([Mem]) and the set comparisons ([SUBSET],
+    [SUBSETEQ], [SUPSET], [SUPSETEQ]), shared with {!Vexpr}'s kernels.
+    Raises [Invalid_argument] on any other operator. *)

@@ -239,30 +239,95 @@ let default_batch () =
     | _ -> default_batch_size)
   | None -> default_batch_size
 
-(* Kernel fallbacks are only recorded by operators that never delegate
-   on [jobs] (filter, extend), keeping every [exec.batch.*] counter
-   invariant under the domain count. *)
+(* A batch whose expression fell back to the row closure. Recorded once
+   per source batch, whatever the number of morsels it was cut into, so
+   every [exec.batch.*] counter stays invariant under the domain count. *)
 let note_fallback () =
   if Obs.Metrics.enabled () then Obs.Metrics.incr "exec.batch.kernel_fallbacks"
+
+let kernel_failed = function
+  | Value.Type_error _ | Interp.Undefined _ -> true
+  | _ -> false
+
+(* [e] over the live slots of a batch by its kernel, or [None], counted as
+   a fallback, when the kernel is missing or raises. *)
+let kernel_column catalog e =
+  let kern = Vexpr.compile catalog e in
+  fun b ->
+    match kern with
+    | Some k -> (
+      match k b with
+      | c -> Some c
+      | exception e when kernel_failed e ->
+        note_fallback ();
+        None)
+    | None ->
+      note_fallback ();
+      None
+
+let column catalog e =
+  let fn = Compile.expr catalog e in
+  let kcol = kernel_column catalog e in
+  fun b ->
+    match kcol b with
+    | Some c -> c
+    | None ->
+      let out = Array.make b.Batch.len Value.Null in
+      Batch.iter_live b (fun i -> out.(i) <- fn (Batch.env_at b i));
+      Batch.Boxed out
+
+(* The row replay of [select], counting every evaluation. *)
+let select_rows stats predfn b =
+  note_fallback ();
+  let acc = ref [] in
+  Batch.iter_live b (fun i ->
+      stats.Stats.predicate_evals <- stats.Stats.predicate_evals + 1;
+      if predfn (Batch.env_at b i) then acc := i :: !acc);
+  Array.of_list (List.rev !acc)
+
+let select ?(stats = Stats.create ()) catalog pred =
+  let predfn = Compile.pred catalog pred in
+  let kern = Vexpr.compile catalog pred in
+  fun b ->
+    match kern with
+    | Some k -> (
+      match Vexpr.truth_sel k b with
+      | sel ->
+        stats.Stats.predicate_evals <-
+          stats.Stats.predicate_evals + Batch.live b;
+        sel
+      | exception e when kernel_failed e -> select_rows stats predfn b)
+    | None -> select_rows stats predfn b
+
+let values catalog e =
+  let col = column catalog e in
+  fun batches ->
+    let acc = ref [] in
+    List.iter
+      (fun b ->
+        let c = col b in
+        Batch.iter_live b (fun i -> acc := Batch.get c i :: !acc))
+      batches;
+    List.rev !acc
 
 (* --- hash keys ------------------------------------------------------- *)
 
 (* A hash key evaluator: [key b] reads the key of live slot [i] of batch
-   [b] as [key b i] — from a kernel column when the batch is columnar and
-   the kernel succeeds, else by evaluating the row's env. A kernel that
-   raises is discarded before any slot is read, so the row-at-a-time
-   replay reproduces row-order counters and first error exactly. *)
+   [b] as [key b i] — from a kernel column when the kernel succeeds, else
+   by evaluating the row's env. A kernel that raises is discarded before
+   any slot is read, so the row-at-a-time replay reproduces row-order
+   counters and first error exactly. *)
 type keyer = Batch.t -> int -> Hkey.t
 
-(* All of [kerns] applied to a columnar batch, or [None] when one is
-   missing, the batch holds rows, or a kernel raises. *)
+(* All of [kerns] applied to a batch, or [None] when one is missing or
+   raises. *)
 let kernel_cols kerns b =
   match kerns with
-  | Some ks when Batch.is_cols b -> (
+  | Some ks -> (
     match List.map (fun k -> k b) ks with
     | cols -> Some cols
-    | exception (Value.Type_error _ | Interp.Undefined _) -> None)
-  | Some _ | None -> None
+    | exception e when kernel_failed e -> None)
+  | None -> None
 
 let kernels catalog es =
   let ks = List.map (Vexpr.compile catalog) es in
@@ -325,6 +390,16 @@ let key_pair catalog lkey rkey =
     (composite_keyer catalog lf, composite_keyer catalog rf)
   | _ -> (plain_keyer catalog lkey, plain_keyer catalog rkey)
 
+(* Residual of the row-at-a-time join families, compiled once per
+   operator; an evaluation counts into the sink it is given. *)
+let residual_check catalog = function
+  | None -> fun _ _ -> true
+  | Some pred ->
+    let f = Compile.pred catalog pred in
+    fun (st : Stats.t) merged ->
+      st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
+      f merged
+
 (* --- morsel-driven probes --------------------------------------------- *)
 
 (* Probe rows from which a hash operator under [jobs > 1] runs its probe
@@ -338,38 +413,23 @@ let parallel_rows = 20_000
    domain idle, few enough that per-morsel set-up stays negligible. *)
 let morsels_per_domain = 4
 
-(* Residual compiled once per operator; an evaluation counts into the
-   sink it is given (the operator's, or a morsel's). *)
-let residual_check catalog = function
-  | None -> fun _ _ -> true
-  | Some pred ->
-    let f = Compile.pred catalog pred in
-    fun (st : Stats.t) merged ->
-      st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
-      f merged
-
-(* A hash operator's build table: [find] answers a probe key with its
-   matching build rows in build-input order, and [filter], present only
-   when the frame's [bloom] is on, screens keys before the lookup. A
-   built table and a cached build both come out in this shape, so every
-   probe loop is written once. *)
-type table = { find : Hkey.t -> Env.t list; filter : Bloom.t option }
-
-let no_table = { find = (fun _ -> []); filter = None }
-
-let bucket_rows tbl k =
-  match Htbl.find_opt tbl k with Some bucket -> List.rev bucket | None -> []
-
 (* Run an operator's one per-batch probe loop [loop st b] over its probe
-   batches, returning each source batch's output. Serially the loop sees
-   whole batches and counts into the operator's sink. From the frame's
-   gate under [jobs > 1], each batch's selection is cut into contiguous
+   batches, returning each source batch's outcome; [loop] also says
+   whether it fell back to the row replay. Serially the loop sees whole
+   batches and counts into the operator's sink. From the frame's gate
+   under [jobs > 1], each batch's selection is cut into contiguous
    slices, the morsels, which run on the pool with a private [Stats.t]
-   each; outputs and counters merge back in slice order per source batch,
-   so rows, batch shapes and every counter are those of a serial run. *)
-let probe_batches fr batches loop =
+   each; outcomes ([concat]) and counters merge back in slice order per
+   source batch, so outputs, batch shapes and every counter are those of
+   a serial run. *)
+let probe_batches fr batches loop concat =
+  let note (out, fell_back) =
+    if fell_back then note_fallback ();
+    out
+  in
   let n = Batch.live_total batches in
-  if fr.jobs <= 1 || n < fr.gate then List.map (loop fr.sink) batches
+  if fr.jobs <= 1 || n < fr.gate then
+    List.map (fun b -> note (loop fr.sink b)) batches
   else begin
     let per = morsels_per_domain * fr.jobs in
     let size = (n + per - 1) / per in
@@ -406,23 +466,67 @@ let probe_batches fr batches loop =
       Printexc.raise_with_backtrace e bt);
     let next = ref 0 in
     List.map
-      (List.concat_map (fun _ ->
-           let out = Option.value outs.(!next) ~default:[] in
-           incr next;
-           out))
+      (fun cut ->
+        let mine =
+          List.map
+            (fun _ ->
+              let out = Option.get outs.(!next) in
+              incr next;
+              out)
+            cut
+        in
+        note (concat (List.map fst mine), List.exists snd mine))
       cuts
   end
+
+(* --- build tables ------------------------------------------------------ *)
+
+(* A hash operator's build side: its rows as columns [cols], indexed by
+   row id, and for each key the chain of its row ids in build order —
+   [head] holds the first, [next] links each to the following one (-1
+   ends a chain). A key set, the build of a semijoin or antijoin without
+   a residual, keeps no columns and no chains: only [head]'s keys count.
+   [filter], present only when the frame's [bloom] is on, screens keys
+   before the lookup. A built table and a cached build come out in this
+   shape, so every probe loop is written once. *)
+type table = {
+  cols : (string * Batch.col) list;
+  head : int Htbl.t;
+  next : int array;
+  filter : Bloom.t option;
+}
+
+let no_table = { cols = []; head = Htbl.create 1; next = [||]; filter = None }
+
+let chain_head head k =
+  match Htbl.find head k with i -> i | exception Not_found -> -1
+
+(* Link rows [n - 1] down to 0 under their [keys], so each chain runs in
+   row order. *)
+let link head next n key_of =
+  for i = n - 1 downto 0 do
+    match key_of i with
+    | None -> ()
+    | Some k ->
+      if Array.length next > 0 then next.(i) <- chain_head head k;
+      Htbl.replace head k i
+  done
 
 (* --- cached build sides ------------------------------------------------ *)
 
 (* The build side of a [Physical.cached_build] operator, per (table,
-   field): the table's rows bucketed by the field's value in table order,
-   plus a Bloom filter over every key. Rows are stored as table values and
-   bound to the query's own scan variable at probe time; rows lacking the
-   field are absent. The cache is keyed on ephemerons, so an entry lives
-   exactly as long as its table, and it is filled under one lock, so
-   domains and sessions sharing a table build each entry once. *)
-type cached = { by_key : Value.t list Htbl.t; keys : Bloom.t }
+   field): the table's rows as one array, chained by the field's value in
+   table order, plus a Bloom filter over every key. Rows are bound to the
+   query's own scan variable at probe time; rows lacking the field are in
+   no chain. The cache is keyed on ephemerons, so an entry lives exactly
+   as long as its table, and it is filled under one lock, so domains and
+   sessions sharing a table build each entry once. *)
+type cached = {
+  rows : Value.t array;
+  heads : int Htbl.t;
+  links : int array;
+  keys : Bloom.t;
+}
 
 module Cache = Ephemeron.K1.Make (struct
   type t = Cobj.Table.t
@@ -435,21 +539,19 @@ let cache_lock = Mutex.create ()
 let cache : (string * cached) list Cache.t = Cache.create 16
 
 let build_cached t field =
-  let rows = Cobj.Table.rows t in
-  let by_key = Htbl.create (max 16 (List.length rows)) in
-  let keys = Bloom.create (List.length rows) in
-  List.iter
-    (fun row ->
-      match Value.field_opt field row with
-      | None -> ()
-      | Some v ->
-        let k = hkey v in
-        Bloom.add keys k.Hkey.h;
-        let bucket = Option.value (Htbl.find_opt by_key k) ~default:[] in
-        Htbl.replace by_key k (row :: bucket))
-    rows;
-  Htbl.filter_map_inplace (fun _ bucket -> Some (List.rev bucket)) by_key;
-  { by_key; keys }
+  let rows = Array.of_list (Cobj.Table.rows t) in
+  let n = Array.length rows in
+  let heads = Htbl.create (max 16 n) in
+  let links = Array.make n (-1) in
+  let keys = Bloom.create n in
+  link heads links n (fun i ->
+      Option.map
+        (fun v ->
+          let k = hkey v in
+          Bloom.add keys k.Hkey.h;
+          k)
+        (Value.field_opt field rows.(i)));
+  { rows; heads; links; keys }
 
 let cached_table t field =
   Mutex.protect cache_lock (fun () ->
@@ -468,69 +570,440 @@ let is_cached t field =
       | Some built -> List.mem_assoc field built
       | None -> false)
 
-(* The cached build seen by one operator run: rows bound to [var] over the
-   ambient [env], exactly the rows the skipped scan would have produced. *)
-let cached_view ~bloom catalog env (table, var, field) =
+(* The cached build seen by one operator run: its rows as the column of
+   the query's scan variable, exactly the rows the skipped scan would have
+   produced. *)
+let cached_view ~bloom catalog (table, var, field) =
   let c = cached_table (Cobj.Catalog.find_exn table catalog) field in
   {
-    find =
-      (fun k ->
-        match Htbl.find_opt c.by_key k with
-        | Some vs -> List.map (fun v -> Env.bind var v env) vs
-        | None -> []);
+    cols = [ (var, Batch.Boxed c.rows) ];
+    head = c.heads;
+    next = c.links;
     filter = (if bloom then Some c.keys else None);
   }
 
-(* Hash the live rows of [batches] on [key] into a build table, serially
-   and in input order within buckets. *)
-let hash_batches fr (key : keyer) batches =
+(* Hash the live rows of [batches] on [key] into a build table, serially;
+   with [names], the rows' columns of those names are kept and chained,
+   without it only the key set. *)
+let hash_batches fr ?names (key : keyer) batches =
   let stats = fr.sink in
-  let table = Htbl.create 256 in
-  let filter =
-    if fr.bloom then Some (Bloom.create (Batch.live_total batches)) else None
-  in
+  let n = Batch.live_total batches in
+  let keys = Array.make n (hkey Value.Null) in
+  let j = ref 0 in
   List.iter
     (fun b ->
       let at = key b in
       Batch.iter_live b (fun i ->
           stats.Stats.hash_builds <- stats.Stats.hash_builds + 1;
-          let k = at i in
-          Option.iter (fun f -> Bloom.add f k.Hkey.h) filter;
-          let r = Batch.env_at b i in
-          match Htbl.find_opt table k with
-          | Some bucket -> Htbl.replace table k (r :: bucket)
-          | None -> Htbl.add table k [ r ]))
+          keys.(!j) <- at i;
+          incr j))
     batches;
-  { find = bucket_rows table; filter }
-
-let probe ~stats table k =
-  stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-  let pruned =
-    match table.filter with
-    | None -> false
-    | Some f ->
-      stats.Stats.bloom_checks <- stats.Stats.bloom_checks + 1;
-      not (Bloom.mem f k.Hkey.h)
+  let filter = if fr.bloom then Some (Bloom.create n) else None in
+  Option.iter (fun f -> Array.iter (fun k -> Bloom.add f k.Hkey.h) keys) filter;
+  let head = Htbl.create (max 16 n) in
+  let next = if Option.is_some names then Array.make n (-1) else [||] in
+  link head next n (fun i -> Some keys.(i));
+  let cols =
+    match names with
+    | Some names -> Batch.concat_live names batches
+    | None -> []
   in
-  if pruned then begin
-    stats.Stats.bloom_prunes <- stats.Stats.bloom_prunes + 1;
-    []
-  end
-  else table.find k
+  { cols; head; next; filter }
+
+(* The first build row id matching [k], or -1, counting the probe and its
+   Bloom screen into [st]. *)
+let probe (st : Stats.t) table k =
+  st.Stats.hash_probes <- st.Stats.hash_probes + 1;
+  match table.filter with
+  | Some f ->
+    st.Stats.bloom_checks <- st.Stats.bloom_checks + 1;
+    if Bloom.mem f k.Hkey.h then chain_head table.head k
+    else begin
+      st.Stats.bloom_prunes <- st.Stats.bloom_prunes + 1;
+      -1
+    end
+  | None -> chain_head table.head k
+
+(* --- columnar probes -------------------------------------------------- *)
+
+(* Growable int vectors for the pairs a probe forms. *)
+module Ibuf = struct
+  type t = { mutable a : int array; mutable n : int }
+
+  let create () = { a = Array.make 64 0; n = 0 }
+
+  let push b x =
+    if b.n = Array.length b.a then begin
+      let a = Array.make (2 * b.n) 0 in
+      Array.blit b.a 0 a 0 b.n;
+      b.a <- a
+    end;
+    Array.unsafe_set b.a b.n x;
+    b.n <- b.n + 1
+
+  let contents b = Array.sub b.a 0 b.n
+end
+
+(* What a hash operator does with the build rows matching a probe row. *)
+type kind =
+  | Join of { swap : bool }  (** all matches; [swap]: the probe side is the
+                                 right operand *)
+  | Semi of { anti : bool }  (** keep the probe row iff some match (not) *)
+  | Outer  (** all matches, or one row padded with nulls *)
+  | Nest of { label : string; func : Ast.expr }
+      (** the probe row, with the set of [func] over its matches *)
+
+(* One probe batch's outcome, before any output column exists. *)
+type matched =
+  | Pairs of { ps : int array; bs : int array }
+      (** output row [j] pairs probe slot [ps.(j)] with build row [bs.(j)];
+          -1 pads *)
+  | Keep of int array  (** the surviving probe slots *)
+  | Sets of Value.t array  (** the label of each live probe row, in order *)
+
+let concat_matched = function
+  | [ m ] -> m
+  | Pairs _ :: _ as ms ->
+    let part f = Array.concat (List.map f ms) in
+    Pairs
+      {
+        ps = part (function Pairs p -> p.ps | _ -> assert false);
+        bs = part (function Pairs p -> p.bs | _ -> assert false);
+      }
+  | Keep _ :: _ as ms ->
+    Keep (Array.concat (List.map (function Keep k -> k | _ -> assert false) ms))
+  | Sets _ :: _ as ms ->
+    Sets (Array.concat (List.map (function Sets s -> s | _ -> assert false) ms))
+  | [] -> Keep [||]
+
+let distinct_cols cols =
+  List.fold_left
+    (fun acc ((x, _) as c) -> if List.mem_assoc x acc then acc else c :: acc)
+    [] cols
+  |> List.rev
+
+(* The columns of the pairs probe batch [b] forms with [table], split by
+   the side whose index reads them: the right operand's columns, then the
+   left's that neither the right's nor the tail binds. That is the
+   environment [Env.append right left] gives a pair, since the right row's
+   env carries the tail too. *)
+let pair_cols ~swap (b : Batch.t) table =
+  let right = distinct_cols (if swap then b.Batch.cols else table.cols) in
+  let left =
+    List.filter
+      (fun (x, _) -> not (List.mem_assoc x right || Env.mem x b.Batch.tail))
+      (distinct_cols (if swap then table.cols else b.Batch.cols))
+  in
+  if swap then (right, left) else (left, right)
+
+(* The pairs [(ps.(j), bs.(j))] as a batch of the columns [keep] admits. *)
+let gather_pairs ?(keep = fun _ -> true) (b : Batch.t) (pcols, bcols) ps bs =
+  let g idx cols =
+    List.filter_map
+      (fun (x, c) -> if keep x then Some (x, Batch.gather c idx) else None)
+      cols
+  in
+  Batch.of_cols (Array.length ps) (g ps pcols @ g bs bcols) b.Batch.tail
+
+(* A pair's environment, for the row replay. *)
+let pair_env (b : Batch.t) (pcols, bcols) i r =
+  let at j cols = List.map (fun (x, c) -> (x, Batch.get c j)) cols in
+  Env.prepend (at i pcols @ at r bcols) b.Batch.tail
+
+(* The probe loop of one hash operator over one probe batch [b]: each
+   live row's key probes [table], and [kind] decides what its matches
+   make. Residuals and the nest join's [func] run as kernels over batches
+   of candidate pairs, gathered with only the columns they read; a
+   semijoin evaluates its candidates in rounds, 1, 2, 4, ... further ones
+   per probe row still undecided, so it stops close to its first true
+   match. Counters go to a scratch [Stats.t], committed on success. A
+   kernel that is missing, or an evaluation that raises, replays the batch
+   row by row ([replay]), counting straight into [st], so counters and the
+   first error are those of row order. Returns the outcome and whether it
+   replayed. *)
+let probe_batch catalog ~kind ~residual ~key ~table =
+  let swap = match kind with Join { swap } -> swap | _ -> false in
+  let outer = match kind with Outer -> true | _ -> false in
+  let func = match kind with Nest { func; _ } -> Some func | _ -> None in
+  let exprs = Option.to_list residual @ Option.to_list func in
+  let pred_k = Option.map (Vexpr.compile catalog) residual in
+  let func_k = Option.map (Vexpr.compile catalog) func in
+  let predfn = Option.map (Compile.pred catalog) residual in
+  let funcfn = Option.map (Compile.expr catalog) func in
+  let kernels_exist =
+    List.for_all Option.is_some (Option.to_list pred_k @ Option.to_list func_k)
+  in
+  let need =
+    List.fold_left (fun s e -> Sset.union s (Ast.free_vars e)) Sset.empty exprs
+  in
+  let keep x = Sset.mem x need in
+  let rec each_match r f =
+    if r >= 0 then begin
+      f r;
+      each_match table.next.(r) f
+    end
+  in
+  fun (st : Stats.t) (b : Batch.t) ->
+    let at = key b in
+    let cols = pair_cols ~swap b table in
+    let replay () =
+      let ok i r =
+        match predfn with
+        | None -> true
+        | Some f ->
+          st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
+          f (pair_env b cols i r)
+      in
+      let ps = Ibuf.create () and bs = Ibuf.create () in
+      let sets = ref [] in
+      Batch.iter_live b (fun i ->
+          let h = probe st table (at i) in
+          match kind with
+          | Semi { anti } ->
+            let rec exists r = r >= 0 && (ok i r || exists table.next.(r)) in
+            let found = if Option.is_none residual then h >= 0 else exists h in
+            if found <> anti then Ibuf.push ps i
+          | Join _ | Outer ->
+            let before = ps.Ibuf.n in
+            each_match h (fun r ->
+                if ok i r then begin
+                  Ibuf.push ps i;
+                  Ibuf.push bs r
+                end);
+            if outer && ps.Ibuf.n = before then begin
+              Ibuf.push ps i;
+              Ibuf.push bs (-1)
+            end
+          | Nest _ ->
+            let members = ref [] in
+            each_match h (fun r ->
+                if ok i r then
+                  members :=
+                    Option.get funcfn (pair_env b cols i r) :: !members);
+            sets := Value.set (List.rev !members) :: !sets);
+      match kind with
+      | Semi _ -> Keep (Ibuf.contents ps)
+      | Join _ | Outer -> Pairs { ps = Ibuf.contents ps; bs = Ibuf.contents bs }
+      | Nest _ -> Sets (Array.of_list (List.rev !sets))
+    in
+    (* [truth ps bs]: which pairs pass the residual (all, without one). *)
+    let truth ps bs =
+      match pred_k with
+      | Some (Some k) when Array.length ps > 0 ->
+        Vexpr.truth k (gather_pairs ~keep b cols ps bs)
+      | _ -> Bytes.make (Array.length ps) '\001'
+    in
+    let fast () =
+      let loc = Stats.create () in
+      let slots = Batch.live_slots b in
+      let heads = Array.map (fun i -> probe loc table (at i)) slots in
+      let out =
+        match kind with
+        | Semi { anti } ->
+          let found = Array.map (fun h -> h >= 0) heads in
+          if Option.is_some residual then begin
+            (* [pending]: live rows with unevaluated candidates, their next
+               one in [heads]. *)
+            let pending =
+              ref
+                (List.filter
+                   (fun u -> heads.(u) >= 0)
+                   (List.init (Array.length slots) Fun.id))
+            in
+            Array.fill found 0 (Array.length found) false;
+            let width = ref 1 in
+            while !pending <> [] do
+              let ps = Ibuf.create () and bs = Ibuf.create () in
+              let ends =
+                List.map
+                  (fun u ->
+                    let k = ref 0 in
+                    while heads.(u) >= 0 && !k < !width do
+                      Ibuf.push ps slots.(u);
+                      Ibuf.push bs heads.(u);
+                      heads.(u) <- table.next.(heads.(u));
+                      incr k
+                    done;
+                    (u, ps.Ibuf.n))
+                  !pending
+              in
+              let pass = truth (Ibuf.contents ps) (Ibuf.contents bs) in
+              let lo = ref 0 in
+              pending :=
+                List.filter
+                  (fun (u, hi) ->
+                    let j = ref !lo in
+                    while !j < hi && Bytes.get pass !j = '\000' do
+                      incr j
+                    done;
+                    loc.Stats.predicate_evals <-
+                      loc.Stats.predicate_evals + min hi (!j + 1) - !lo;
+                    lo := hi;
+                    found.(u) <- !j < hi;
+                    (not found.(u)) && heads.(u) >= 0)
+                  ends
+                |> List.map fst;
+              width := 2 * !width
+            done
+          end;
+          let kept = Ibuf.create () in
+          Array.iteri
+            (fun u i -> if found.(u) <> anti then Ibuf.push kept i)
+            slots;
+          Keep (Ibuf.contents kept)
+        | Join _ | Outer | Nest _ ->
+          let cp = Ibuf.create () and cb = Ibuf.create () in
+          Array.iteri
+            (fun u i ->
+              each_match heads.(u) (fun r ->
+                  Ibuf.push cp i;
+                  Ibuf.push cb r))
+            slots;
+          let ps = Ibuf.contents cp and bs = Ibuf.contents cb in
+          let n = Array.length ps in
+          let pass = truth ps bs in
+          if Option.is_some residual then
+            loc.Stats.predicate_evals <- loc.Stats.predicate_evals + n;
+          let passes j = Bytes.unsafe_get pass j <> '\000' in
+          (* [f u lo hi]: live row [u] and its candidates' range. *)
+          let groups f =
+            let j = ref 0 in
+            Array.iteri
+              (fun u i ->
+                let lo = !j in
+                while !j < n && ps.(!j) = i do
+                  incr j
+                done;
+                f u lo !j)
+              slots
+          in
+          (match kind with
+          | Nest _ ->
+            let vals = Array.make n Value.Null in
+            let live = Ibuf.create () in
+            for j = 0 to n - 1 do
+              if passes j then Ibuf.push live j
+            done;
+            let live = Ibuf.contents live in
+            if Array.length live > 0 then begin
+              let c = gather_pairs ~keep b cols ps bs in
+              let c =
+                if Array.length live = n then c else Batch.narrow c live
+              in
+              let col = Option.get (Option.get func_k) c in
+              Array.iter (fun j -> vals.(j) <- Batch.get col j) live
+            end;
+            let sets = Array.make (Array.length slots) (Value.Set []) in
+            groups (fun u lo hi ->
+                let members = ref [] in
+                for j = hi - 1 downto lo do
+                  if passes j then members := vals.(j) :: !members
+                done;
+                sets.(u) <- Value.set !members);
+            Sets sets
+          | _ ->
+            let ops = Ibuf.create () and obs = Ibuf.create () in
+            groups (fun u lo hi ->
+                let before = ops.Ibuf.n in
+                for j = lo to hi - 1 do
+                  if passes j then begin
+                    Ibuf.push ops ps.(j);
+                    Ibuf.push obs bs.(j)
+                  end
+                done;
+                if outer && ops.Ibuf.n = before then begin
+                  Ibuf.push ops slots.(u);
+                  Ibuf.push obs (-1)
+                end);
+            Pairs { ps = Ibuf.contents ops; bs = Ibuf.contents obs })
+      in
+      Stats.add ~into:st loc;
+      out
+    in
+    if not kernels_exist then (replay (), true)
+    else
+      match fast () with
+      | m -> (m, false)
+      | exception e when kernel_failed e -> (replay (), true)
+
+(* Output batches of a hash operator from its probe batches' outcomes:
+   gathers of at most the frame's width for [Pairs], a narrowing for
+   [Keep], and the probe batch plus the label column for [Sets]. *)
+let emit fr ~kind ~table probe_b outcomes =
+  let swap = match kind with Join { swap } -> swap | _ -> false in
+  List.concat
+    (List.map2
+       (fun (b : Batch.t) m ->
+         match m, kind with
+         | _ when Batch.live b = 0 -> []
+         | Keep [||], _ -> []
+         | Keep sel, _ -> [ Batch.narrow b sel ]
+         | Sets sets, Nest { label; _ } ->
+           let col = Array.make b.Batch.len Value.Null in
+           let k = ref 0 in
+           Batch.iter_live b (fun i ->
+               col.(i) <- sets.(!k);
+               incr k);
+           [ Batch.add_col b label (Batch.Boxed col) ]
+         | Pairs { ps; bs }, _ ->
+           let pcols, bcols = pair_cols ~swap b table in
+           (* An outer join's padded row keeps its probe columns whole,
+              tail-bound names included, as [Env.bind] on the probe row
+              leaves them; a matched row reads those names from the
+              tail, as every pair does. *)
+           let padded_probe ps bs =
+             if (match kind with Outer -> false | _ -> true)
+                || Array.for_all (fun r -> r >= 0) bs
+             then []
+             else
+               List.filter_map
+                 (fun (x, c) ->
+                   if List.mem_assoc x pcols || List.mem_assoc x bcols then None
+                   else
+                     let tail = Env.find x b.Batch.tail in
+                     Some
+                       ( x,
+                         Batch.Boxed
+                           (Array.mapi
+                              (fun j i ->
+                                if bs.(j) < 0 then Batch.get c i else tail)
+                              ps) ))
+                 (distinct_cols b.Batch.cols)
+           in
+           let n = Array.length ps in
+           let size = max 1 fr.batch in
+           List.init ((n + size - 1) / size) (fun k ->
+               let lo = k * size in
+               let len = min size (n - lo) in
+               let ps = if len = n then ps else Array.sub ps lo len in
+               let bs = if len = n then bs else Array.sub bs lo len in
+               let g gather idx cols =
+                 List.map (fun (x, c) -> (x, gather c idx)) cols
+               in
+               Batch.of_cols len
+                 (g Batch.gather ps pcols
+                 @ g Batch.gather_padded bs bcols
+                 @ padded_probe ps bs)
+                 b.Batch.tail)
+         | Sets _, _ -> assert false)
+       probe_b outcomes)
+
+(* A right-build hash operator's probe over its probe batches. *)
+let hash_probe fr catalog ~kind ~residual ~key ~table probe_b =
+  probe_batches fr probe_b
+    (probe_batch catalog ~kind ~residual ~key ~table)
+    concat_matched
+  |> emit fr ~kind ~table probe_b
 
 (* What an operator's one implementation produces: the columnar operators
    (scan, filter, extend, project and the hash-join family) emit batches,
-   every other operator emits rows. Consumers convert at the boundary. *)
+   every other operator emits rows, which enter batches in [batches_fr]
+   alone. *)
 type produced = Batches of Batch.t list | Rows of Env.t list
 
 let produced_count = function
   | Batches bs -> Batch.live_total bs
   | Rows rows -> List.length rows
-
-(* Output rows of a row-emitting hash operator, per source batch, as
-   batches of the frame's width. *)
-let rebatch fr per_batch =
-  Batches (Batch.of_rows ~size:fr.batch (List.concat per_batch))
 
 let rec rows_fr fr catalog env plan =
   match exec_timed fr catalog env plan with
@@ -540,7 +1013,7 @@ let rec rows_fr fr catalog env plan =
 and batches_fr fr catalog env plan =
   match exec_timed fr catalog env plan with
   | Batches bs -> bs
-  | Rows rows -> Batch.of_rows ~size:fr.batch rows
+  | Rows rows -> Batch.of_rows ~size:fr.batch (P.vars_of plan) env rows
 
 (* Timing, loop counts and trace spans attach around the operator's own
    work; conversion at a batch/row boundary is not charged. *)
@@ -589,74 +1062,36 @@ and exec fr catalog env plan =
       let t = Cobj.Catalog.find_exn table catalog in
       Batches (Batch.of_values ~size:fr.batch var env (Cobj.Table.rows t))
     | P.Filter { pred; input } ->
-      let predfn = Compile.pred catalog pred in
-      let kern = Vexpr.compile catalog pred in
-      let inb = batches_fr (c0 fr) catalog env input in
-      let out =
-        List.filter_map
-          (fun b ->
-            let row_sel () =
-              note_fallback ();
-              let acc = ref [] in
-              Batch.iter_live b (fun i ->
-                  stats.Stats.predicate_evals <-
-                    stats.Stats.predicate_evals + 1;
-                  if predfn (Batch.env_at b i) then acc := i :: !acc);
-              Array.of_list (List.rev !acc)
-            in
-            let sel =
-              match kern with
-              | Some k when Batch.is_cols b -> (
-                match Vexpr.truth_sel k b with
-                | sel ->
-                  stats.Stats.predicate_evals <-
-                    stats.Stats.predicate_evals + Batch.live b;
-                  sel
-                | exception (Value.Type_error _ | Interp.Undefined _) ->
-                  row_sel ())
-              | _ -> row_sel ()
-            in
-            if Array.length sel = 0 then None else Some (Batch.narrow b sel))
-          inb
-      in
-      Batches out
+      let sel = select ~stats catalog pred in
+      Batches
+        (List.filter_map
+           (fun b ->
+             match sel b with
+             | [||] -> None
+             | s -> Some (Batch.narrow b s))
+           (batches_fr (c0 fr) catalog env input))
     | P.Extend_op { var; expr; input } ->
-      let exprfn = Compile.expr catalog expr in
-      let kern = Vexpr.compile catalog expr in
-      let inb = batches_fr (c0 fr) catalog env input in
-      let out =
-        List.map
-          (fun b ->
-            let row_ext () =
-              note_fallback ();
-              let acc = ref [] in
-              Batch.iter_live b (fun i ->
-                  let r = Batch.env_at b i in
-                  acc := Env.bind var (exprfn r) r :: !acc);
-              Batch.of_rows_array (Array.of_list (List.rev !acc))
-            in
-            match kern with
-            | Some k when Batch.is_cols b -> (
-              match k b with
-              | c -> Batch.add_col b var c
-              | exception (Value.Type_error _ | Interp.Undefined _) ->
-                row_ext ())
-            | _ -> row_ext ())
-          inb
-      in
-      Batches out
+      let col = column catalog expr in
+      Batches
+        (List.map
+           (fun b -> Batch.add_col b var (col b))
+           (batches_fr (c0 fr) catalog env input))
     | P.Project_op { vars; input } ->
+      (* The tail is shared by every row, so rows order and compare as the
+         vectors of their projected values in label order, as
+         [Env.compare] orders the projected rows over the tail. *)
+      let names = List.sort_uniq String.compare vars in
       let inb = batches_fr (c0 fr) catalog env input in
       let acc = ref [] in
       List.iter
         (fun b ->
           Batch.iter_live b (fun i ->
-              acc :=
-                Env.append (Env.project vars (Batch.env_at b i)) env :: !acc))
+              let row = List.map (fun x -> Batch.value b x i) names in
+              acc := Value.List row :: !acc))
         inb;
       Batches
-        (Batch.of_rows ~size:fr.batch
-           (List.sort_uniq Env.compare (List.rev !acc)))
+        (Batch.of_tuples ~size:fr.batch names env
+           (List.sort_uniq Value.compare (List.rev !acc)))
     | P.Hash_join { lkey; rkey; residual; left; right } ->
       let lb = batches_fr (c0 fr) catalog env left in
       let nl = Batch.live_total lb in
@@ -668,119 +1103,57 @@ and exec fr catalog env plan =
           ( false,
             lb,
             lkeyer,
-            build_table fr catalog env plan ~nprobe:nl right rkeyer )
+            build_table fr catalog env plan ~nprobe:nl
+              ~names:(Some (P.vars_of right)) right rkeyer )
         | None ->
           let rb = batches_fr (c1 fr) catalog env right in
           let swap = Batch.live_total rb > nl in
           if swap then
             stats.Stats.build_side_swaps <- stats.Stats.build_side_swaps + 1;
-          let probe_b, build_b, probe_key, build_key =
-            if swap then (rb, lb, rkeyer, lkeyer) else (lb, rb, lkeyer, rkeyer)
+          let probe_b, build_b, probe_key, build_key, build_plan =
+            if swap then (rb, lb, rkeyer, lkeyer, left)
+            else (lb, rb, lkeyer, rkeyer, right)
           in
-          (swap, probe_b, probe_key, hash_batches fr build_key build_b)
+          ( swap,
+            probe_b,
+            probe_key,
+            hash_batches fr ~names:(P.vars_of build_plan) build_key build_b )
       in
-      let merged_of p m = if swap then Env.append p m else Env.append m p in
-      let rok = residual_check catalog residual in
-      probe_batches fr probe_b (fun st b ->
-          let key = probe_key b in
-          let acc = ref [] in
-          Batch.iter_live b (fun i ->
-              match probe ~stats:st table (key i) with
-              | [] -> ()
-              | ms ->
-                (* Late materialization: the probe env is only built once
-                   the Bloom screen and table lookup found matches. *)
-                let p = Batch.env_at b i in
-                List.iter
-                  (fun m ->
-                    let merged = merged_of p m in
-                    if rok st merged then acc := merged :: !acc)
-                  ms);
-          List.rev !acc)
-      |> rebatch fr
+      Batches
+        (hash_probe fr catalog ~kind:(Join { swap }) ~residual ~key:probe_key
+           ~table probe_b)
     | P.Hash_semijoin { lkey; rkey; residual; anti; left; right } ->
       let lb = batches_fr (c0 fr) catalog env left in
       let lkeyer, rkeyer = key_pair catalog lkey rkey in
-      let table =
-        build_table fr catalog env plan ~nprobe:(Batch.live_total lb) right
-          rkeyer
+      let names =
+        match residual with None -> None | Some _ -> Some (P.vars_of right)
       in
-      let rok = residual_check catalog residual in
-      let sels =
-        probe_batches fr lb (fun st b ->
-            let key = lkeyer b in
-            let acc = ref [] in
-            Batch.iter_live b (fun i ->
-                let ms = probe ~stats:st table (key i) in
-                let found =
-                  match residual with
-                  | None -> ms <> []
-                  | Some _ ->
-                    let l = Batch.env_at b i in
-                    List.exists (fun r -> rok st (Env.append r l)) ms
-                in
-                if found <> anti then acc := i :: !acc);
-            List.rev !acc)
+      let table =
+        build_table fr catalog env plan ~nprobe:(Batch.live_total lb) ~names
+          right rkeyer
       in
       Batches
-        (List.filter_map
-           (fun (b, sel) ->
-             match sel with
-             | [] -> None
-             | _ :: _ -> Some (Batch.narrow b (Array.of_list sel)))
-           (List.combine lb sels))
+        (hash_probe fr catalog ~kind:(Semi { anti }) ~residual ~key:lkeyer
+           ~table lb)
     | P.Hash_outerjoin { lkey; rkey; residual; left; right } ->
-      let rvars = P.vars_of right in
       let lb = batches_fr (c0 fr) catalog env left in
       let lkeyer, rkeyer = key_pair catalog lkey rkey in
       let table =
-        build_table fr catalog env plan ~nprobe:(Batch.live_total lb) right
-          rkeyer
+        build_table fr catalog env plan ~nprobe:(Batch.live_total lb)
+          ~names:(Some (P.vars_of right)) right rkeyer
       in
-      let rok = residual_check catalog residual in
-      probe_batches fr lb (fun st b ->
-          let key = lkeyer b in
-          let acc = ref [] in
-          Batch.iter_live b (fun i ->
-              let ms = probe ~stats:st table (key i) in
-              let l = Batch.env_at b i in
-              let matches =
-                List.filter_map
-                  (fun r ->
-                    let merged = Env.append r l in
-                    if rok st merged then Some merged else None)
-                  ms
-              in
-              match matches with
-              | [] -> acc := pad_nulls rvars l :: !acc
-              | _ :: _ -> List.iter (fun m -> acc := m :: !acc) matches);
-          List.rev !acc)
-      |> rebatch fr
+      Batches
+        (hash_probe fr catalog ~kind:Outer ~residual ~key:lkeyer ~table lb)
     | P.Hash_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-      let funcfn = Compile.expr catalog func in
       let lb = batches_fr (c0 fr) catalog env left in
       let lkeyer, rkeyer = key_pair catalog lkey rkey in
       let table =
-        build_table fr catalog env plan ~nprobe:(Batch.live_total lb) right
-          rkeyer
+        build_table fr catalog env plan ~nprobe:(Batch.live_total lb)
+          ~names:(Some (P.vars_of right)) right rkeyer
       in
-      let rok = residual_check catalog residual in
-      probe_batches fr lb (fun st b ->
-          let key = lkeyer b in
-          let acc = ref [] in
-          Batch.iter_live b (fun i ->
-              let ms = probe ~stats:st table (key i) in
-              let l = Batch.env_at b i in
-              let members =
-                List.filter_map
-                  (fun r ->
-                    let merged = Env.append r l in
-                    if rok st merged then Some (funcfn merged) else None)
-                  ms
-              in
-              acc := Env.bind label (Value.set members) l :: !acc);
-          List.rev !acc)
-      |> rebatch fr
+      Batches
+        (hash_probe fr catalog ~kind:(Nest { label; func }) ~residual
+           ~key:lkeyer ~table lb)
     | P.Unit_row -> Rows [ env ]
     | P.Nl_join { pred; left; right } ->
       let predfn = Compile.pred catalog pred in
@@ -1116,11 +1489,11 @@ and exec fr catalog env plan =
    cache without running its scan or counting [hash_builds]; an empty
    probe side fetches nothing, so an unused entry stays cold. Any other
    build runs the right operand and hashes it on [key]. *)
-and build_table fr catalog env plan ~nprobe right key =
+and build_table fr catalog env plan ~nprobe ~names right key =
   match P.cached_build plan with
   | Some _ when nprobe = 0 -> no_table
-  | Some c -> cached_view ~bloom:fr.bloom catalog env c
-  | None -> hash_batches fr key (batches_fr (c1 fr) catalog env right)
+  | Some c -> cached_view ~bloom:fr.bloom catalog c
+  | None -> hash_batches fr ?names key (batches_fr (c1 fr) catalog env right)
 
 and sorted_groups ~stats fr catalog env plan key_expr =
   let keyfn = Compile.expr catalog key_expr in
@@ -1152,10 +1525,10 @@ and merge_groups ls rs =
     else if c < 0 then merge_groups ls' rs
     else merge_groups ls rs'
 
+(* The result expression runs as a kernel over the plan's batches once the
+   plan has run, with the row replay per batch on a miss or a raise. *)
 and run_under_fr fr catalog env { P.plan; result } =
-  let resultfn = Compile.expr catalog result in
-  let produced = rows_fr fr catalog env plan in
-  Value.set (List.map resultfn produced)
+  Value.set (values catalog result (batches_fr fr catalog env plan))
 
 let clamp_jobs jobs = max 1 (min jobs Pool.max_jobs)
 
@@ -1166,6 +1539,16 @@ let frame ?node ?(gate = parallel_rows) ~jobs ~bloom ~batch sink =
 let rows ?(stats = no_stats) ?(jobs = 1) ?gate ?(bloom = true) ?batch catalog
     env plan =
   rows_fr (frame ~jobs ?gate ~bloom ~batch stats) catalog env plan
+
+let batches ?(stats = no_stats) ?(jobs = 1) ?gate ?(bloom = true) ?batch
+    catalog env plan =
+  batches_fr (frame ~jobs ?gate ~bloom ~batch stats) catalog env plan
+
+let batches_instrumented ?(jobs = 1) ?gate ?(bloom = true) ?batch node catalog
+    env plan =
+  batches_fr
+    (frame ~node ~jobs ?gate ~bloom ~batch node.Stats.counters)
+    catalog env plan
 
 let rows_instrumented ?(jobs = 1) ?gate ?(bloom = true) ?batch node catalog
     env plan =

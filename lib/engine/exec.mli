@@ -64,10 +64,13 @@ val rows :
     Every physical operator has exactly one implementation. Scan, filter,
     extend, project and the hash-join family run on columnar batches:
     scans emit column batches, filters narrow selection vectors, and the
-    hash joins probe per batch with late materialization. The other
-    operators run row-at-a-time, with batches built or flattened where
-    the two meet. Expression kernels ({!Vexpr}) cover the scalar
-    fragment, and a hash key that is a tuple of such expressions on both
+    hash joins keep their build sides as columns chained by key and emit
+    gathers of probe and build columns (a nest join adds its label column
+    to the probe batch). The other operators run row-at-a-time; their
+    rows enter batches in one place, one column per {!Physical.vars_of}
+    variable. Expression kernels ({!Vexpr}) cover the scalar, tuple,
+    set-test and aggregate fragment, residuals and nest-join functions
+    included, and a hash key that is a tuple of such expressions on both
     sides is evaluated component-wise and compared as the vector of its
     components in label order; anything else, and everything when
     [Compile.enabled] is false, evaluates through the {!Compile} closures
@@ -76,6 +79,31 @@ val rows :
     [batch] (default {!default_batch}, i.e. [NESTQL_BATCH] or 1024) is
     the physical batch width; values below 1 are clamped to 1. Results,
     row order and every [Stats] counter are identical at every width. *)
+
+val batches :
+  ?stats:Stats.t ->
+  ?jobs:int ->
+  ?gate:int ->
+  ?bloom:bool ->
+  ?batch:int ->
+  Cobj.Catalog.t ->
+  Cobj.Env.t ->
+  Physical.t ->
+  Batch.t list
+(** Like {!rows}, but the plan's output batches as they leave its root:
+    columns over the ambient environment. *)
+
+val batches_instrumented :
+  ?jobs:int ->
+  ?gate:int ->
+  ?bloom:bool ->
+  ?batch:int ->
+  Stats.node ->
+  Cobj.Catalog.t ->
+  Cobj.Env.t ->
+  Physical.t ->
+  Batch.t list
+(** {!batches} under per-operator instrumentation, as {!rows_instrumented}. *)
 
 val rows_instrumented :
   ?jobs:int ->
@@ -127,6 +155,29 @@ val run_under :
   Cobj.Env.t ->
   Physical.query ->
   Cobj.Value.t
+
+(** {2 Expressions over batches}
+
+    Each compiles its expression once when partially applied; a kernel
+    ({!Vexpr}) that is missing or raises falls back to the {!Compile}
+    closure over the batch's rows in order, so values, counters and the
+    first error are those of row-at-a-time evaluation. Fallbacks count in
+    the [exec.batch.kernel_fallbacks] metric. *)
+
+val kernel_column :
+  Cobj.Catalog.t -> Lang.Ast.expr -> Batch.t -> Batch.col option
+(** The kernel's column, or [None] for the caller's own row path. *)
+
+val column : Cobj.Catalog.t -> Lang.Ast.expr -> Batch.t -> Batch.col
+(** The expression's value at every live slot. *)
+
+val select :
+  ?stats:Stats.t -> Cobj.Catalog.t -> Lang.Ast.expr -> Batch.t -> int array
+(** The live slots where the predicate holds ({!Compile.pred}'s reading),
+    ascending; each evaluation counts in [predicate_evals]. *)
+
+val values : Cobj.Catalog.t -> Lang.Ast.expr -> Batch.t list -> Cobj.Value.t list
+(** The expression's value on every live row, in order. *)
 
 val is_cached : Cobj.Table.t -> string -> bool
 (** [is_cached t field]: whether the cached build side of [t] keyed on

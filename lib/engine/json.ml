@@ -44,7 +44,7 @@ let float_repr x =
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Int n -> Cobj.Value.add_int buf n
   | Int64 n -> Buffer.add_string buf (Int64.to_string n)
   | Float x -> Buffer.add_string buf (float_repr x)
   | String s ->

@@ -1,9 +1,10 @@
 (* Vectorized expression kernels.
 
-   [compile] translates the scalar / comparison / arithmetic fragment
-   of [Lang.Ast] into per-batch kernels that evaluate column-at-a-time
-   over a [Batch.t]; expressions outside the fragment yield [None] and
-   the caller falls back to the row-compiled closure ([Compile]).
+   [compile] translates the scalar / comparison / arithmetic / set-test /
+   tuple / aggregate fragment of [Lang.Ast] into per-batch kernels that
+   evaluate column-at-a-time over a [Batch.t]; expressions outside the
+   fragment yield [None] and the caller falls back to the row-compiled
+   closure ([Compile]).
 
    Semantics contract: on the rows selected by the batch, a kernel
    computes exactly the values (and raises exactly the exceptions) the
@@ -249,6 +250,16 @@ let arith_kernel op ka kb : kernel =
         int_loop (fun _ -> k) (Array.unsafe_get xb)
     | _ -> generic_map2 b prim ca cb
 
+(* IN and the set comparisons, through the row closure's own test. *)
+let test_kernel test ka kb : kernel =
+ fun b ->
+  let ca = ka b and cb = kb b in
+  let out = Bytes.make b.Batch.len '\000' in
+  Batch.iter_live b (fun i ->
+      if test (Batch.get ca i) (Batch.get cb i) then
+        Bytes.unsafe_set out i '\001');
+  Batch.Bools out
+
 let if_kernel kc ka kb : kernel =
  fun b ->
   let bc = bool_bytes b (kc b) in
@@ -262,6 +273,49 @@ let if_kernel kc ka kb : kernel =
   fill (select_where b bc true) ka;
   fill (select_where b bc false) kb;
   compress b (Batch.Boxed out)
+
+(* A tuple constructor: components evaluated per batch, fields in label
+   order as [Value.tuple] sorts them (its sort is stable, like this one). *)
+let tuple_kernel fields : kernel =
+  let fields =
+    List.stable_sort (fun (a, _) (b, _) -> String.compare a b) fields
+  in
+  let rec dup = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+        if String.equal a b then Some a else dup rest
+    | [ _ ] | [] -> None
+  in
+  match dup fields with
+  | Some l ->
+      (* [Value.tuple] raises [Invalid_argument], which callers do not
+         catch; raising a type error sends the batch to the row replay,
+         where the closure raises the tuple's own error in row order. *)
+      fun _ -> Value.type_error "duplicate label %S" l
+  | None ->
+      fun b ->
+        let cols = List.map (fun (l, k) -> (l, k b)) fields in
+        let out = Array.make b.Batch.len Value.Null in
+        Batch.iter_live b (fun i ->
+            out.(i) <-
+              Value.Tuple (List.map (fun (l, c) -> (l, Batch.get c i)) cols));
+        Batch.Boxed out
+
+(* An aggregate over a collection column, row by row through the same
+   primitive as the row closure; COUNT goes straight to an int column. *)
+let agg_kernel agg ka : kernel =
+ fun b ->
+  let c = ka b in
+  match agg with
+  | Ast.Count ->
+      let out = Array.make b.Batch.len 0 in
+      Batch.iter_live b (fun i ->
+          out.(i) <- List.length (Value.elements (Batch.get c i)));
+      Batch.Ints out
+  | _ ->
+      let out = Array.make b.Batch.len Value.Null in
+      Batch.iter_live b (fun i ->
+          out.(i) <- Lang.Interp.Prim.aggregate agg (Batch.get c i));
+      compress b (Batch.Boxed out)
 
 (* Field extraction is the dominant per-batch cost (a [Value.field]
    call per live row), and predicates routinely reference the same
@@ -294,7 +348,7 @@ let compile catalog (e : Ast.expr) : kernel option =
           (fun b ->
             match Batch.col b x with
             | Some c -> c
-            | None -> Batch.Const (Env.find x (Batch.tail b)))
+            | None -> Batch.Const (Env.find x b.Batch.tail))
     | Ast.TableRef name -> (
         (* Resolved eagerly, like [Compile]: unknown names still fail at
            evaluation time, matching the interpreter. *)
@@ -324,6 +378,20 @@ let compile catalog (e : Ast.expr) : kernel option =
     | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod) as op), a, b)
       ->
         compile2 (arith_kernel op) a b
+    | Ast.Binop
+        ( ((Ast.Mem | Ast.Subseteq | Ast.Subset | Ast.Supseteq | Ast.Supset)
+           as op),
+          a,
+          b ) ->
+        compile2 (test_kernel (Compile.set_test_of op)) a b
+    | Ast.TupleE fields ->
+        let ks =
+          List.map (fun (l, e1) -> Option.map (fun k -> (l, k)) (compile e1)) fields
+        in
+        if List.for_all Option.is_some ks then
+          Some (tuple_kernel (List.map Option.get ks))
+        else None
+    | Ast.Agg (agg, e1) -> Option.map (agg_kernel agg) (compile e1)
     | Ast.If (c, a, b) -> (
         match (compile c, compile a, compile b) with
         | Some kc, Some ka, Some kb -> Some (if_kernel kc ka kb)
@@ -340,4 +408,5 @@ let compile catalog (e : Ast.expr) : kernel option =
 
 (* Predicate form: live indices satisfying [k], ascending.  [as_bool]
    is applied per live row, as [Compile.pred] would. *)
-let truth_sel (k : kernel) b = select_where b (bool_bytes b (k b)) true
+let truth (k : kernel) b = bool_bytes b (k b)
+let truth_sel (k : kernel) b = select_where b (truth k b) true

@@ -35,7 +35,7 @@ let test_batch_chunking () =
   Alcotest.(check int) "empty: no batches" 0
     (List.length (Batch.of_values ~size:2 "v" Env.empty []));
   Alcotest.(check int) "empty rows: no batches" 0
-    (List.length (Batch.of_rows ~size:4 []));
+    (List.length (Batch.of_rows ~size:4 [] Env.empty []));
   (* a singleton input is one short batch *)
   let one = Batch.of_values ~size:1024 "v" Env.empty [ Value.Int 7 ] in
   Alcotest.(check (list int)) "singleton" [ 1 ] (List.map Batch.live one)
@@ -72,6 +72,29 @@ let test_late_materialization () =
   Alcotest.check value "new column" (Value.Int 5) (Env.find "w" env);
   Alcotest.check value "scan column" (Value.Int 0) (Env.find "v" env);
   Alcotest.check value "ambient tail" (Value.Int 99) (Env.find "outer" env)
+
+(* [env_at] builds in one pass what binding the columns oldest-first over
+   the tail built: same bindings in the same order, on random column sets
+   whose names repeat and shadow the tail. *)
+let prop_env_at_one_pass =
+  let name = QCheck2.Gen.oneofl [ "a"; "b"; "c"; "d" ] in
+  let binding =
+    QCheck2.Gen.(pair name (map (fun i -> Value.Int i) small_int))
+  in
+  qcheck ~count:300 "env_at = fold of binds"
+    QCheck2.Gen.(pair (list_size (int_range 0 5) binding)
+                   (list_size (int_range 0 5) binding))
+    (fun (cols, tail) ->
+      let tail = Env.of_bindings tail in
+      let b =
+        Batch.of_cols 1 (List.map (fun (x, v) -> (x, Batch.Const v)) cols) tail
+      in
+      let old =
+        List.fold_left
+          (fun acc (x, v) -> Env.bind x v acc)
+          tail (List.rev cols)
+      in
+      Env.bindings (Batch.env_at b 0) = Env.bindings old)
 
 (* --- executor edge cases -------------------------------------------------- *)
 
@@ -188,6 +211,143 @@ let prop_batch_width_invariant =
                 [ 1; 4 ]
              @ [ (4, 1024) ]))
 
+(* --- the columnar hash-join family ------------------------------------- *)
+
+module P = Engine.Physical
+
+let e = Lang.Parser.expr
+let scan table var = P.Scan { table; var }
+
+(* Output rows and counters of a plan, with the row-fallback count. *)
+let run_plan ?(batch = 1024) catalog plan =
+  let stats = Stats.create () in
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.enable ();
+  let before = Obs.Metrics.counter "exec.batch.kernel_fallbacks" in
+  let bs = Exec.batches ~stats ~batch catalog Env.empty plan in
+  let fell = Obs.Metrics.counter "exec.batch.kernel_fallbacks" - before in
+  if not was then Obs.Metrics.disable ();
+  (bs, stats, fell)
+
+(* Every hash operator over X x and Y y, cached builds ([y.d]) and built
+   ones ([y.d + 0]) alike. *)
+let hash_family rkey =
+  let lkey = e "x.b" and left = scan "X" "x" and right = scan "Y" "y" in
+  let residual = Some (e "y.c >= x.a") in
+  [
+    ("join", P.Hash_join { lkey; rkey; residual = None; left; right });
+    ("join+residual", P.Hash_join { lkey; rkey; residual; left; right });
+    ( "semijoin",
+      P.Hash_semijoin { lkey; rkey; residual = None; anti = false; left; right }
+    );
+    ( "semijoin+residual",
+      P.Hash_semijoin { lkey; rkey; residual; anti = false; left; right } );
+    ( "antijoin+residual",
+      P.Hash_semijoin { lkey; rkey; residual; anti = true; left; right } );
+    ( "outerjoin+residual",
+      P.Hash_outerjoin { lkey; rkey; residual; left; right } );
+    ( "nestjoin+residual",
+      P.Hash_nestjoin
+        { lkey; rkey; residual; func = e "y.c + x.a"; label = "z"; left; right }
+    );
+  ]
+
+let test_hash_family_columns () =
+  let catalog = xy_catalog () in
+  List.iter
+    (fun rkey ->
+      List.iter
+        (fun (name, plan) ->
+          List.iter
+            (fun batch ->
+              let bs, _, fell = run_plan ~batch catalog plan in
+              Alcotest.(check int) (name ^ ": no row fallback") 0 fell;
+              List.iter
+                (fun b ->
+                  List.iter
+                    (fun x ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s: column %s" name x)
+                        true
+                        (Option.is_some (Batch.col b x)))
+                    (P.vars_of plan))
+                bs)
+            [ 1; 2; 1024 ])
+        (hash_family rkey))
+    [ e "y.d"; e "y.d + 0" ]
+
+let test_cached_gather () =
+  (* A cached build ([y.d], a bare scan keyed on a field) and the same
+     build hashed at run time ([y.d + 0]) give the same rows in the same
+     order, and the operator itself counts alike but for [hash_builds]
+     (the scan under the built one counts its own rows). *)
+  let catalog = xy_catalog () in
+  let run plan =
+    let tree = Engine.Analyze.tree_of_plan plan in
+    let rows = Exec.rows_instrumented tree catalog Env.empty plan in
+    (rows, tree.Stats.counters)
+  in
+  List.iter2
+    (fun (name, cached) (_, built) ->
+      Alcotest.(check bool) (name ^ ": cached") true
+        (Option.is_some (P.cached_build cached));
+      let crows, cs = run cached in
+      let brows, bs = run built in
+      Alcotest.(check bool) (name ^ ": same rows, same order") true
+        (List.equal Env.equal crows brows);
+      Alcotest.(check int) (name ^ ": cached counts no build") 0
+        cs.Stats.hash_builds;
+      Alcotest.(check bool) (name ^ ": built counts its build") true
+        (bs.Stats.hash_builds > 0);
+      Alcotest.(check bool) (name ^ ": other counters") true
+        ({ cs with Stats.hash_builds = 0 } = { bs with Stats.hash_builds = 0 }))
+    (hash_family (e "y.d"))
+    (hash_family (e "y.d + 0"))
+
+let test_semijoin_stops_at_first_match () =
+  (* X's one row matches three Y rows, in order a = 1, 2, 3. The residual
+     is false on the first, true on the second and raises (division by
+     zero) on the third, which the row loop never evaluates. A kernel
+     round over the second and third does; the batch is replayed, and the
+     answer is the row loop's: the row kept, two evaluations, no error. *)
+  let catalog =
+    Catalog.of_tables
+      [
+        Table.create ~name:"X" ~elt:(Ctype.ttuple [ ("b", Ctype.TInt) ])
+          [ tup [ ("b", vi 1) ] ];
+        Table.create ~name:"Y"
+          ~elt:(Ctype.ttuple [ ("a", Ctype.TInt); ("b", Ctype.TInt) ])
+          (List.map (fun a -> tup [ ("a", vi a); ("b", vi 1) ]) [ 1; 2; 3 ]);
+      ]
+  in
+  let plan =
+    P.Hash_semijoin
+      {
+        lkey = e "x.b";
+        rkey = e "y.b + 0";
+        residual = Some (e "y.a = 2 OR 10 / (y.a - 3) = 7");
+        anti = false;
+        left = scan "X" "x";
+        right = scan "Y" "y";
+      }
+  in
+  let kernel_rows, ks, fell = run_plan catalog plan in
+  let row_rows, rs =
+    let enabled = !Engine.Compile.enabled in
+    Engine.Compile.enabled := false;
+    Fun.protect
+      ~finally:(fun () -> Engine.Compile.enabled := enabled)
+      (fun () ->
+        let bs, s, _ = run_plan catalog plan in
+        (bs, s))
+  in
+  Alcotest.(check int) "one row kept" 1 (Batch.live_total kernel_rows);
+  Alcotest.(check int) "row path agrees" 1 (Batch.live_total row_rows);
+  Alcotest.(check int) "evaluations up to the first true match" 2
+    ks.Stats.predicate_evals;
+  Alcotest.(check bool) "counters = row path's" true (ks = rs);
+  Alcotest.(check int) "the raising round was replayed" 1 fell
+
 (* [~vector:false] names an engine that does not exist: the pipeline
    rejects it instead of silently running the only one there is. *)
 let test_no_row_engine () =
@@ -211,6 +371,13 @@ let suite =
     Alcotest.test_case "batch chunking" `Quick test_batch_chunking;
     Alcotest.test_case "selection vectors" `Quick test_selection_vectors;
     Alcotest.test_case "late materialization" `Quick test_late_materialization;
+    prop_env_at_one_pass;
+    Alcotest.test_case "hash family: columns out" `Quick
+      test_hash_family_columns;
+    Alcotest.test_case "hash family: cached gather = built" `Quick
+      test_cached_gather;
+    Alcotest.test_case "semijoin stops at its first match" `Quick
+      test_semijoin_stops_at_first_match;
     Alcotest.test_case "filter edge cases" `Quick test_filter_edges;
     Alcotest.test_case "join edge cases" `Quick test_join_edges;
     prop_batch_width_invariant;

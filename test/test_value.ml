@@ -165,8 +165,51 @@ let prop_pp_one_line =
       let s = Buffer.contents buf in
       String.equal s (Value.to_string v) && not (String.contains s '\n'))
 
+(* [Value.add_int] spells every integer as [string_of_int] does. *)
+let prop_add_int =
+  qcheck ~count:1000 "add_int = string_of_int"
+    QCheck2.Gen.(
+      oneof
+        [
+          int;
+          small_signed_int;
+          oneofl [ 0; 1; -1; 9; 10; -10; min_int; max_int; min_int + 1 ];
+        ])
+    (fun n ->
+      let buf = Buffer.create 24 in
+      Value.add_int buf n;
+      String.equal (Buffer.contents buf) (string_of_int n))
+
+let test_add_int_edges () =
+  List.iter
+    (fun n ->
+      let buf = Buffer.create 24 in
+      Value.add_int buf n;
+      Alcotest.(check string) (string_of_int n) (string_of_int n)
+        (Buffer.contents buf))
+    [ 0; 1; -1; min_int; max_int ]
+
+(* [Value.set] is [List.sort_uniq Value.compare] to the last bit, on long
+   inputs too, where equal elements may still differ (1 and 1.0). *)
+let prop_set_is_sort_uniq =
+  let elt =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun i -> Value.Int i) (int_range (-5) 5);
+          map (fun i -> Value.Float (float_of_int i)) (int_range (-5) 5);
+          value_gen;
+        ])
+  in
+  qcheck ~count:300 "set = List.sort_uniq compare"
+    QCheck2.Gen.(list_size (int_range 0 60) elt)
+    (fun l -> Value.set l = Value.Set (List.sort_uniq Value.compare l))
+
 let suite =
   [
+    prop_set_is_sort_uniq;
+    prop_add_int;
+    Alcotest.test_case "add_int edge cases" `Quick test_add_int_edges;
     Alcotest.test_case "set dedup and sort" `Quick test_set_dedup_sort;
     Alcotest.test_case "nested set dedup" `Quick test_set_nested_dedup;
     Alcotest.test_case "tuple fields sorted" `Quick test_tuple_sorted;
