@@ -207,9 +207,6 @@ let prop_set_is_sort_uniq =
 
 let suite =
   [
-    prop_set_is_sort_uniq;
-    prop_add_int;
-    Alcotest.test_case "add_int edge cases" `Quick test_add_int_edges;
     Alcotest.test_case "set dedup and sort" `Quick test_set_dedup_sort;
     Alcotest.test_case "nested set dedup" `Quick test_set_nested_dedup;
     Alcotest.test_case "tuple fields sorted" `Quick test_tuple_sorted;
@@ -226,4 +223,7 @@ let suite =
     Alcotest.test_case "render golden cases" `Quick test_render_golden;
     prop_pp_parse_roundtrip;
     prop_pp_one_line;
+    prop_set_is_sort_uniq;
+    prop_add_int;
+    Alcotest.test_case "add_int edge cases" `Quick test_add_int_edges;
   ]
