@@ -99,33 +99,7 @@ let tuple fields =
   check sorted;
   Tuple sorted
 
-(* Long inputs sort as an array, which allocates a few words per element
-   where the list sort allocates a cons per element per merge level. Of
-   equal elements [List.sort_uniq] keeps one its merges pick; the array
-   path keeps the first, so it only answers when every equal pair is
-   identical and the pick cannot show. *)
-let sort_uniq elems =
-  let a = Array.of_list elems in
-  Array.stable_sort compare a;
-  let n = Array.length a in
-  let rec build i acc =
-    if i < 0 then Some acc
-    else
-      let c = if i = 0 then 1 else compare a.(i - 1) a.(i) in
-      if c <> 0 then build (i - 1) (a.(i) :: acc)
-      else if a.(i - 1) = a.(i) then build (i - 1) acc
-      else None
-  in
-  match build (n - 1) [] with
-  | Some sorted -> sorted
-  | None -> List.sort_uniq compare elems
-
-let set elems =
-  match elems with
-  | [] | [ _ ] -> Set elems
-  | _ when List.compare_length_with elems 16 < 0 ->
-    Set (List.sort_uniq compare elems)
-  | _ -> Set (sort_uniq elems)
+let set elems = Set (List.sort_uniq compare elems)
 let set_of_seq seq = set (List.of_seq seq)
 
 let rec assoc_label l = function

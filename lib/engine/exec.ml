@@ -712,11 +712,10 @@ let pair_env (b : Batch.t) (pcols, bcols) i r =
 
 (* The probe loop of one hash operator over one probe batch [b]: each
    live row's key probes [table], and [kind] decides what its matches
-   make. Residuals and the nest join's [func] run as kernels over batches
-   of candidate pairs, gathered with only the columns they read; a
-   semijoin evaluates its candidates in rounds, 1, 2, 4, ... further ones
-   per probe row still undecided, so it stops close to its first true
-   match. Counters go to a scratch [Stats.t], committed on success. A
+   make. Residuals and the nest join's [func] run as kernels over one
+   batch of candidate pairs, gathered with only the columns they read; a
+   semijoin counts [predicate_evals] up to each probe row's first true
+   match, as the row loop stops there. Counters go to a scratch [Stats.t], committed on success. A
    kernel that is missing, or an evaluation that raises, replays the batch
    row by row ([replay]), counting straight into [st], so counters and the
    first error are those of row order. Returns the outcome and whether it
@@ -799,59 +798,13 @@ let probe_batch catalog ~kind ~residual ~key ~table =
       let heads = Array.map (fun i -> probe loc table (at i)) slots in
       let out =
         match kind with
-        | Semi { anti } ->
-          let found = Array.map (fun h -> h >= 0) heads in
-          if Option.is_some residual then begin
-            (* [pending]: live rows with unevaluated candidates, their next
-               one in [heads]. *)
-            let pending =
-              ref
-                (List.filter
-                   (fun u -> heads.(u) >= 0)
-                   (List.init (Array.length slots) Fun.id))
-            in
-            Array.fill found 0 (Array.length found) false;
-            let width = ref 1 in
-            while !pending <> [] do
-              let ps = Ibuf.create () and bs = Ibuf.create () in
-              let ends =
-                List.map
-                  (fun u ->
-                    let k = ref 0 in
-                    while heads.(u) >= 0 && !k < !width do
-                      Ibuf.push ps slots.(u);
-                      Ibuf.push bs heads.(u);
-                      heads.(u) <- table.next.(heads.(u));
-                      incr k
-                    done;
-                    (u, ps.Ibuf.n))
-                  !pending
-              in
-              let pass = truth (Ibuf.contents ps) (Ibuf.contents bs) in
-              let lo = ref 0 in
-              pending :=
-                List.filter
-                  (fun (u, hi) ->
-                    let j = ref !lo in
-                    while !j < hi && Bytes.get pass !j = '\000' do
-                      incr j
-                    done;
-                    loc.Stats.predicate_evals <-
-                      loc.Stats.predicate_evals + min hi (!j + 1) - !lo;
-                    lo := hi;
-                    found.(u) <- !j < hi;
-                    (not found.(u)) && heads.(u) >= 0)
-                  ends
-                |> List.map fst;
-              width := 2 * !width
-            done
-          end;
+        | Semi { anti } when Option.is_none residual ->
           let kept = Ibuf.create () in
           Array.iteri
-            (fun u i -> if found.(u) <> anti then Ibuf.push kept i)
+            (fun u i -> if (heads.(u) >= 0) <> anti then Ibuf.push kept i)
             slots;
           Keep (Ibuf.contents kept)
-        | Join _ | Outer | Nest _ ->
+        | Semi _ | Join _ | Outer | Nest _ ->
           let cp = Ibuf.create () and cb = Ibuf.create () in
           Array.iteri
             (fun u i ->
@@ -862,8 +815,6 @@ let probe_batch catalog ~kind ~residual ~key ~table =
           let ps = Ibuf.contents cp and bs = Ibuf.contents cb in
           let n = Array.length ps in
           let pass = truth ps bs in
-          if Option.is_some residual then
-            loc.Stats.predicate_evals <- loc.Stats.predicate_evals + n;
           let passes j = Bytes.unsafe_get pass j <> '\000' in
           (* [f u lo hi]: live row [u] and its candidates' range. *)
           let groups f =
@@ -877,7 +828,25 @@ let probe_batch catalog ~kind ~residual ~key ~table =
                 f u lo !j)
               slots
           in
+          (* A semijoin counts the evaluations the row loop makes, up to
+             each probe row's first true match; the others count all. *)
           (match kind with
+          | Semi _ -> ()
+          | Join _ | Outer | Nest _ ->
+            if Option.is_some residual then
+              loc.Stats.predicate_evals <- loc.Stats.predicate_evals + n);
+          (match kind with
+          | Semi { anti } ->
+            let kept = Ibuf.create () in
+            groups (fun u lo hi ->
+                let j = ref lo in
+                while !j < hi && not (passes !j) do
+                  incr j
+                done;
+                loc.Stats.predicate_evals <-
+                  loc.Stats.predicate_evals + min hi (!j + 1) - lo;
+                if (!j < hi) <> anti then Ibuf.push kept slots.(u));
+            Keep (Ibuf.contents kept)
           | Nest _ ->
             let vals = Array.make n Value.Null in
             let live = Ibuf.create () in
@@ -1547,12 +1516,6 @@ let batches ?(stats = no_stats) ?(jobs = 1) ?gate ?(bloom = true) ?batch
 let batches_instrumented ?(jobs = 1) ?gate ?(bloom = true) ?batch node catalog
     env plan =
   batches_fr
-    (frame ~node ~jobs ?gate ~bloom ~batch node.Stats.counters)
-    catalog env plan
-
-let rows_instrumented ?(jobs = 1) ?gate ?(bloom = true) ?batch node catalog
-    env plan =
-  rows_fr
     (frame ~node ~jobs ?gate ~bloom ~batch node.Stats.counters)
     catalog env plan
 

@@ -103,22 +103,10 @@ val batches_instrumented :
   Cobj.Env.t ->
   Physical.t ->
   Batch.t list
-(** {!batches} under per-operator instrumentation, as {!rows_instrumented}. *)
-
-val rows_instrumented :
-  ?jobs:int ->
-  ?gate:int ->
-  ?bloom:bool ->
-  ?batch:int ->
-  Stats.node ->
-  Cobj.Catalog.t ->
-  Cobj.Env.t ->
-  Physical.t ->
-  Cobj.Env.t list
-(** Like {!rows}, but collecting per-operator counters, loop counts and
+(** Like {!batches}, but collecting per-operator counters, loop counts and
     wall-clock into a {!Stats.node} tree (built with
     [Analyze.tree_of_plan] so its shape matches the plan). Summing the tree
-    ({!Stats.totals}) yields exactly what {!rows} would have put in a
+    ({!Stats.totals}) yields exactly what {!batches} would have put in a
     global [Stats.t] — under any [jobs]: per-morsel counter sets are merged
     back into the owning operator's node in slice order. *)
 

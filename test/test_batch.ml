@@ -284,7 +284,10 @@ let test_cached_gather () =
   let catalog = xy_catalog () in
   let run plan =
     let tree = Engine.Analyze.tree_of_plan plan in
-    let rows = Exec.rows_instrumented tree catalog Env.empty plan in
+    let rows =
+      Batch.rows_of_batches
+        (Exec.batches_instrumented tree catalog Env.empty plan)
+    in
     (rows, tree.Stats.counters)
   in
   List.iter2

@@ -356,7 +356,7 @@ let prop_parallel_stats_exact =
             let instrument jobs =
               let tree = Engine.Analyze.tree_of_query pq in
               ignore
-                (Engine.Exec.rows_instrumented ~jobs ~gate:1 tree cat
+                (Engine.Exec.batches_instrumented ~jobs ~gate:1 tree cat
                    Cobj.Env.empty pq.Engine.Physical.plan);
               tree
             in

@@ -40,7 +40,10 @@ let catalogs =
 
 let instrument catalog plan =
   let tree = Analyze.tree_of_plan plan in
-  let rows = Exec.rows_instrumented tree catalog Env.empty plan in
+  let rows =
+    Engine.Batch.rows_of_batches
+      (Exec.batches_instrumented tree catalog Env.empty plan)
+  in
   (rows, tree)
 
 let table_size catalog name =
@@ -259,9 +262,9 @@ let json_shape () =
 let reset_node () =
   let catalog = List.assoc "default" catalogs in
   let tree = Analyze.tree_of_plan hash_nestjoin in
-  ignore (Exec.rows_instrumented tree catalog Env.empty hash_nestjoin);
+  ignore (Exec.batches_instrumented tree catalog Env.empty hash_nestjoin);
   let once = tree.Stats.counters.Stats.rows_out in
-  ignore (Exec.rows_instrumented tree catalog Env.empty hash_nestjoin);
+  ignore (Exec.batches_instrumented tree catalog Env.empty hash_nestjoin);
   Alcotest.(check int) "accumulates" (2 * once)
     tree.Stats.counters.Stats.rows_out;
   Alcotest.(check int) "loops accumulate" 2 tree.Stats.loops;
@@ -269,7 +272,7 @@ let reset_node () =
   Alcotest.(check int) "reset clears counters" 0
     tree.Stats.counters.Stats.rows_out;
   Alcotest.(check int) "reset clears loops" 0 tree.Stats.loops;
-  ignore (Exec.rows_instrumented tree catalog Env.empty hash_nestjoin);
+  ignore (Exec.batches_instrumented tree catalog Env.empty hash_nestjoin);
   Alcotest.(check int) "fresh after reset" once
     tree.Stats.counters.Stats.rows_out
 

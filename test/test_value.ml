@@ -189,22 +189,6 @@ let test_add_int_edges () =
         (Buffer.contents buf))
     [ 0; 1; -1; min_int; max_int ]
 
-(* [Value.set] is [List.sort_uniq Value.compare] to the last bit, on long
-   inputs too, where equal elements may still differ (1 and 1.0). *)
-let prop_set_is_sort_uniq =
-  let elt =
-    QCheck2.Gen.(
-      oneof
-        [
-          map (fun i -> Value.Int i) (int_range (-5) 5);
-          map (fun i -> Value.Float (float_of_int i)) (int_range (-5) 5);
-          value_gen;
-        ])
-  in
-  qcheck ~count:300 "set = List.sort_uniq compare"
-    QCheck2.Gen.(list_size (int_range 0 60) elt)
-    (fun l -> Value.set l = Value.Set (List.sort_uniq Value.compare l))
-
 let suite =
   [
     Alcotest.test_case "set dedup and sort" `Quick test_set_dedup_sort;
@@ -223,7 +207,6 @@ let suite =
     Alcotest.test_case "render golden cases" `Quick test_render_golden;
     prop_pp_parse_roundtrip;
     prop_pp_one_line;
-    prop_set_is_sort_uniq;
     prop_add_int;
     Alcotest.test_case "add_int edge cases" `Quick test_add_int_edges;
   ]
