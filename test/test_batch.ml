@@ -310,9 +310,9 @@ let test_cached_gather () =
 let test_semijoin_stops_at_first_match () =
   (* X's one row matches three Y rows, in order a = 1, 2, 3. The residual
      is false on the first, true on the second and raises (division by
-     zero) on the third, which the row loop never evaluates. A kernel
-     round over the second and third does; the batch is replayed, and the
-     answer is the row loop's: the row kept, two evaluations, no error. *)
+     zero) on the third, which the row loop never evaluates. The kernel,
+     run over all three, does; the batch is replayed, and the answer is
+     the row loop's: the row kept, two evaluations, no error. *)
   let catalog =
     Catalog.of_tables
       [
@@ -349,7 +349,7 @@ let test_semijoin_stops_at_first_match () =
   Alcotest.(check int) "evaluations up to the first true match" 2
     ks.Stats.predicate_evals;
   Alcotest.(check bool) "counters = row path's" true (ks = rs);
-  Alcotest.(check int) "the raising round was replayed" 1 fell
+  Alcotest.(check int) "the raising batch was replayed" 1 fell
 
 (* [~vector:false] names an engine that does not exist: the pipeline
    rejects it instead of silently running the only one there is. *)
