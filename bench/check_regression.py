@@ -178,8 +178,9 @@ def validate_server(doc):
 def validate_vector(doc):
     """Structural invariants of the columnar-engine case: every benched
     plan must actually run vectorized, with no batch falling back to the
-    row closures (a silently row-bound plan would still "pass" on
-    timings alone), and batch-size sensitivity must have been recorded."""
+    row closures and no keyed join (hash or sort-merge) running on rows (a
+    silently row-bound plan would still "pass" on timings alone), and
+    batch-size sensitivity must have been recorded."""
     rows = doc.get("vector")
     if not rows:
         print("FAIL: artifact has no vector section")
@@ -199,6 +200,21 @@ def validate_vector(doc):
             continue
         if fell > 0:
             print(f"FAIL: {where}: {fell} batch(es) fell back to row closures")
+            ok = False
+            continue
+        row_ops = e.get("row_operators")
+        if row_ops is None:
+            print(f"FAIL: {where}: row-bound operators not recorded")
+            ok = False
+            continue
+        # hash-nestjoin(build=left) is the one keyed join built on rows
+        row_joins = [
+            op
+            for op in row_ops
+            if op.startswith(("hash-", "merge-")) and "build=left" not in op
+        ]
+        if row_joins:
+            print(f"FAIL: {where}: keyed joins ran on rows: {row_joins}")
             ok = False
             continue
         widths = e.get("batch_sensitivity") or []

@@ -451,10 +451,11 @@ let shred_case ~suite =
    the swept widths are asserted identical before anything is timed;
    timings are min-of-3 rounds, each after a compaction. The artifact
    also records the vectorized fraction of the annotation tree and the
-   batches that fell back to row closures (the regression gate checks
-   both structurally — a silently row-bound plan would otherwise still
-   "pass" on a fast machine) and a batch-width
-   sensitivity sweep (NESTQL_BATCH ∈ {64, 1024, 4096}). *)
+   batches that fell back to row closures, the operators that ran on rows
+   (the regression gate checks these structurally — a silently row-bound
+   plan would otherwise still "pass" on a fast machine) and a batch-width
+   sensitivity sweep (NESTQL_BATCH ∈ {64, 1024, 4096}). The hash family is
+   forced throughout, but for one sort-merge nest join. *)
 let vector_case ~suite =
   let scale = if suite = "smoke" then 10_000 else 100_000 in
   let catalog =
@@ -463,23 +464,23 @@ let vector_case ~suite =
         nx = scale; ny = scale / 4; key_dom = scale / 8; dangling = 0.3;
         seed = 77 }
   in
-  let opts =
-    { Core.Planner.default_options with
-      Core.Planner.force = Core.Planner.Force_hash }
+  let nestjoin =
+    "SELECT (i = x.id, zs = (SELECT y.a FROM Y y WHERE y.b = x.b)) FROM X x"
   in
   let queries =
-    [
+    List.map
+      (fun (name, q) -> (name, Core.Planner.Force_hash, q))
+      [
       ( "filter",
         "SELECT x.id FROM X x WHERE (x.a * 13 + x.b * 7) MOD 97 + x.a * x.a \
          < (x.b MOD 11) * 9 + 40" );
       ("semijoin", "SELECT x.id FROM X x WHERE x.b IN (SELECT y.b FROM Y y)");
-      ( "nestjoin",
-        "SELECT (i = x.id, zs = (SELECT y.a FROM Y y WHERE y.b = x.b)) FROM \
-         X x" );
+      ("nestjoin", nestjoin);
       ( "unnest-join",
         "UNNEST(SELECT (SELECT (i = x.id, a = y.a) FROM Y y WHERE x.b = y.b \
          AND y.a < 10) FROM X x)" );
-    ]
+      ]
+    @ [ ("merge-nestjoin", Core.Planner.Force_merge, nestjoin) ]
   in
   (* Batches that fell back to the row closures in one execution: a join
      that binds rows, or a kernel that misses, shows up here even though
@@ -493,25 +494,28 @@ let vector_case ~suite =
     if not was then Obs.Metrics.disable ();
     n
   in
-  let vectorized_fraction c =
+  (* The fraction of the annotation tree's operators that ran vectorized,
+     and the names of those that ran on rows. *)
+  let vectorized c =
     match Pipeline.analyze ~jobs:1 catalog c with
     | Error msg -> failwith msg
     | Ok (_, tree) ->
       let module Stats = Engine.Stats in
-      let total = ref 0 and vec = ref 0 in
+      let total = ref 0 and vec = ref 0 and rows = ref [] in
       let rec walk (n : Stats.node) =
         incr total;
-        if n.Stats.vectorized then incr vec;
+        if n.Stats.vectorized then incr vec else rows := n.Stats.op :: !rows;
         List.iter walk n.Stats.children
       in
       walk tree;
-      float_of_int !vec /. float_of_int !total
+      (float_of_int !vec /. float_of_int !total, List.rev !rows)
   in
   let rows = ref [] in
   let entries = ref [] in
   List.iter
-    (fun (qname, q) ->
-      let c = compiled ~options:opts Pipeline.Decorrelated catalog q in
+    (fun (qname, force, q) ->
+      let options = { Core.Planner.default_options with Core.Planner.force } in
+      let c = compiled ~options Pipeline.Decorrelated catalog q in
       let v = Pipeline.execute ~jobs:1 catalog c in
       List.iter
         (fun batch ->
@@ -539,7 +543,7 @@ let vector_case ~suite =
         Float.min t1 (Float.min t2 t3)
       in
       let vector_ms = min3 () in
-      let fraction = vectorized_fraction c in
+      let fraction, row_ops = vectorized c in
       let fell_back = fallbacks c in
       let widths =
         List.map (fun batch -> (batch, min3 ~batch ())) [ 64; 1024; 4096 ]
@@ -558,6 +562,8 @@ let vector_case ~suite =
             ("vector_ms", Json.Float vector_ms);
             ("vectorized_fraction", Json.Float fraction);
             ("kernel_fallbacks", Json.Int fell_back);
+            ( "row_operators",
+              Json.List (List.map (fun op -> Json.String op) row_ops) );
             ( "batch_sensitivity",
               Json.List
                 (List.map

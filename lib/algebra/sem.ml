@@ -20,12 +20,12 @@ let rec rows catalog env plan =
       product catalog env left right
       |> List.filter (fun r -> truth catalog r pred)
     | Plan.Semijoin { pred; left; right } ->
-      let rrows = rows catalog env right in
+      let rrows = own_rows catalog env right in
       rows catalog env left
       |> List.filter (fun l ->
              List.exists (fun r -> truth catalog (Env.append r l) pred) rrows)
     | Plan.Antijoin { pred; left; right } ->
-      let rrows = rows catalog env right in
+      let rrows = own_rows catalog env right in
       rows catalog env left
       |> List.filter (fun l ->
              not
@@ -33,7 +33,7 @@ let rec rows catalog env plan =
                   (fun r -> truth catalog (Env.append r l) pred)
                   rrows))
     | Plan.Outerjoin { pred; left; right } ->
-      let rrows = rows catalog env right in
+      let rrows = own_rows catalog env right in
       let rvars = Plan.vars_of right in
       rows catalog env left
       |> List.concat_map (fun l ->
@@ -49,7 +49,7 @@ let rec rows catalog env plan =
                [ List.fold_left (fun acc v -> Env.bind v Value.Null acc) l rvars ]
              | _ :: _ -> matches)
     | Plan.Nestjoin { pred; func; label; left; right } ->
-      let rrows = rows catalog env right in
+      let rrows = own_rows catalog env right in
       rows catalog env left
       |> List.map (fun l ->
              let members =
@@ -120,13 +120,19 @@ let rec rows catalog env plan =
 
 and product catalog env left right =
   let lrows = rows catalog env left in
-  List.concat_map
-    (fun l ->
-      (* The right side of a product never references left variables (that
-         would be a dependency, expressed by Apply/Unnest instead), but we
-         evaluate it under the ambient env only, for clarity. *)
-      List.map (fun r -> Env.append r l) (rows catalog env right))
-    lrows
+  (* The right side of a product never references left variables (that
+     would be a dependency, expressed by Apply/Unnest instead), so it is
+     evaluated once, under the ambient env only. *)
+  let rrows = own_rows catalog env right in
+  List.concat_map (fun l -> List.map (fun r -> Env.append r l) rrows) lrows
+
+(* The rows of a join's right operand as a pair binds them: only the
+   operand's own variables, so that a pair binds the ambient env, then the
+   left row's own variables, then the right's, each shadowing the one
+   before. *)
+and own_rows catalog env right =
+  let vars = Plan.vars_of right in
+  List.map (Env.project vars) (rows catalog env right)
 
 and run_under catalog env { Plan.plan; result } =
   let produced = rows catalog env plan in

@@ -9,8 +9,8 @@
    - [children]: one per nesting constructor met on the way up. A child
      carries its own shredded [body] (recursively), the [key] columns of
      the parent rows it groups under, and the member expression [func].
-     At stitch time the child's rows are grouped by [key] into a hash
-     table of [Value] keys and every parent row is extended with
+     At stitch time the engine's nest join probe hashes the child's rows
+     on [key] and extends every parent row with
      [label := { func m | m in group(key(row)) }] — a missing key is the
      *empty set*, which is exactly how shredding preserves the rows the
      COUNT bug loses.
@@ -324,35 +324,15 @@ let program_of exe = exe.xprogram
 
 (* --- stitched execution -------------------------------------------------- *)
 
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
 module Batch = Engine.Batch
 module Exec = Engine.Exec
 
 (* Flat results flow as batches: columns over the ambient environment.
    Every expression runs through [Exec]'s kernels, falling back to the
    row closures batch by batch, so values and first errors are those of
-   row-at-a-time evaluation. *)
-
-(* A group key: the key columns' values in label order, which equal
-   exactly when the projected rows' tuples do. A key naming a column twice
-   takes the tuple's own path, which rejects the duplicate label. *)
-let key_value key =
-  let sorted = List.sort String.compare key in
-  if List.length (List.sort_uniq String.compare key) = List.length key then
-    fun b i -> Value.List (List.map (fun x -> Batch.value b x i) sorted)
-  else fun b i -> Env.to_value (Env.project key (Batch.env_at b i))
-
-let all_null nulls b i =
-  nulls <> []
-  && List.for_all
-       (fun v -> match Batch.value b v i with Value.Null -> true | _ -> false)
-       nulls
+   row-at-a-time evaluation. A child is stitched by the engine's own nest
+   join probe ([Exec.nest_batches]): its member rows are hashed on the key
+   columns and every parent row probes them. *)
 
 let apply_step catalog batches = function
   | Bind (v, e) ->
@@ -393,64 +373,30 @@ let apply_step catalog batches = function
                b.Batch.tail))
       batches
 
-(* [exec] abstracts how one flat plan produces batches, so the plain and
-   instrumented runners share the stitch. *)
-let rec run_node ~exec catalog env n =
+(* [exec] abstracts how one flat plan produces batches and [stitch] how a
+   child's members join its parents, so the plain and instrumented runners
+   share the walk. *)
+let rec run_node ~exec ~stitch catalog env n =
   let batches = exec n env in
   let batches =
     List.fold_left
-      (fun batches c -> stitch_child ~exec catalog env batches c)
+      (fun batches (c : xchild) ->
+        let members = run_node ~exec ~stitch catalog env c.xbody in
+        stitch ~key:c.xkey ~nulls:c.xnulls ~label:c.xlabel ~func:c.xfunc
+          members batches)
       batches n.xchildren
   in
   List.fold_left (apply_step catalog) batches n.xpost
-
-and stitch_child ~exec catalog env batches c =
-  let members = run_node ~exec catalog env c.xbody in
-  let funcfn = Engine.Compile.expr catalog c.xfunc in
-  let kfunc = Exec.kernel_column catalog c.xfunc in
-  let key = key_value c.xkey in
-  let tbl = Vtbl.create (max 16 (Batch.live_total members)) in
-  List.iter
-    (fun m ->
-      (* The member rows that contribute, and [func] on them: by kernel
-         over those rows, or per row just before its key, as the row loop
-         evaluated them. *)
-      let live =
-        List.filter
-          (fun i -> not (all_null c.xnulls m i))
-          (Array.to_list (Batch.live_slots m))
-      in
-      match live with
-      | [] -> ()
-      | _ -> (
-        let m' = Batch.narrow m (Array.of_list live) in
-        match kfunc m' with
-        | Some col ->
-          List.iter (fun i -> Vtbl.add tbl (key m i) (Batch.get col i)) live
-        | None ->
-          List.iter
-            (fun i ->
-              let v = funcfn (Batch.env_at m i) in
-              Vtbl.add tbl (key m i) v)
-            live))
-    members;
-  List.map
-    (fun b ->
-      let out = Array.make b.Batch.len Value.Null in
-      Batch.iter_live b (fun i ->
-          (* find_all on an absent key is [] — the empty inner set. *)
-          out.(i) <- Value.set (Vtbl.find_all tbl (key b i)));
-      Batch.add_col b c.xlabel (Batch.Boxed out))
-    batches
 
 let finish catalog result batches =
   Value.set (Exec.values catalog result batches)
 
 let run_under ?stats ?jobs ?bloom ?batch catalog env exe =
   let exec n env =
-    Engine.Exec.batches ?stats ?jobs ?bloom ?batch catalog env n.xplan
+    Exec.batches ?stats ?jobs ?bloom ?batch catalog env n.xplan
   in
-  finish catalog exe.xresult (run_node ~exec catalog env exe.xbody)
+  let stitch = Exec.nest_batches ?stats ?jobs ?bloom ?batch catalog in
+  finish catalog exe.xresult (run_node ~exec ~stitch catalog env exe.xbody)
 
 let run ?stats ?jobs ?bloom ?batch catalog exe =
   run_under ?stats ?jobs ?bloom ?batch catalog Env.empty exe
@@ -478,12 +424,17 @@ let analyze ?jobs ?bloom ?batch catalog exe =
       trees
   in
   let exec n env =
-    Engine.Exec.batches_instrumented ?jobs ?bloom ?batch arr.(n.id)
-      catalog env n.xplan
+    Exec.batches_instrumented ?jobs ?bloom ?batch arr.(n.id) catalog env
+      n.xplan
+  in
+  let stitch =
+    Exec.nest_batches ~stats:root.Engine.Stats.counters ?jobs ?bloom ?batch
+      catalog
   in
   let t0 = Monotonic_clock.now () in
   let v =
-    finish catalog exe.xresult (run_node ~exec catalog Env.empty exe.xbody)
+    finish catalog exe.xresult
+      (run_node ~exec ~stitch catalog Env.empty exe.xbody)
   in
   let t1 = Monotonic_clock.now () in
   root.Engine.Stats.loops <- 1;

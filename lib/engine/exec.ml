@@ -11,8 +11,8 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-(* A join key paired with its [Value.hash], computed exactly once per row
-   and reused for the Bloom filter and the hash-table insert/probe
+(* A join key paired with its hash, computed exactly once per row and
+   reused for the Bloom filter and the hash-table insert/probe
    (Hashtbl.Make calls [Hkey.hash], which is a field read — no rehash of
    the value). *)
 module Hkey = struct
@@ -94,6 +94,13 @@ let no_stats = Stats.create ()
 
 let pad_nulls rvars l =
   List.fold_left (fun acc v -> Env.bind v Value.Null acc) l rvars
+
+(* A right row as a pair binds it: only its operand's own variables, so
+   that a pair binds the tail, then the left row's own variables, then the
+   right's, each shadowing the one before. *)
+let own plan =
+  let vars = P.vars_of plan in
+  Env.project vars
 
 (* All scalar expressions appearing in a physical query (preds, keys,
    residuals, functions, results — including nested applies). *)
@@ -203,7 +210,7 @@ let correlation_key_exprs corr query =
    instrumented runs give each operator its own [Stats.node], descending
    the annotation tree in lockstep with the plan ([Analyze.children]
    order). [jobs] is the parallel width: 1 executes everything on the
-   calling domain; larger values let a hash operator whose probe side has
+   calling domain; larger values let a keyed join whose probe side has
    at least [gate] rows run its probe loop as morsels on the pool
    (operands and builds are still produced serially, so child counters
    and timings are untouched). [bloom]
@@ -310,14 +317,14 @@ let values catalog e =
       batches;
     List.rev !acc
 
-(* --- hash keys ------------------------------------------------------- *)
+(* --- join keys ------------------------------------------------------- *)
 
-(* A hash key evaluator: [key b] reads the key of live slot [i] of batch
+(* A join key evaluator: [key b] reads the key of live slot [i] of batch
    [b] as [key b i] — from a kernel column when the kernel succeeds, else
    by evaluating the row's env. A kernel that raises is discarded before
    any slot is read, so the row-at-a-time replay reproduces row-order
    counters and first error exactly. *)
-type keyer = Batch.t -> int -> Hkey.t
+type keyer = Batch.t -> int -> Value.t
 
 (* All of [kerns] applied to a batch, or [None] when one is missing or
    raises. *)
@@ -339,58 +346,61 @@ let plain_keyer catalog key : keyer =
   let kerns = kernels catalog [ key ] in
   fun b ->
     match kernel_cols kerns b with
-    | Some [ c ] -> fun i -> hkey (Batch.get c i)
-    | Some _ | None -> fun i -> hkey (fn (Batch.env_at b i))
+    | Some [ c ] -> Batch.get c
+    | Some _ | None -> fun i -> fn (Batch.env_at b i)
 
 (* A composite key [(l1 = e1, ..., ln = en)], which [Decorrelate] builds
    for IN and NOT IN, is compared as the vector of its components in label
    order ([Value.List]), not as a sorted [Value.Tuple]: each component
-   runs its own kernel and no env is built. Its hash is the one
-   [Value.hash] gives the tuple, so Bloom screens prune the same probes.
-   The row fallback evaluates the components in source order, as the
-   tuple's own closure would. *)
+   runs its own kernel and no env is built. The row fallback evaluates the
+   components in source order, as the tuple's own closure would. *)
 let composite_keyer catalog fields : keyer =
   let sorted =
     List.mapi (fun j (l, e) -> (l, j, e)) fields
     |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
   in
   let order = List.map (fun (_, j, _) -> j) sorted in
-  let label_hashes = List.map (fun (l, _, _) -> Hashtbl.hash l) sorted in
-  let key vals =
-    let h =
-      List.fold_left2
-        (fun acc lh v -> (acc * 31) + lh + Value.hash v)
-        7 label_hashes vals
-    in
-    { Hkey.h; v = Value.List vals }
-  in
   let fns =
     Array.of_list (List.map (fun (_, e) -> Compile.expr catalog e) fields)
   in
   let kerns = kernels catalog (List.map (fun (_, _, e) -> e) sorted) in
   fun b ->
     match kernel_cols kerns b with
-    | Some cols -> fun i -> key (List.map (fun c -> Batch.get c i) cols)
+    | Some cols -> fun i -> Value.List (List.map (fun c -> Batch.get c i) cols)
     | None ->
       fun i ->
         let env = Batch.env_at b i in
         let vals = Array.map (fun f -> f env) fns in
-        key (List.map (fun j -> vals.(j)) order)
+        Value.List (List.map (fun j -> vals.(j)) order)
 
-(* The probe and build keyers of one operator. Both sides must agree on
-   the representation, so component vectors are used only when both keys
-   are tuples over the same distinct labels; a tuple with a repeated label
-   keeps the row path, which raises on it. *)
+(* A composite key's hash is the one [Value.hash] gives the tuple, so
+   Bloom screens prune the same probes. *)
+let composite_hash fields =
+  let label_hashes =
+    List.map Hashtbl.hash (List.sort String.compare (List.map fst fields))
+  in
+  function
+  | Value.List vals ->
+    List.fold_left2
+      (fun acc lh v -> (acc * 31) + lh + Value.hash v)
+      7 label_hashes vals
+  | v -> Value.hash v
+
+(* The probe and build keyers of one operator, and the hash both sides
+   share. Both sides must agree on the representation, so component
+   vectors are used only when both keys are tuples over the same distinct
+   labels; a tuple with a repeated label keeps the row path, which raises
+   on it. *)
 let key_pair catalog lkey rkey =
   let labels fields = List.sort_uniq String.compare (List.map fst fields) in
   match lkey, rkey with
   | Ast.TupleE lf, Ast.TupleE rf
     when List.length (labels lf) = List.length lf
          && List.equal String.equal (labels lf) (labels rf) ->
-    (composite_keyer catalog lf, composite_keyer catalog rf)
-  | _ -> (plain_keyer catalog lkey, plain_keyer catalog rkey)
+    (composite_keyer catalog lf, composite_keyer catalog rf, composite_hash lf)
+  | _ -> (plain_keyer catalog lkey, plain_keyer catalog rkey, Value.hash)
 
-(* Residual of the row-at-a-time join families, compiled once per
+(* Residual of the row-at-a-time left-build nest join, compiled once per
    operator; an evaluation counts into the sink it is given. *)
 let residual_check catalog = function
   | None -> fun _ _ -> true
@@ -402,7 +412,7 @@ let residual_check catalog = function
 
 (* --- morsel-driven probes --------------------------------------------- *)
 
-(* Probe rows from which a hash operator under [jobs > 1] runs its probe
+(* Probe rows from which a keyed join under [jobs > 1] runs its probe
    loop as morsels on the pool. Below it an operator never touches
    [Pool]: a region pays for spawning and joining its worker domains, so
    parallel probing loses to the serial loop on small inputs (see
@@ -481,22 +491,39 @@ let probe_batches fr batches loop concat =
 
 (* --- build tables ------------------------------------------------------ *)
 
-(* A hash operator's build side: its rows as columns [cols], indexed by
+(* How a build table finds a key's first row. [Hashed]: a hash table of
+   chain heads, keyed with [hash], and a Bloom [filter] that, present only
+   when the frame's [bloom] is on, screens keys before the lookup.
+   [Sorted]: the build keys by row id, and the row ids in ascending key
+   order, stably, searched by bisection — no hashing, no filter, no
+   [hash_probes]. *)
+type index =
+  | Hashed of {
+      head : int Htbl.t;
+      hash : Value.t -> int;
+      filter : Bloom.t option;
+    }
+  | Sorted of { keys : Value.t array; ids : int array }
+
+(* A keyed operator's build side: its rows as columns [cols], indexed by
    row id, and for each key the chain of its row ids in build order —
-   [head] holds the first, [next] links each to the following one (-1
+   [index] finds the first, [next] links each to the following one (-1
    ends a chain). A key set, the build of a semijoin or antijoin without
-   a residual, keeps no columns and no chains: only [head]'s keys count.
-   [filter], present only when the frame's [bloom] is on, screens keys
-   before the lookup. A built table and a cached build come out in this
-   shape, so every probe loop is written once. *)
+   a residual, keeps no columns and no chains: only the index's keys
+   count. A hashed table, a sorted one and a cached build come out in
+   this shape, so every probe loop is written once. *)
 type table = {
   cols : (string * Batch.col) list;
-  head : int Htbl.t;
+  index : index;
   next : int array;
-  filter : Bloom.t option;
 }
 
-let no_table = { cols = []; head = Htbl.create 1; next = [||]; filter = None }
+let no_table =
+  {
+    cols = [];
+    index = Hashed { head = Htbl.create 1; hash = Value.hash; filter = None };
+    next = [||];
+  }
 
 let chain_head head k =
   match Htbl.find head k with i -> i | exception Not_found -> -1
@@ -577,60 +604,148 @@ let cached_view ~bloom catalog (table, var, field) =
   let c = cached_table (Cobj.Catalog.find_exn table catalog) field in
   {
     cols = [ (var, Batch.Boxed c.rows) ];
-    head = c.heads;
+    index =
+      Hashed
+        {
+          head = c.heads;
+          hash = Value.hash;
+          filter = (if bloom then Some c.keys else None);
+        };
     next = c.links;
-    filter = (if bloom then Some c.keys else None);
   }
 
-(* Hash the live rows of [batches] on [key] into a build table, serially;
-   with [names], the rows' columns of those names are kept and chained,
-   without it only the key set. *)
-let hash_batches fr ?names (key : keyer) batches =
-  let stats = fr.sink in
-  let n = Batch.live_total batches in
-  let keys = Array.make n (hkey Value.Null) in
+(* The keys of the live rows of [batches], in order. *)
+let keys_of (key : keyer) batches =
+  let keys = Array.make (Batch.live_total batches) Value.Null in
   let j = ref 0 in
   List.iter
     (fun b ->
       let at = key b in
       Batch.iter_live b (fun i ->
-          stats.Stats.hash_builds <- stats.Stats.hash_builds + 1;
           keys.(!j) <- at i;
           incr j))
     batches;
+  keys
+
+(* A build table's columns: with [names], the live rows' columns of those
+   names, to be chained; without it none, the table being a key set. *)
+let build_cols names batches =
+  match names with
+  | Some names -> Batch.concat_live names batches
+  | None -> []
+
+(* Hash the live rows of [batches] on [key] into a build table, serially;
+   with [names], the rows' columns of those names are kept and chained,
+   without it only the key set. *)
+let hash_batches fr ?names ~hash (key : keyer) batches =
+  let keys = keys_of key batches in
+  let n = Array.length keys in
+  fr.sink.Stats.hash_builds <- fr.sink.Stats.hash_builds + n;
   let filter = if fr.bloom then Some (Bloom.create n) else None in
-  Option.iter (fun f -> Array.iter (fun k -> Bloom.add f k.Hkey.h) keys) filter;
   let head = Htbl.create (max 16 n) in
   let next = if Option.is_some names then Array.make n (-1) else [||] in
-  link head next n (fun i -> Some keys.(i));
-  let cols =
-    match names with
-    | Some names -> Batch.concat_live names batches
-    | None -> []
-  in
-  { cols; head; next; filter }
+  link head next n (fun i ->
+      let k = { Hkey.h = hash keys.(i); v = keys.(i) } in
+      (match filter with Some f -> Bloom.add f k.Hkey.h | None -> ());
+      Some k);
+  {
+    cols = build_cols names batches;
+    index = Hashed { head; hash; filter };
+    next;
+  }
 
-(* The first build row id matching [k], or -1, counting the probe and its
-   Bloom screen into [st]. *)
-let probe (st : Stats.t) table k =
-  st.Stats.hash_probes <- st.Stats.hash_probes + 1;
-  match table.filter with
-  | Some f ->
-    st.Stats.bloom_checks <- st.Stats.bloom_checks + 1;
-    if Bloom.mem f k.Hkey.h then chain_head table.head k
-    else begin
-      st.Stats.bloom_prunes <- st.Stats.bloom_prunes + 1;
-      -1
-    end
-  | None -> chain_head table.head k
+(* Row ids in ascending order of their [keys], equal keys in id order. *)
+let sort_ids keys =
+  let ids = Array.init (Array.length keys) Fun.id in
+  Array.stable_sort (fun a b -> Value.compare keys.(a) keys.(b)) ids;
+  ids
+
+(* Sort the live rows of [batches] on [key] into a build table: their
+   columns in input order, as a hashed table keeps them, with each run of
+   equal keys chained in input order. *)
+let sorted_table ?names (key : keyer) batches =
+  let keys = keys_of key batches in
+  let ids = sort_ids keys in
+  let n = Array.length ids in
+  let next = if Option.is_some names then Array.make n (-1) else [||] in
+  if Array.length next > 0 then
+    for p = 0 to n - 2 do
+      if Value.equal keys.(ids.(p)) keys.(ids.(p + 1)) then
+        next.(ids.(p)) <- ids.(p + 1)
+    done;
+  { cols = build_cols names batches; index = Sorted { keys; ids }; next }
+
+(* The live rows of [batches], columns [names], sorted on [key] as
+   [sorted_table] sorts them, in batches of [size]. *)
+let sorted_batches ~size names (key : keyer) batches =
+  match batches with
+  | [] -> []
+  | b0 :: _ ->
+    let ids = sort_ids (keys_of key batches) in
+    let cols = Batch.concat_live names batches in
+    let n = Array.length ids in
+    List.init ((n + size - 1) / size) (fun k ->
+        let idx = Array.sub ids (k * size) (min size (n - (k * size))) in
+        Batch.of_cols (Array.length idx)
+          (List.map (fun (x, c) -> (x, Batch.gather c idx)) cols)
+          b0.Batch.tail)
+
+(* The sorted key at position [p] of [ids], compared with [v]. *)
+let at_cmp keys ids p v = Value.compare keys.(ids.(p)) v
+
+(* The first build row id matching [v], or -1. A hashed lookup counts the
+   probe and its Bloom screen into [st]. A sorted one gallops from
+   [cursor], the first position not below the previous probe's key, so a
+   run of ascending probes walks the keys once; it bisects from the start
+   when [v] lies below the cursor. *)
+let probe (st : Stats.t) table cursor v =
+  match table.index with
+  | Sorted { keys; ids } ->
+    let n = Array.length ids in
+    let lo =
+      ref
+        (if !cursor > 0 && at_cmp keys ids (!cursor - 1) v >= 0 then 0
+         else !cursor)
+    in
+    (* Every position below [lo] holds a key below [v]; gallop [hi] until
+       it does not, then bisect [lo, hi). *)
+    let hi = ref !lo and step = ref 1 in
+    while !hi < n && at_cmp keys ids !hi v < 0 do
+      lo := !hi + 1;
+      hi := !hi + !step;
+      step := 2 * !step
+    done;
+    hi := min n !hi;
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if at_cmp keys ids mid v < 0 then lo := mid + 1 else hi := mid
+    done;
+    cursor := !lo;
+    if !lo < n && at_cmp keys ids !lo v = 0 then ids.(!lo) else -1
+  | Hashed { head; hash; filter } -> (
+    st.Stats.hash_probes <- st.Stats.hash_probes + 1;
+    let k = { Hkey.h = hash v; v } in
+    match filter with
+    | Some f ->
+      st.Stats.bloom_checks <- st.Stats.bloom_checks + 1;
+      if Bloom.mem f k.Hkey.h then chain_head head k
+      else begin
+        st.Stats.bloom_prunes <- st.Stats.bloom_prunes + 1;
+        -1
+      end
+    | None -> chain_head head k)
 
 (* --- columnar probes -------------------------------------------------- *)
 
-(* Growable int vectors for the pairs a probe forms. *)
+(* [n] plus the length of the chain from row id [r] on. *)
+let rec chain_length next n r =
+  if r < 0 then n else chain_length next (n + 1) next.(r)
+
+(* Growable int vectors for the selections and pairs a probe forms. *)
 module Ibuf = struct
   type t = { mutable a : int array; mutable n : int }
 
-  let create () = { a = Array.make 64 0; n = 0 }
+  let create ?(size = 64) () = { a = Array.make (max 1 size) 0; n = 0 }
 
   let push b x =
     if b.n = Array.length b.a then begin
@@ -644,7 +759,7 @@ module Ibuf = struct
   let contents b = Array.sub b.a 0 b.n
 end
 
-(* What a hash operator does with the build rows matching a probe row. *)
+(* What a keyed join does with the build rows matching a probe row. *)
 type kind =
   | Join of { swap : bool }  (** all matches; [swap]: the probe side is the
                                  right operand *)
@@ -684,14 +799,15 @@ let distinct_cols cols =
 
 (* The columns of the pairs probe batch [b] forms with [table], split by
    the side whose index reads them: the right operand's columns, then the
-   left's that neither the right's nor the tail binds. That is the
-   environment [Env.append right left] gives a pair, since the right row's
-   env carries the tail too. *)
+   left's that the right's do not bind. A pair binds the tail, then the
+   left's own columns, then the right's, each shadowing the one before —
+   the environment [Env.append right left] gives a pair whose right row
+   is projected to the right operand's own variables. *)
 let pair_cols ~swap (b : Batch.t) table =
   let right = distinct_cols (if swap then b.Batch.cols else table.cols) in
   let left =
     List.filter
-      (fun (x, _) -> not (List.mem_assoc x right || Env.mem x b.Batch.tail))
+      (fun (x, _) -> not (List.mem_assoc x right))
       (distinct_cols (if swap then table.cols else b.Batch.cols))
   in
   if swap then (right, left) else (left, right)
@@ -710,7 +826,7 @@ let pair_env (b : Batch.t) (pcols, bcols) i r =
   let at j cols = List.map (fun (x, c) -> (x, Batch.get c j)) cols in
   Env.prepend (at i pcols @ at r bcols) b.Batch.tail
 
-(* The probe loop of one hash operator over one probe batch [b]: each
+(* The probe loop of one keyed join over one probe batch [b]: each
    live row's key probes [table], and [kind] decides what its matches
    make. Residuals and the nest join's [func] run as kernels over one
    batch of candidate pairs, gathered with only the columns they read; a
@@ -746,6 +862,7 @@ let probe_batch catalog ~kind ~residual ~key ~table =
     let at = key b in
     let cols = pair_cols ~swap b table in
     let replay () =
+      let cursor = ref 0 in
       let ok i r =
         match predfn with
         | None -> true
@@ -756,7 +873,7 @@ let probe_batch catalog ~kind ~residual ~key ~table =
       let ps = Ibuf.create () and bs = Ibuf.create () in
       let sets = ref [] in
       Batch.iter_live b (fun i ->
-          let h = probe st table (at i) in
+          let h = probe st table cursor (at i) in
           match kind with
           | Semi { anti } ->
             let rec exists r = r >= 0 && (ok i r || exists table.next.(r)) in
@@ -795,7 +912,8 @@ let probe_batch catalog ~kind ~residual ~key ~table =
     let fast () =
       let loc = Stats.create () in
       let slots = Batch.live_slots b in
-      let heads = Array.map (fun i -> probe loc table (at i)) slots in
+      let cursor = ref 0 in
+      let heads = Array.map (fun i -> probe loc table cursor (at i)) slots in
       let out =
         match kind with
         | Semi { anti } when Option.is_none residual ->
@@ -805,15 +923,23 @@ let probe_batch catalog ~kind ~residual ~key ~table =
             slots;
           Keep (Ibuf.contents kept)
         | Semi _ | Join _ | Outer | Nest _ ->
-          let cp = Ibuf.create () and cb = Ibuf.create () in
+          (* The candidate pairs, counted first so that each array is
+             made once, at its size. *)
+          let n =
+            Array.fold_left (chain_length table.next) 0 heads
+          in
+          let ps = Array.make n 0 and bs = Array.make n 0 in
+          let j = ref 0 in
           Array.iteri
             (fun u i ->
-              each_match heads.(u) (fun r ->
-                  Ibuf.push cp i;
-                  Ibuf.push cb r))
+              let r = ref heads.(u) in
+              while !r >= 0 do
+                ps.(!j) <- i;
+                bs.(!j) <- !r;
+                incr j;
+                r := table.next.(!r)
+              done)
             slots;
-          let ps = Ibuf.contents cp and bs = Ibuf.contents cb in
-          let n = Array.length ps in
           let pass = truth ps bs in
           let passes j = Bytes.unsafe_get pass j <> '\000' in
           (* [f u lo hi]: live row [u] and its candidates' range. *)
@@ -848,25 +974,24 @@ let probe_batch catalog ~kind ~residual ~key ~table =
                 if (!j < hi) <> anti then Ibuf.push kept slots.(u));
             Keep (Ibuf.contents kept)
           | Nest _ ->
-            let vals = Array.make n Value.Null in
-            let live = Ibuf.create () in
+            (* [func] over the passing pairs, read at their pair index *)
+            let live = Ibuf.create ~size:n () in
             for j = 0 to n - 1 do
               if passes j then Ibuf.push live j
             done;
-            let live = Ibuf.contents live in
-            if Array.length live > 0 then begin
-              let c = gather_pairs ~keep b cols ps bs in
-              let c =
-                if Array.length live = n then c else Batch.narrow c live
-              in
-              let col = Option.get (Option.get func_k) c in
-              Array.iter (fun j -> vals.(j) <- Batch.get col j) live
-            end;
+            let col =
+              if live.Ibuf.n = 0 then Batch.Const Value.Null
+              else
+                let c = gather_pairs ~keep b cols ps bs in
+                Option.get (Option.get func_k)
+                  (if live.Ibuf.n = n then c
+                   else Batch.narrow c (Ibuf.contents live))
+            in
             let sets = Array.make (Array.length slots) (Value.Set []) in
             groups (fun u lo hi ->
                 let members = ref [] in
                 for j = hi - 1 downto lo do
-                  if passes j then members := vals.(j) :: !members
+                  if passes j then members := Batch.get col j :: !members
                 done;
                 sets.(u) <- Value.set !members);
             Sets sets
@@ -895,7 +1020,7 @@ let probe_batch catalog ~kind ~residual ~key ~table =
       | m -> (m, false)
       | exception e when kernel_failed e -> (replay (), true)
 
-(* Output batches of a hash operator from its probe batches' outcomes:
+(* Output batches of a keyed join from its probe batches' outcomes:
    gathers of at most the frame's width for [Pairs], a narrowing for
    [Keep], and the probe batch plus the label column for [Sets]. *)
 let emit fr ~kind ~table probe_b outcomes =
@@ -916,29 +1041,6 @@ let emit fr ~kind ~table probe_b outcomes =
            [ Batch.add_col b label (Batch.Boxed col) ]
          | Pairs { ps; bs }, _ ->
            let pcols, bcols = pair_cols ~swap b table in
-           (* An outer join's padded row keeps its probe columns whole,
-              tail-bound names included, as [Env.bind] on the probe row
-              leaves them; a matched row reads those names from the
-              tail, as every pair does. *)
-           let padded_probe ps bs =
-             if (match kind with Outer -> false | _ -> true)
-                || Array.for_all (fun r -> r >= 0) bs
-             then []
-             else
-               List.filter_map
-                 (fun (x, c) ->
-                   if List.mem_assoc x pcols || List.mem_assoc x bcols then None
-                   else
-                     let tail = Env.find x b.Batch.tail in
-                     Some
-                       ( x,
-                         Batch.Boxed
-                           (Array.mapi
-                              (fun j i ->
-                                if bs.(j) < 0 then Batch.get c i else tail)
-                              ps) ))
-                 (distinct_cols b.Batch.cols)
-           in
            let n = Array.length ps in
            let size = max 1 fr.batch in
            List.init ((n + size - 1) / size) (fun k ->
@@ -950,15 +1052,13 @@ let emit fr ~kind ~table probe_b outcomes =
                  List.map (fun (x, c) -> (x, gather c idx)) cols
                in
                Batch.of_cols len
-                 (g Batch.gather ps pcols
-                 @ g Batch.gather_padded bs bcols
-                 @ padded_probe ps bs)
+                 (g Batch.gather ps pcols @ g Batch.gather_padded bs bcols)
                  b.Batch.tail)
          | Sets _, _ -> assert false)
        probe_b outcomes)
 
-(* A right-build hash operator's probe over its probe batches. *)
-let hash_probe fr catalog ~kind ~residual ~key ~table probe_b =
+(* A keyed operator's probe of [table] over its probe batches. *)
+let keyed_probe fr catalog ~kind ~residual ~key ~table probe_b =
   probe_batches fr probe_b
     (probe_batch catalog ~kind ~residual ~key ~table)
     concat_matched
@@ -1064,7 +1164,7 @@ and exec fr catalog env plan =
     | P.Hash_join { lkey; rkey; residual; left; right } ->
       let lb = batches_fr (c0 fr) catalog env left in
       let nl = Batch.live_total lb in
-      let lkeyer, rkeyer = key_pair catalog lkey rkey in
+      let lkeyer, rkeyer, hash = key_pair catalog lkey rkey in
       (* A cached build is never swapped: its table already exists. *)
       let swap, probe_b, probe_key, table =
         match P.cached_build plan with
@@ -1073,7 +1173,7 @@ and exec fr catalog env plan =
             lb,
             lkeyer,
             build_table fr catalog env plan ~nprobe:nl
-              ~names:(Some (P.vars_of right)) right rkeyer )
+              ~names:(Some (P.vars_of right)) ~hash right rkeyer )
         | None ->
           let rb = batches_fr (c1 fr) catalog env right in
           let swap = Batch.live_total rb > nl in
@@ -1086,47 +1186,37 @@ and exec fr catalog env plan =
           ( swap,
             probe_b,
             probe_key,
-            hash_batches fr ~names:(P.vars_of build_plan) build_key build_b )
+            hash_batches fr ~names:(P.vars_of build_plan) ~hash build_key
+              build_b )
       in
       Batches
-        (hash_probe fr catalog ~kind:(Join { swap }) ~residual ~key:probe_key
+        (keyed_probe fr catalog ~kind:(Join { swap }) ~residual ~key:probe_key
            ~table probe_b)
     | P.Hash_semijoin { lkey; rkey; residual; anti; left; right } ->
-      let lb = batches_fr (c0 fr) catalog env left in
-      let lkeyer, rkeyer = key_pair catalog lkey rkey in
-      let names =
-        match residual with None -> None | Some _ -> Some (P.vars_of right)
-      in
-      let table =
-        build_table fr catalog env plan ~nprobe:(Batch.live_total lb) ~names
-          right rkeyer
-      in
-      Batches
-        (hash_probe fr catalog ~kind:(Semi { anti }) ~residual ~key:lkeyer
-           ~table lb)
+      right_build fr catalog env plan ~sorted:false ~kind:(Semi { anti }) ~lkey
+        ~rkey ~residual left right
+    | P.Merge_semijoin { lkey; rkey; residual; anti; left; right } ->
+      right_build fr catalog env plan ~sorted:true ~kind:(Semi { anti }) ~lkey
+        ~rkey ~residual left right
+    | P.Merge_join { lkey; rkey; residual; left; right } ->
+      right_build fr catalog env plan ~sorted:true ~kind:(Join { swap = false })
+        ~lkey ~rkey ~residual left right
     | P.Hash_outerjoin { lkey; rkey; residual; left; right } ->
-      let lb = batches_fr (c0 fr) catalog env left in
-      let lkeyer, rkeyer = key_pair catalog lkey rkey in
-      let table =
-        build_table fr catalog env plan ~nprobe:(Batch.live_total lb)
-          ~names:(Some (P.vars_of right)) right rkeyer
-      in
-      Batches
-        (hash_probe fr catalog ~kind:Outer ~residual ~key:lkeyer ~table lb)
+      right_build fr catalog env plan ~sorted:false ~kind:Outer ~lkey ~rkey
+        ~residual left right
+    | P.Merge_outerjoin { lkey; rkey; residual; left; right } ->
+      right_build fr catalog env plan ~sorted:true ~kind:Outer ~lkey ~rkey
+        ~residual left right
     | P.Hash_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-      let lb = batches_fr (c0 fr) catalog env left in
-      let lkeyer, rkeyer = key_pair catalog lkey rkey in
-      let table =
-        build_table fr catalog env plan ~nprobe:(Batch.live_total lb)
-          ~names:(Some (P.vars_of right)) right rkeyer
-      in
-      Batches
-        (hash_probe fr catalog ~kind:(Nest { label; func }) ~residual
-           ~key:lkeyer ~table lb)
+      right_build fr catalog env plan ~sorted:false ~kind:(Nest { label; func })
+        ~lkey ~rkey ~residual left right
+    | P.Merge_nestjoin { lkey; rkey; residual; func; label; left; right } ->
+      right_build fr catalog env plan ~sorted:true ~kind:(Nest { label; func })
+        ~lkey ~rkey ~residual left right
     | P.Unit_row -> Rows [ env ]
     | P.Nl_join { pred; left; right } ->
       let predfn = Compile.pred catalog pred in
-      let rrows = rows_fr (c1 fr) catalog env right in
+      let rrows = List.map (own right) (rows_fr (c1 fr) catalog env right) in
       Rows
         (rows_fr (c0 fr) catalog env left
         |> List.concat_map (fun l ->
@@ -1137,24 +1227,9 @@ and exec fr catalog env plan =
                    let merged = Env.append r l in
                    if predfn merged then Some merged else None)
                  rrows))
-    | P.Merge_join { lkey; rkey; residual; left; right } ->
-      let rok = residual_check catalog residual stats in
-      let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
-      let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
-      Rows
-        (merge_groups lgroups rgroups
-        |> List.concat_map (fun (ls, rs) ->
-               List.concat_map
-                 (fun l ->
-                   List.filter_map
-                     (fun r ->
-                       let merged = Env.append r l in
-                       if rok merged then Some merged else None)
-                     rs)
-                 ls))
     | P.Nl_semijoin { pred; anti; left; right } ->
       let predfn = Compile.pred catalog pred in
-      let rrows = rows_fr (c1 fr) catalog env right in
+      let rrows = List.map (own right) (rows_fr (c1 fr) catalog env right) in
       Rows
         (rows_fr (c0 fr) catalog env left
         |> List.filter (fun l ->
@@ -1167,37 +1242,9 @@ and exec fr catalog env plan =
                    rrows
                in
                if anti then not found else found))
-    | P.Merge_semijoin { lkey; rkey; residual; anti; left; right } ->
-      let rok = residual_check catalog residual stats in
-      let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
-      let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
-      (* march the two sorted group lists; every left group is emitted or
-         dropped depending on whether a matching right member exists *)
-      let rec go ls rs acc =
-        match ls with
-        | [] -> List.rev acc
-        | (lk, lrows) :: ls' ->
-          let rec advance rs =
-            match rs with
-            | (rk, _) :: rs' when Value.compare rk lk < 0 -> advance rs'
-            | _ -> rs
-          in
-          let rs = advance rs in
-          let rrows =
-            match rs with
-            | (rk, rrows) :: _ when Value.compare rk lk = 0 -> rrows
-            | _ -> []
-          in
-          let keep l =
-            let matched = List.exists (fun r -> rok (Env.append r l)) rrows in
-            if anti then not matched else matched
-          in
-          go ls' rs (List.rev_append (List.filter keep lrows) acc)
-      in
-      Rows (go lgroups rgroups [])
     | P.Nl_outerjoin { pred; left; right } ->
       let predfn = Compile.pred catalog pred in
-      let rrows = rows_fr (c1 fr) catalog env right in
+      let rrows = List.map (own right) (rows_fr (c1 fr) catalog env right) in
       let rvars = P.vars_of right in
       Rows
         (rows_fr (c0 fr) catalog env left
@@ -1214,47 +1261,10 @@ and exec fr catalog env plan =
                match matches with
                | [] -> [ pad_nulls rvars l ]
                | _ :: _ -> matches))
-    | P.Merge_outerjoin { lkey; rkey; residual; left; right } ->
-      let rok = residual_check catalog residual stats in
-      let rvars = P.vars_of right in
-      let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
-      let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
-      (* every left row survives: matched rows merge, the rest pad *)
-      let rec go ls rs acc =
-        match ls, rs with
-        | [], _ -> List.rev acc
-        | (_, lrows) :: ls', [] ->
-          go ls' []
-            (List.rev_append (List.map (pad_nulls rvars) lrows) acc)
-        | (lk, lrows) :: ls', (rk, rrows) :: rs' ->
-          let c = Value.compare lk rk in
-          if c = 0 then
-            let out =
-              List.concat_map
-                (fun l ->
-                  let matches =
-                    List.filter_map
-                      (fun r ->
-                        let merged = Env.append r l in
-                        if rok merged then Some merged else None)
-                      rrows
-                  in
-                  match matches with
-                  | [] -> [ pad_nulls rvars l ]
-                  | _ :: _ -> matches)
-                lrows
-            in
-            go ls' rs' (List.rev_append out acc)
-          else if c < 0 then
-            go ls' rs
-              (List.rev_append (List.map (pad_nulls rvars) lrows) acc)
-          else go ls rs' acc
-      in
-      Rows (go lgroups rgroups [])
     | P.Nl_nestjoin { pred; func; label; left; right } ->
       let predfn = Compile.pred catalog pred in
       let funcfn = Compile.expr catalog func in
-      let rrows = rows_fr (c1 fr) catalog env right in
+      let rrows = List.map (own right) (rows_fr (c1 fr) catalog env right) in
       Rows
         (rows_fr (c0 fr) catalog env left
         |> List.map (fun l ->
@@ -1292,9 +1302,11 @@ and exec fr catalog env plan =
         lrows;
       let matched : (Env.t * Env.t list) list ref = ref [] in
       let matched_keys = Vtbl.create 256 in
+      let own_r = own right in
       rows_fr (c1 fr) catalog env right
       |> List.iter (fun r ->
              let k = hkey (rkeyfn r) in
+             let r = own_r r in
              stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
              let pruned =
                match filter with
@@ -1331,38 +1343,6 @@ and exec fr catalog env plan =
           lrows
       in
       Rows (emitted @ dangling)
-    | P.Merge_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-      let rok = residual_check catalog residual stats in
-      let funcfn = Compile.expr catalog func in
-      let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
-      let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
-      (* Unlike merge join, every left group survives (possibly with ∅). *)
-      let rec go ls rs acc =
-        match ls, rs with
-        | [], _ -> List.rev acc
-        | (lk, lrows) :: ls', [] ->
-          let out = List.map (emit_group []) lrows in
-          ignore lk;
-          go ls' [] (List.rev_append out acc)
-        | (lk, lrows) :: ls', (rk, rrows) :: rs' ->
-          let c = Value.compare lk rk in
-          if c = 0 then
-            go ls' rs'
-              (List.rev_append (List.map (emit_group rrows) lrows) acc)
-          else if c < 0 then
-            go ls' rs (List.rev_append (List.map (emit_group []) lrows) acc)
-          else go ls rs' acc
-      and emit_group rrows l =
-        let members =
-          List.filter_map
-            (fun r ->
-              let merged = Env.append r l in
-              if rok merged then Some (funcfn merged) else None)
-            rrows
-        in
-        Env.bind label (Value.set members) l
-      in
-      Rows (go lgroups rgroups [])
     | P.Unnest_op { expr; var; input } ->
       let exprfn = Compile.expr catalog expr in
       Rows
@@ -1458,41 +1438,45 @@ and exec fr catalog env plan =
    cache without running its scan or counting [hash_builds]; an empty
    probe side fetches nothing, so an unused entry stays cold. Any other
    build runs the right operand and hashes it on [key]. *)
-and build_table fr catalog env plan ~nprobe ~names right key =
+and build_table fr catalog env plan ~nprobe ~names ~hash right key =
   match P.cached_build plan with
   | Some _ when nprobe = 0 -> no_table
   | Some c -> cached_view ~bloom:fr.bloom catalog c
-  | None -> hash_batches fr ?names key (batches_fr (c1 fr) catalog env right)
+  | None ->
+    hash_batches fr ?names ~hash key (batches_fr (c1 fr) catalog env right)
 
-and sorted_groups ~stats fr catalog env plan key_expr =
-  let keyfn = Compile.expr catalog key_expr in
-  let produced = rows_fr fr catalog env plan in
-  stats.Stats.sorts <- stats.Stats.sorts + List.length produced;
-  let keyed = List.map (fun r -> (keyfn r, r)) produced in
-  let sorted =
-    List.sort (fun (k1, _) (k2, _) -> Value.compare k1 k2) keyed
+(* A right-build keyed operator: [left] probes a table of [right] for
+   [kind]. Hashed, the probe side stays in its input order. [sorted], both
+   sides are sorted on their keys, stably, each counting its rows in
+   [sorts] and evaluating its keys as soon as it has run: output rows come
+   out in ascending key order, equal keys in input order, as a sort-merge
+   join emits them. *)
+and right_build fr catalog env plan ~sorted ~kind ~lkey ~rkey ~residual left
+    right =
+  let stats = fr.sink in
+  let lkeyer, rkeyer, hash = key_pair catalog lkey rkey in
+  let names =
+    match kind, residual with
+    | Semi _, None -> None
+    | _ -> Some (P.vars_of right)
   in
-  (* Linear pass over the sorted list, grouping equal adjacent keys. *)
-  let rec group = function
-    | [] -> []
-    | (k, r) :: rest ->
-      let rec take acc = function
-        | (k', r') :: more when Value.equal k k' -> take (r' :: acc) more
-        | remaining -> (List.rev acc, remaining)
+  let lb = batches_fr (c0 fr) catalog env left in
+  let probe_b, table =
+    if sorted then begin
+      stats.Stats.sorts <- stats.Stats.sorts + Batch.live_total lb;
+      let probe_b =
+        sorted_batches ~size:fr.batch (P.vars_of left) lkeyer lb
       in
-      let same, others = take [ r ] rest in
-      (k, same) :: group others
+      let rb = batches_fr (c1 fr) catalog env right in
+      stats.Stats.sorts <- stats.Stats.sorts + Batch.live_total rb;
+      (probe_b, sorted_table ?names rkeyer rb)
+    end
+    else
+      ( lb,
+        build_table fr catalog env plan ~nprobe:(Batch.live_total lb) ~names
+          ~hash right rkeyer )
   in
-  group sorted
-
-and merge_groups ls rs =
-  match ls, rs with
-  | [], _ | _, [] -> []
-  | (lk, lrows) :: ls', (rk, rrows) :: rs' ->
-    let c = Value.compare lk rk in
-    if c = 0 then (lrows, rrows) :: merge_groups ls' rs'
-    else if c < 0 then merge_groups ls' rs
-    else merge_groups ls rs'
+  Batches (keyed_probe fr catalog ~kind ~residual ~key:lkeyer ~table probe_b)
 
 (* The result expression runs as a kernel over the plan's batches once the
    plan has run, with the row replay per batch on a miss or a raise. *)
@@ -1534,3 +1518,36 @@ let run_instrumented ?(jobs = 1) ?gate ?(bloom = true) ?batch catalog query =
       catalog Env.empty query
   in
   (v, tree)
+
+let nest_batches ?(stats = no_stats) ?(jobs = 1) ?gate ?(bloom = true) ?batch
+    catalog ~key ~nulls ~label ~func members parents =
+  let fr = frame ~jobs ?gate ~bloom ~batch stats in
+  let k = Ast.TupleE (List.map (fun x -> (x, Ast.Var x)) key) in
+  let pkey, mkey, hash = key_pair catalog k k in
+  let contributes m i =
+    List.exists
+      (fun v -> match Batch.value m v i with Value.Null -> false | _ -> true)
+      nulls
+  in
+  let members =
+    if nulls = [] then members
+    else
+      List.map
+        (fun m ->
+          let kept = Ibuf.create () in
+          Batch.iter_live m (fun i -> if contributes m i then Ibuf.push kept i);
+          Batch.narrow m (Ibuf.contents kept))
+        members
+  in
+  (* The member columns [func] reads: no other build column is ever
+     gathered. *)
+  let names =
+    match members with
+    | m :: _ ->
+      let used = Ast.free_vars func in
+      List.filter (fun x -> Sset.mem x used) (List.map fst m.Batch.cols)
+    | [] -> []
+  in
+  let table = hash_batches fr ~names ~hash mkey members in
+  keyed_probe fr catalog ~kind:(Nest { label; func }) ~residual:None ~key:pkey
+    ~table parents

@@ -25,12 +25,13 @@ val rows :
 (** Rows produced under an ambient environment (for correlation variables),
     in implementation order (not canonicalized).
 
-    [jobs] (default 1) is the parallel width. With [jobs > 1], a hash
-    operator (join, semijoin, antijoin, outerjoin, nest join, cached builds
-    included) whose probe side has at least [gate] rows (default
-    {!parallel_rows}) runs its one per-batch probe loop over contiguous
-    slices of its probe batches — morsels — on {!Pool}, each with its own
-    counters, merged back in slice order per source batch. Builds stay
+    [jobs] (default 1) is the parallel width. With [jobs > 1], a keyed
+    join (hash or sort-merge join, semijoin, antijoin, outerjoin, nest
+    join, cached builds included) whose probe side has at least [gate]
+    rows (default {!parallel_rows}) runs its one per-batch probe loop over
+    contiguous slices of its probe batches — morsels — on {!Pool}, each
+    with its own counters, merged back in slice order per source batch.
+    Builds (and a sort-merge join's sorts) stay
     serial, into one shared table; below the gate, and for every other
     operator, nothing touches the pool. Rows, batch shapes and every
     counter are those of a serial run, and the first error is the one a
@@ -62,11 +63,18 @@ val rows :
     their left operand is preserved and must stay on the probe side).
 
     Every physical operator has exactly one implementation. Scan, filter,
-    extend, project and the hash-join family run on columnar batches:
-    scans emit column batches, filters narrow selection vectors, and the
-    hash joins keep their build sides as columns chained by key and emit
-    gathers of probe and build columns (a nest join adds its label column
-    to the probe batch). The other operators run row-at-a-time; their
+    extend, project and the hash and sort-merge join families run on
+    columnar batches: scans emit column batches, filters narrow selection
+    vectors, and every keyed join runs one probe loop over its build side
+    kept as columns chained by key, emitting gathers of probe and build
+    columns (a nest join adds its label column to the probe batch). A
+    hash join finds a key's chain through a hash table, a sort-merge join
+    by searching the sorted build keys; the sort-merge family sorts its
+    probe side stably on its key first (counting both sides' rows in
+    [sorts]), so its rows come out in ascending key order, equal keys in
+    input order. A pair binds the ambient environment, then the left
+    row's own variables, then the right row's, each shadowing the one
+    before. The other operators run row-at-a-time; their
     rows enter batches in one place, one column per {!Physical.vars_of}
     variable. Expression kernels ({!Vexpr}) cover the scalar, tuple,
     set-test and aggregate fragment, residuals and nest-join functions
@@ -144,6 +152,31 @@ val run_under :
   Physical.query ->
   Cobj.Value.t
 
+val nest_batches :
+  ?stats:Stats.t ->
+  ?jobs:int ->
+  ?gate:int ->
+  ?bloom:bool ->
+  ?batch:int ->
+  Cobj.Catalog.t ->
+  key:string list ->
+  nulls:string list ->
+  label:string ->
+  func:Lang.Ast.expr ->
+  Batch.t list ->
+  Batch.t list ->
+  Batch.t list
+(** [nest_batches catalog ~key ~nulls ~label ~func members parents]: the
+    shredded stitch as the nest join's probe. The [members] are hashed on
+    their [key] columns (compared as the vector of their values in label
+    order), leaving out, as ν* does, those [Null] on every one of a
+    non-empty [nulls]; each live parent row then probes on its own [key] columns and
+    gains [label], the set of [func] over its matching members, empty when
+    none match. [func] sees a pair's bindings as every keyed join binds
+    them, a member's columns shadowing the parent's. The build, the probes
+    and their Bloom screens count into [stats] as a hash nest join's do;
+    no [rows_out] is counted. *)
+
 (** {2 Expressions over batches}
 
     Each compiles its expression once when partially applied; a kernel
@@ -177,7 +210,7 @@ val query_free_vars : Physical.query -> Lang.Ast.String_set.t
     (used for apply memoization). *)
 
 val parallel_rows : int
-(** Default gate: the probe rows from which a hash operator under
+(** Default gate: the probe rows from which a keyed join under
     [jobs > 1] runs its probe as morsels. Below it a parallel region's
     worker start-up costs more than the probe work it would share. *)
 

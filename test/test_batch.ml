@@ -252,6 +252,28 @@ let hash_family rkey =
     );
   ]
 
+(* Every sort-merge operator over X x and Y y. *)
+let merge_family rkey =
+  let lkey = e "x.b" and left = scan "X" "x" and right = scan "Y" "y" in
+  let residual = Some (e "y.c >= x.a") in
+  [
+    ("merge join", P.Merge_join { lkey; rkey; residual = None; left; right });
+    ("merge join+residual", P.Merge_join { lkey; rkey; residual; left; right });
+    ( "merge semijoin",
+      P.Merge_semijoin
+        { lkey; rkey; residual = None; anti = false; left; right } );
+    ( "merge antijoin+residual",
+      P.Merge_semijoin { lkey; rkey; residual; anti = true; left; right } );
+    ( "merge outerjoin+residual",
+      P.Merge_outerjoin { lkey; rkey; residual; left; right } );
+    ( "merge nestjoin+residual",
+      P.Merge_nestjoin
+        { lkey; rkey; residual; func = e "y.c + x.a"; label = "z"; left; right }
+    );
+  ]
+
+(* The hash and sort-merge families emit a column per output variable,
+   with no batch falling back to the row closures. *)
 let test_hash_family_columns () =
   let catalog = xy_catalog () in
   List.iter
@@ -273,8 +295,58 @@ let test_hash_family_columns () =
                     (P.vars_of plan))
                 bs)
             [ 1; 2; 1024 ])
-        (hash_family rkey))
+        (hash_family rkey @ merge_family rkey))
     [ e "y.d"; e "y.d + 0" ]
+
+let test_merge_order () =
+  (* Keys arrive unsorted and repeat on both sides: the output comes out in
+     ascending left-key order; within a key, left rows in input order, each
+     with its right matches in input order. *)
+  let catalog =
+    Catalog.of_tables
+      [
+        Table.create ~name:"X"
+          ~elt:(Ctype.ttuple [ ("i", Ctype.TInt); ("k", Ctype.TInt) ])
+          (List.map
+             (fun (i, k) -> tup [ ("i", vi i); ("k", vi k) ])
+             [ (1, 3); (2, 1); (3, 3); (4, 2); (5, 1); (6, 9) ]);
+        Table.create ~name:"Y"
+          ~elt:(Ctype.ttuple [ ("j", Ctype.TInt); ("k", Ctype.TInt) ])
+          (List.map
+             (fun (j, k) -> tup [ ("j", vi j); ("k", vi k) ])
+             [ (10, 1); (20, 3); (30, 1); (40, 2); (50, 3) ]);
+      ]
+  in
+  let plan =
+    P.Merge_join
+      {
+        lkey = e "x.k";
+        rkey = e "y.k";
+        residual = None;
+        left = scan "X" "x";
+        right = scan "Y" "y";
+      }
+  in
+  List.iter
+    (fun batch ->
+      let bs, stats, _ = run_plan ~batch catalog plan in
+      let pairs =
+        List.map
+          (fun r ->
+            let f v l = Value.field l (Env.find v r) in
+            match f "x" "i", f "y" "j" with
+            | Value.Int i, Value.Int j -> (i, j)
+            | _ -> Alcotest.fail "non-integer id")
+          (Batch.rows_of_batches bs)
+      in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "merge order (batch=%d)" batch)
+        [ (2, 10); (2, 30); (5, 10); (5, 30); (4, 40); (1, 20); (1, 50);
+          (3, 20); (3, 50) ]
+        pairs;
+      Alcotest.(check int) "both sides sorted" 11 stats.Stats.sorts;
+      Alcotest.(check int) "no hash probes" 0 stats.Stats.hash_probes)
+    [ 1; 2; 1024 ]
 
 let test_cached_gather () =
   (* A cached build ([y.d], a bare scan keyed on a field) and the same
@@ -386,4 +458,5 @@ let suite =
     prop_batch_width_invariant;
     Alcotest.test_case "execute ~vector:false raises" `Quick
       test_no_row_engine;
+    Alcotest.test_case "merge join output order" `Quick test_merge_order;
   ]

@@ -230,25 +230,61 @@ let prop_optimized_plans_well_formed =
       end
       | Ok { logical = None; _ } -> true)
 
-(* forced physical implementations agree too, on a smaller sample *)
+(* Forced physical implementations agree too, on a smaller sample: each
+   forced join method, on the mixed catalog and on the all-dangling one,
+   computes the reference interpreter's value. Its physical plan gives the
+   same value and the same complete Stats at batch widths 1 and 3, and as
+   morsels on 4 domains with the row gate lowered to 1, as at width 1024
+   serially — the morsel counters aside, which count slices. *)
 let prop_forced_impls_agree =
+  let module Stats = Engine.Stats in
   qcheck ~count:80 "forced physical implementations agree" query_gen
     (fun src ->
-      let run force =
-        Core.Pipeline.run
-          ~options:{ Core.Planner.default_options with Core.Planner.force }
-          Core.Pipeline.Decorrelated catalog src
-      in
-      match run Core.Planner.Auto with
-      | Error msg -> QCheck2.Test.fail_reportf "auto failed on %s: %s" src msg
-      | Ok reference ->
-        List.for_all
-          (fun force ->
-            match run force with
-            | Ok v -> Value.equal reference v
-            | Error msg ->
-              QCheck2.Test.fail_reportf "forced impl failed on %s: %s" src msg)
-          Core.Planner.[ Force_nl; Force_hash; Force_merge ])
+      List.for_all
+        (fun (cname, cat) ->
+          match Core.Pipeline.run Core.Pipeline.Interp cat src with
+          | Error msg ->
+            QCheck2.Test.fail_reportf "interp failed on %s (%s): %s" src cname
+              msg
+          | Ok reference ->
+            List.for_all
+              (fun force ->
+                match
+                  Core.Pipeline.compile_string
+                    ~options:{ Core.Planner.default_options with force }
+                    Core.Pipeline.Decorrelated cat src
+                with
+                | Error msg ->
+                  QCheck2.Test.fail_reportf "forced impl failed on %s: %s" src
+                    msg
+                | Ok { Core.Pipeline.physical = None; _ } -> true
+                | Ok { Core.Pipeline.physical = Some pq; _ } ->
+                  let run ?(jobs = 1) ~batch () =
+                    let stats = Stats.create () in
+                    let v =
+                      Engine.Exec.run ~stats ~jobs ~gate:1 ~batch cat pq
+                    in
+                    ( v,
+                      { stats with Stats.partitions = 0; partition_max_rows = 0 }
+                    )
+                  in
+                  let v, s = run ~batch:1024 () in
+                  (Value.equal reference v
+                  || QCheck2.Test.fail_reportf
+                       "forced impl differs from interp on %s (%s):@.ref = \
+                        %a@.got = %a"
+                       src cname Value.pp reference Value.pp v)
+                  && List.for_all
+                       (fun (jobs, batch) ->
+                         let v', s' = run ~jobs ~batch () in
+                         (Value.equal v v' && s = s')
+                         || QCheck2.Test.fail_reportf
+                              "forced impl at jobs=%d batch=%d differs on %s \
+                               (%s):@.%a@.vs %a"
+                              jobs batch src cname Stats.pp s' Stats.pp s)
+                       [ (1, 1); (1, 3); (4, 1024) ])
+              Core.Planner.[ Force_nl; Force_hash; Force_merge ])
+        [ ("mixed", catalog); ("all-dangling", all_dangling_catalog) ])
 
 (* --- parallel execution ---------------------------------------------------- *)
 
