@@ -43,14 +43,13 @@ let table1 () =
     let func = Lang.Parser.expr "y" in
     let left = P.Scan { table = "X"; var = "x" } in
     let right = P.Scan { table = "Y"; var = "y" } in
-    match impl with
-    | `Nl -> P.Nl_nestjoin { pred; func; label = "s"; left; right }
-    | `Hash ->
-      P.Hash_nestjoin
-        { lkey; rkey; residual = None; func; label = "s"; left; right }
-    | `Merge ->
-      P.Merge_nestjoin
-        { lkey; rkey; residual = None; func; label = "s"; left; right }
+    let how =
+      match impl with
+      | `Nl -> P.Loop { pred }
+      | `Hash -> P.Keyed { by = P.Hash; lkey; rkey; residual = None }
+      | `Merge -> P.Keyed { by = P.Sort; lkey; rkey; residual = None }
+    in
+    P.Join { kind = P.Nest { func; label = "s" }; how; left; right }
   in
   let result impl =
     Engine.Exec.rows catalog Env.empty (mk_physical impl)
@@ -361,14 +360,16 @@ let build_side () =
         let func = Lang.Parser.expr "x.a" in
         let left = P.Scan { table = "Y"; var = "y" } in
         let right = P.Scan { table = "X"; var = "x" } in
-        let right_build =
-          P.Hash_nestjoin
-            { lkey; rkey; residual = None; func; label = "g"; left; right }
+        let nest by =
+          P.Join
+            {
+              kind = P.Nest { func; label = "g" };
+              how = P.Keyed { by; lkey; rkey; residual = None };
+              left;
+              right;
+            }
         in
-        let left_build =
-          P.Hash_nestjoin_left
-            { lkey; rkey; residual = None; func; label = "g"; left; right }
-        in
+        let right_build = nest P.Hash and left_build = nest P.Hash_left in
         let canon p =
           Engine.Exec.rows catalog Env.empty p |> List.sort_uniq Env.compare
         in
@@ -378,13 +379,18 @@ let build_side () =
           let a = canon right_build and b = canon left_build in
           List.length a = List.length b && List.for_all2 Env.equal a b
         in
-        [ fint ny; fms r_ms; fms l_ms; (if agree then "yes" else "NO") ])
+        ( agree,
+          [ fint ny; fms r_ms; fms l_ms; (if agree then "yes" else "NO") ] ))
       [ 200; 800; 3200 ]
   in
   print_table
     ~title:"Y Δ X on a key of X (|X| = 200): both build sides are legal"
     ~header:[ "|Y|"; "build=right ms"; "build=left ms"; "agree" ]
-    rows;
+    (List.map snd rows);
+  if not (List.for_all fst rows) then begin
+    prerr_endline "E5: a legal left build disagrees with the right build";
+    exit 1
+  end;
   (* the illegal case: the same left-build streaming on a non-key *)
   let catalog =
     Workload.Gen.xy
@@ -395,14 +401,16 @@ let build_side () =
   let func = Lang.Parser.expr "y.a" in
   let left = P.Scan { table = "X"; var = "x" } in
   let right = P.Scan { table = "Y"; var = "y" } in
-  let legal =
-    P.Hash_nestjoin
-      { lkey; rkey; residual = None; func; label = "g"; left; right }
+  let nest by =
+    P.Join
+      {
+        kind = P.Nest { func; label = "g" };
+        how = P.Keyed { by; lkey; rkey; residual = None };
+        left;
+        right;
+      }
   in
-  let illegal =
-    P.Hash_nestjoin_left
-      { lkey; rkey; residual = None; func; label = "g"; left; right }
-  in
+  let legal = nest P.Hash and illegal = nest P.Hash_left in
   let canon p =
     Engine.Exec.rows catalog Env.empty p |> List.sort_uniq Env.compare
   in
@@ -493,13 +501,22 @@ let unnest_select () =
                   expr = Lang.Parser.expr "g";
                   var = "u";
                   input =
-                    P.Hash_nestjoin
+                    P.Join
                       {
-                        lkey = Lang.Parser.expr "x.b";
-                        rkey = Lang.Parser.expr "y.b";
-                        residual = None;
-                        func = Lang.Parser.expr "(i = x.id, a = y.a)";
-                        label = "g";
+                        kind =
+                          P.Nest
+                            {
+                              func = Lang.Parser.expr "(i = x.id, a = y.a)";
+                              label = "g";
+                            };
+                        how =
+                          P.Keyed
+                            {
+                              by = P.Hash;
+                              lkey = Lang.Parser.expr "x.b";
+                              rkey = Lang.Parser.expr "y.b";
+                              residual = None;
+                            };
                         left = P.Scan { table = "X"; var = "x" };
                         right = P.Scan { table = "Y"; var = "y" };
                       };

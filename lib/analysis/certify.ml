@@ -384,20 +384,27 @@ let check_phase ctx (before : Plan.query) (after : Plan.query) =
 
 (* --- physical obligations ------------------------------------------------ *)
 
-(* §6 build-side legality, upgraded: Hash_nestjoin_left builds on the left
-   and streams the right, which only groups correctly when each left row
-   has at most one match — i.e. the right key covers a {e proven} candidate
-   key of the whole right operand (the verifier's declared-scan-key check
-   is the special case of a bare keyed scan). *)
+(* §6 build-side legality, upgraded: a left-build hash join builds on the
+   left and streams the right, which only groups correctly under a nest
+   join and when each left row has at most one match — i.e. the right key
+   covers a {e proven} candidate key of the whole right operand (the
+   verifier's declared-scan-key check is the special case of a bare keyed
+   scan). *)
 let rec check_physical ctx plan =
   (match plan with
-  | P.Hash_nestjoin_left { rkey; right; _ } ->
-    if not (Props.key_of ctx.catalog right rkey) then
-      viol ctx "nestjoin-build-side"
-        (fun () -> P.to_string plan)
-        "build-on-left nest join streams the right operand, but %s is not \
-         a proven key of it"
-        (Lang.Pretty.to_string rkey)
+  | P.Join { kind; how = P.Keyed { by = P.Hash_left; rkey; _ }; right; _ } -> (
+    let fail fmt =
+      viol ctx "nestjoin-build-side" (fun () -> P.to_string plan) fmt
+    in
+    match kind with
+    | P.Nest _ ->
+      if not (Props.key_of ctx.catalog right rkey) then
+        fail
+          "build-on-left nest join streams the right operand, but %s is not \
+           a proven key of it"
+          (Lang.Pretty.to_string rkey)
+    | P.Inner | P.Semi _ | P.Outer ->
+      fail "only a nest join may build on the left (§6)")
   | _ -> ());
   List.iter (check_physical ctx) (Engine.Analyze.children plan)
 

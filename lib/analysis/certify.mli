@@ -31,7 +31,7 @@
     {!Props}-inferred cardinality bounds ({b phase-bounds}).
 
     Physical plans are certified against inferred properties: the §6
-    build-side restriction for [Hash_nestjoin_left] is discharged by
+    build-side restriction for a left-build hash nest join is discharged by
     {!Props.key_of} — a {e proven} key of the whole right operand, strictly
     generalizing the verifier's declared-scan-key check
     ({b nestjoin-build-side}).

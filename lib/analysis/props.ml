@@ -329,25 +329,17 @@ let rec of_physical catalog plan =
   | P.Unit_row -> unit_props
   | P.Scan { table; var } -> scan_props catalog table var
   | P.Filter { input; _ } -> select_props (go input)
-  | P.Nl_join { left; right; _ } ->
+  | P.Join { kind = P.Inner; how = P.Loop _; left; right } ->
     let p = join_props ~runique:false ~lunique:false (go left) (go right) in
     { p with bounds = { p.bounds with lo = 0.0 } }
-  | P.Hash_join { left; right; lkey; rkey; _ }
-  | P.Merge_join { left; right; lkey; rkey; _ } ->
+  | P.Join { kind = P.Inner; how = P.Keyed { lkey; rkey; _ }; left; right } ->
     equi_join left right lkey rkey
-  | P.Nl_semijoin { left; _ }
-  | P.Hash_semijoin { left; _ }
-  | P.Merge_semijoin { left; _ } ->
-    semi_props (go left)
-  | P.Nl_outerjoin { left; right; _ } ->
+  | P.Join { kind = P.Semi _; left; _ } -> semi_props (go left)
+  | P.Join { kind = P.Outer; how = P.Loop _; left; right } ->
     join_props ~outer:true ~runique:false ~lunique:false (go left) (go right)
-  | P.Hash_outerjoin { left; right; lkey; rkey; _ }
-  | P.Merge_outerjoin { left; right; lkey; rkey; _ } ->
+  | P.Join { kind = P.Outer; how = P.Keyed { lkey; rkey; _ }; left; right } ->
     equi_join ~outer:true left right lkey rkey
-  | P.Nl_nestjoin { label; left; _ }
-  | P.Hash_nestjoin { label; left; _ }
-  | P.Hash_nestjoin_left { label; left; _ }
-  | P.Merge_nestjoin { label; left; _ } ->
+  | P.Join { kind = P.Nest { label; _ }; left; _ } ->
     nestjoin_props label (go left)
   | P.Unnest_op { expr; input; _ } ->
     let pin = go input in
@@ -367,10 +359,10 @@ let rec of_physical catalog plan =
   | P.Union_op { left; right } -> union_props (go left) (go right)
 
 (* The §6 build-side obligation, generalized from "declared key of a bare
-   scan" to "proven key of the whole right operand": Hash_nestjoin_left
-   streams the right side, so output stays grouped by left rows only when
-   each left row matches at most one right row — i.e. [rkey] covers a
-   candidate key of the right operand. *)
+   scan" to "proven key of the whole right operand": a left-build hash
+   nest join streams the right side, so output stays grouped by left rows
+   only when each left row matches at most one right row — i.e. [rkey]
+   covers a candidate key of the right operand. *)
 let key_of catalog plan key_expr = expr_is_key (of_physical catalog plan) key_expr
 
 (* --- rendering ----------------------------------------------------------- *)

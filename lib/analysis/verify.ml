@@ -328,82 +328,49 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     let s, l = go_physical ctx ambient input in
     check_pred ctx sub s "filter predicate" pred;
     (s, l)
-  | P.Nl_join { pred; left; right } ->
-    let _ls, ll, _rs, rl, merged = binary left right in
-    check_pred ctx sub merged "join predicate" pred;
-    (merged, Sset.union ll rl)
-  | P.Hash_join { lkey; rkey; residual; left; right } ->
+  | P.Join { kind; how; left; right } ->
     let ls, ll, rs, rl, merged = binary left right in
-    check_keys "hash-key-type" ls rs lkey rkey;
-    check_residual merged residual;
-    (merged, Sset.union ll rl)
-  | P.Merge_join { lkey; rkey; residual; left; right } ->
-    let ls, ll, rs, rl, merged = binary left right in
-    check_keys "merge-key-type" ls rs lkey rkey;
-    check_residual merged residual;
-    (merged, Sset.union ll rl)
-  | P.Nl_semijoin { pred; anti = _; left; right } ->
-    let ls, ll, _rs, _rl, merged = binary left right in
-    check_pred ctx sub merged "semijoin predicate" pred;
-    (ls, ll)
-  | P.Hash_semijoin { lkey; rkey; residual; anti = _; left; right } ->
-    let ls, ll, rs, _rl, merged = binary left right in
-    check_keys "hash-key-type" ls rs lkey rkey;
-    check_residual merged residual;
-    (ls, ll)
-  | P.Merge_semijoin { lkey; rkey; residual; anti = _; left; right } ->
-    let ls, ll, rs, _rl, merged = binary left right in
-    check_keys "merge-key-type" ls rs lkey rkey;
-    check_residual merged residual;
-    (ls, ll)
-  | P.Nl_outerjoin { pred; left; right } ->
-    let _ls, ll, _rs, rl, merged = binary left right in
-    check_pred ctx sub merged "outerjoin predicate" pred;
-    (merged, Sset.union ll rl)
-  | P.Hash_outerjoin { lkey; rkey; residual; left; right } ->
-    let ls, ll, rs, rl, merged = binary left right in
-    check_keys "hash-key-type" ls rs lkey rkey;
-    check_residual merged residual;
-    (merged, Sset.union ll rl)
-  | P.Merge_outerjoin { lkey; rkey; residual; left; right } ->
-    let ls, ll, rs, rl, merged = binary left right in
-    check_keys "merge-key-type" ls rs lkey rkey;
-    check_residual merged residual;
-    (merged, Sset.union ll rl)
-  | P.Nl_nestjoin { pred; func; label; left; right } ->
-    let ls, ll, _rs, _rl, merged = binary left right in
-    check_pred ctx sub merged "nest join predicate" pred;
-    let tf = infer_under ctx sub merged "nest join function" func in
-    check_label ctx sub "nest join" ll label;
-    (extend ls [ (label, Ctype.TSet tf) ], Sset.add label ll)
-  | P.Hash_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-    let ls, ll, rs, _rl, merged = binary left right in
-    check_keys "hash-key-type" ls rs lkey rkey;
-    check_residual merged residual;
-    let tf = infer_under ctx sub merged "nest join function" func in
-    check_label ctx sub "nest join" ll label;
-    (extend ls [ (label, Ctype.TSet tf) ], Sset.add label ll)
-  | P.Hash_nestjoin_left { lkey; rkey; residual; func; label; left; right }
-    ->
-    let ls, ll, rs, _rl, merged = binary left right in
-    check_keys "hash-key-type" ls rs lkey rkey;
-    check_residual merged residual;
-    let tf = infer_under ctx sub merged "nest join function" func in
-    check_label ctx sub "nest join" ll label;
-    if not (right_key_declared ctx.catalog right rkey) then
+    (match how with
+    | P.Loop { pred } ->
+      let what =
+        match kind with
+        | P.Inner -> "join predicate"
+        | P.Semi _ -> "semijoin predicate"
+        | P.Outer -> "outerjoin predicate"
+        | P.Nest _ -> "nest join predicate"
+      in
+      check_pred ctx sub merged what pred
+    | P.Keyed { by; lkey; rkey; residual } ->
+      let rule =
+        match by with
+        | P.Hash | P.Hash_left -> "hash-key-type"
+        | P.Sort -> "merge-key-type"
+      in
+      check_keys rule ls rs lkey rkey;
+      check_residual merged residual);
+    let out =
+      match kind with
+      | P.Inner | P.Outer -> (merged, Sset.union ll rl)
+      | P.Semi _ -> (ls, ll)
+      | P.Nest { func; label } ->
+        let tf = infer_under ctx sub merged "nest join function" func in
+        check_label ctx sub "nest join" ll label;
+        (extend ls [ (label, Ctype.TSet tf) ], Sset.add label ll)
+    in
+    (match kind, how with
+    | P.Nest _, P.Keyed { by = P.Hash_left; rkey; _ } ->
+      if not (right_key_declared ctx.catalog right rkey) then
+        viol ctx "nestjoin-build-side" sub
+          "hash nest join may only build on the left when the right key %s \
+           is a declared key of the scanned right operand (§6: otherwise \
+           streamed right rows cannot regroup by left row)"
+          (Lang.Pretty.to_string rkey)
+    | (P.Inner | P.Semi _ | P.Outer), P.Keyed { by = P.Hash_left; _ } ->
       viol ctx "nestjoin-build-side" sub
-        "hash nest join may only build on the left when the right key %s is \
-         a declared key of the scanned right operand (§6: otherwise \
-         streamed right rows cannot regroup by left row)"
-        (Lang.Pretty.to_string rkey);
-    (extend ls [ (label, Ctype.TSet tf) ], Sset.add label ll)
-  | P.Merge_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-    let ls, ll, rs, _rl, merged = binary left right in
-    check_keys "merge-key-type" ls rs lkey rkey;
-    check_residual merged residual;
-    let tf = infer_under ctx sub merged "nest join function" func in
-    check_label ctx sub "nest join" ll label;
-    (extend ls [ (label, Ctype.TSet tf) ], Sset.add label ll)
+        "only a nest join may build on the left (§6: every other join \
+         kind streams its left operand)"
+    | _, (P.Loop _ | P.Keyed { by = P.Hash | P.Sort; _ }) -> ());
+    out
   | P.Unnest_op { expr; var; input } ->
     let s, l = go_physical ctx ambient input in
     let elt =
@@ -543,10 +510,7 @@ let check_flat_logical ctx (q : Plan.query) =
 let check_flat_physical ctx (pq : P.query) =
   let rec go plan =
     (match plan with
-    | P.Nl_nestjoin { label; _ }
-    | P.Hash_nestjoin { label; _ }
-    | P.Hash_nestjoin_left { label; _ }
-    | P.Merge_nestjoin { label; _ } ->
+    | P.Join { kind = P.Nest { label; _ }; _ } ->
       viol ctx "shred-flat"
         (fun () -> P.to_string plan)
         "nest join (label %s) inside a shredded flat plan" label

@@ -31,12 +31,13 @@
 
     Physical plans are additionally checked for:
 
-    - hash / merge join key comparability — the two key expressions
+    - keyed join comparability — the two key expressions
       must have a common type under {!Cobj.Ctype.join} ({b hash-key-type},
       {b merge-key-type});
-    - the paper's §6 build-side restriction: [Hash_nestjoin_left] (build on
-      the left, stream the right) is only sound when the right key is a
-      declared key of the scanned right operand ({b nestjoin-build-side}).
+    - the paper's §6 build-side restriction: a left-build hash join (build
+      on the left, stream the right) is only sound under a nest join, and
+      only when the right key is a declared key of the scanned right
+      operand ({b nestjoin-build-side}).
 
     Violations are reported with the phase that produced the plan, the
     specific rule, a detail message and the pretty-printed offending

@@ -70,12 +70,27 @@ and compare_fields xs ys =
 
 let equal a b = compare a b = 0
 
+(* [equal] makes [Int i] equal to [Float (float_of_int i)], so both must
+   hash alike. An integral value hashes as the int it is, without boxing a
+   float: an [Int] up to 2^53 is exactly its float, and a [Float] that is
+   integral and in int range converts exactly. Any other float, and an
+   [Int] beyond 2^53 through the float it rounds to, hashes as a float,
+   whose hash already identifies -0.0 with 0.0 and every nan. *)
+let min_float_int = -0x1p62 (* [min_int], exactly *)
+
+let hash_float f =
+  if Float.is_integer f && f >= min_float_int && f < -.min_float_int then
+    Hashtbl.hash (int_of_float f)
+  else Hashtbl.hash f
+
 let rec hash v =
   match v with
   | Null -> 17
   | Bool b -> if b then 3 else 5
-  | Int i -> Hashtbl.hash (float_of_int i)
-  | Float f -> Hashtbl.hash f
+  | Int i ->
+    if i >= -0x20000000000000 && i <= 0x20000000000000 then Hashtbl.hash i
+    else hash_float (float_of_int i)
+  | Float f -> hash_float f
   | String s -> Hashtbl.hash s
   | Tuple fields ->
     List.fold_left

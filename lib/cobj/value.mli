@@ -40,7 +40,11 @@ val set_of_seq : t Seq.t -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** Equal values hash alike, an [Int] and an equal [Float] included. An
+    [Int] within 2^53, and an integral [Float] in int range, hash without
+    allocating. *)
 
 (** {1 Accessors} *)
 

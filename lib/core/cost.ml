@@ -14,8 +14,8 @@ let avg_set = 4.0
 (* Hash builds are costlier than probes (allocation, bucket chaining), and
    the build table has to be resident — weighting the build side steers the
    planner toward building on the smaller operand when the statistics can
-   tell the operands apart (the [Hash_join] orientation candidates in
-   [Planner]). *)
+   tell the operands apart (the inner hash join's orientation candidates
+   in [Planner]). *)
 let build_weight = 2.0
 
 let table_card catalog name =
@@ -241,27 +241,24 @@ let rec pcard catalog plan =
   | P.Unit_row -> 1.0
   | P.Scan { table; _ } -> table_card catalog table
   | P.Filter { input; _ } -> sel_filter *. pcard catalog input
-  | P.Nl_join { left; right; _ } ->
-    pcard catalog left *. pcard catalog right *. sel_equi
-  | P.Hash_join { left; right; lkey; rkey; _ }
-  | P.Merge_join { left; right; lkey; rkey; _ } ->
-    pcard catalog left *. pcard catalog right *. equi left right lkey rkey
-  | P.Nl_semijoin { anti; left; _ } ->
-    (if anti then 1.0 -. sel_semi else sel_semi) *. pcard catalog left
-  | P.Hash_semijoin { anti; left; right; lkey; rkey; _ }
-  | P.Merge_semijoin { anti; left; right; lkey; rkey; _ } ->
-    let f = semi left right lkey rkey in
+  | P.Join { kind = P.Inner; how; left; right } ->
+    let sel =
+      match how with
+      | P.Loop _ -> sel_equi
+      | P.Keyed { lkey; rkey; _ } -> equi left right lkey rkey
+    in
+    pcard catalog left *. pcard catalog right *. sel
+  | P.Join { kind = P.Semi { anti }; how; left; right } ->
+    let f =
+      match how with
+      | P.Loop _ -> sel_semi
+      | P.Keyed { lkey; rkey; _ } -> semi left right lkey rkey
+    in
     (if anti then 1.0 -. f else f) *. pcard catalog left
-  | P.Nl_outerjoin { left; right; _ }
-  | P.Hash_outerjoin { left; right; _ }
-  | P.Merge_outerjoin { left; right; _ } ->
+  | P.Join { kind = P.Outer; left; right; _ } ->
     Float.max (pcard catalog left)
       (pcard catalog left *. pcard catalog right *. sel_equi)
-  | P.Nl_nestjoin { left; _ }
-  | P.Hash_nestjoin { left; _ }
-  | P.Hash_nestjoin_left { left; _ }
-  | P.Merge_nestjoin { left; _ } ->
-    pcard catalog left
+  | P.Join { kind = P.Nest _; left; _ } -> pcard catalog left
   | P.Unnest_op { expr; input; _ } ->
     let per_row =
       match avg_card_of catalog (pvar_table input) expr with
@@ -276,10 +273,10 @@ let rec pcard catalog plan =
 
 let rec cost catalog plan =
   let c = cost catalog and n = pcard catalog in
-  (* probe side + weighted build side: what every hash operator pays on top
+  (* probe side + weighted build side: what every hash join pays on top
      of producing its operands *)
   let hash_work ~probe ~build = n probe +. (build_weight *. n build) in
-  (* A right-build hash operator: a cached build runs no scan and costs one
+  (* A right-build hash join: a cached build runs no scan and costs one
      pass over its table when cold, nothing when warm. *)
   let right_build left right =
     match P.cached_build plan with
@@ -296,38 +293,29 @@ let rec cost catalog plan =
   | P.Unit_row -> 1.0
   | P.Scan { table; _ } -> table_card catalog table
   | P.Filter { pred = _; input } -> c input +. n input
-  | P.Nl_join { left; right; _ } -> c left +. c right +. (n left *. n right)
-  | P.Hash_join { left; right; _ } -> right_build left right +. n plan
-  | P.Merge_join { left; right; _ } ->
-    c left +. c right
-    +. (n left *. log2 (n left))
-    +. (n right *. log2 (n right))
-    +. n plan
-  | P.Nl_semijoin { left; right; _ } ->
-    c left +. c right +. (0.5 *. n left *. n right)
-  | P.Hash_semijoin { left; right; _ } -> right_build left right
-  | P.Merge_semijoin { left; right; _ } ->
-    c left +. c right
-    +. (n left *. log2 (n left))
-    +. (n right *. log2 (n right))
-  | P.Nl_outerjoin { left; right; _ } ->
-    c left +. c right +. (n left *. n right)
-  | P.Hash_outerjoin { left; right; _ } -> right_build left right +. n plan
-  | P.Merge_outerjoin { left; right; _ } ->
-    c left +. c right
-    +. (n left *. log2 (n left))
-    +. (n right *. log2 (n right))
-    +. n plan
-  | P.Nl_nestjoin { left; right; _ } -> c left +. c right +. (n left *. n right)
-  | P.Hash_nestjoin { left; right; _ } -> right_build left right +. n plan
-  | P.Hash_nestjoin_left { left; right; _ } ->
-    (* §6 variant: the build side is the left operand *)
-    c left +. c right +. hash_work ~probe:right ~build:left +. n plan
-  | P.Merge_nestjoin { left; right; _ } ->
-    c left +. c right
-    +. (n left *. log2 (n left))
-    +. (n right *. log2 (n right))
-    +. n plan
+  | P.Join { kind; how = P.Loop _; left; right } ->
+    let pairs =
+      match kind with
+      | P.Semi _ -> 0.5 *. n left *. n right
+      | P.Inner | P.Outer | P.Nest _ -> n left *. n right
+    in
+    c left +. c right +. pairs
+  | P.Join { kind; how = P.Keyed { by; _ }; left; right } -> (
+    let work =
+      match by with
+      | P.Hash -> right_build left right
+      | P.Hash_left ->
+        (* §6 variant: the build side is the left operand *)
+        c left +. c right +. hash_work ~probe:right ~build:left
+      | P.Sort ->
+        c left +. c right
+        +. (n left *. log2 (n left))
+        +. (n right *. log2 (n right))
+    in
+    (* a semijoin emits probe rows it already has *)
+    match kind with
+    | P.Semi _ -> work
+    | P.Inner | P.Outer | P.Nest _ -> work +. n plan)
   | P.Unnest_op { input; _ } -> c input +. n plan
   | P.Nest_op { input; _ } -> c input +. n input
   | P.Extend_op { input; _ } | P.Project_op { input; _ } -> c input +. n input
@@ -394,30 +382,29 @@ let explain catalog plan =
     Printf.sprintf
       "|input| × fixed filter selectivity %.2f (predicates are not analyzed)"
       sel_filter
-  | P.Nl_join _ ->
+  | P.Join { kind = P.Inner; how = P.Loop _; _ } ->
     Printf.sprintf
       "|left| × |right| × fixed selectivity %.2f (nl-join keys are not \
        analyzed)"
       sel_equi
-  | P.Hash_join { left; right; lkey; rkey; _ }
-  | P.Merge_join { left; right; lkey; rkey; _ } ->
+  | P.Join { kind = P.Inner; how = P.Keyed { lkey; rkey; _ }; left; right } ->
     Printf.sprintf "|left| × |right| / max ndv: %s, %s" (key left lkey)
       (key right rkey)
-  | P.Nl_semijoin { anti; _ } ->
+  | P.Join { kind = P.Semi { anti }; how = P.Loop _; _ } ->
     Printf.sprintf "|left| × fixed %s fraction (nl predicate not analyzed), \
                     sel=%.2f"
       (if anti then "antijoin" else "semijoin")
       (if anti then 1.0 -. sel_semi else sel_semi)
-  | P.Hash_semijoin { left; right; lkey; rkey; anti; _ }
-  | P.Merge_semijoin { left; right; lkey; rkey; anti; _ } ->
+  | P.Join
+      { kind = P.Semi { anti }; how = P.Keyed { lkey; rkey; _ }; left; right }
+    ->
     Printf.sprintf "%smatch fraction min(1, ndv ratio): probe %s vs build %s"
       (if anti then "1 − " else "")
       (key left lkey) (key right rkey)
-  | P.Nl_outerjoin _ | P.Hash_outerjoin _ | P.Merge_outerjoin _ ->
+  | P.Join { kind = P.Outer; _ } ->
     Printf.sprintf
       "max(|left|, |left| × |right| × fixed selectivity %.2f)" sel_equi
-  | P.Nl_nestjoin _ | P.Hash_nestjoin _ | P.Hash_nestjoin_left _
-  | P.Merge_nestjoin _ ->
+  | P.Join { kind = P.Nest _; _ } ->
     "nest join preserves |left| (one output row per left row)"
   | P.Unnest_op { expr; input; _ } -> (
     match avg_card_of catalog (pvar_table input) expr with

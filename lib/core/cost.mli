@@ -9,8 +9,8 @@
     (min(1, ndv_r/ndv_l)) and measured average set cardinalities for
     unnest. Keys that don't resolve to a base-table attribute fall back to
     fixed constants. Hash costs weight the build side heavier than the
-    probe side, so the cheaper orientation of a commutative [Hash_join]
-    builds on the (estimated) smaller operand. *)
+    probe side, so the cheaper orientation of a commutative inner hash
+    join builds on the (estimated) smaller operand. *)
 
 val set_key_hint :
   (Cobj.Catalog.t -> Engine.Physical.t -> Lang.Ast.expr -> bool) option ->

@@ -56,137 +56,84 @@ let cheapest catalog candidates =
       first rest
 
 let allowed force candidates ~nl =
+  let only keep =
+    match
+      List.filter
+        (function
+          | P.Join { how = P.Keyed { by; _ }; _ } -> keep by | _ -> false)
+        candidates
+    with
+    | [] -> [ nl ]
+    | kept -> kept
+  in
   match force with
   | Auto -> candidates
   | Force_nl -> [ nl ]
-  | Force_hash ->
-    let hash_only =
-      List.filter
-        (fun c ->
-          match c with
-          | P.Hash_join _ | P.Hash_semijoin _ | P.Hash_outerjoin _
-          | P.Hash_nestjoin _ | P.Hash_nestjoin_left _ ->
-            true
-          | _ -> false)
-        candidates
-    in
-    if hash_only = [] then [ nl ] else hash_only
-  | Force_merge ->
-    let merge_only =
-      List.filter
-        (fun c ->
-          match c with
-          | P.Merge_join _ | P.Merge_nestjoin _ | P.Merge_semijoin _
-          | P.Merge_outerjoin _ ->
-            true
-          | _ -> false)
-        candidates
-    in
-    if merge_only = [] then [ nl ] else merge_only
+  | Force_hash -> only (function P.Hash | P.Hash_left -> true | _ -> false)
+  | Force_merge -> only (function P.Sort -> true | _ -> false)
 
-let rec plan_aux options catalog lp =
+(* The physical join of kind [kind] with predicate [pred] over the logical
+   operands [left] and [right]: the cheapest of its candidates, which are,
+   in the order cost ties resolve, the §6 left-build hash nest join when
+   the right key is unique on the right operand, the nested loop, the hash
+   join, the inner join's swapped hash join, and the sort-merge join. A
+   predicate with no equi-key pair has only the nested loop. *)
+let rec plan_join options catalog kind pred left right =
   let recur = plan_aux options catalog in
-  let pick candidates ~nl =
+  let l = recur left and r = recur right in
+  let join how ~left ~right = P.Join { kind; how; left; right } in
+  let nl = join (P.Loop { pred }) ~left:l ~right:r in
+  match
+    Kim.equi_split ~left_vars:(Plan.vars_of left)
+      ~right_vars:(Plan.vars_of right) pred
+  with
+  | None -> nl
+  | Some (pairs, residual) ->
+    let lkey, rkey = keys_of_pairs pairs in
+    let residual = residual_of residual in
+    let keyed by =
+      join (P.Keyed { by; lkey; rkey; residual }) ~left:l ~right:r
+    in
+    let build_left =
+      match kind with
+      | P.Nest _ when rkey_is_key_of catalog r rkey -> [ keyed P.Hash_left ]
+      | _ -> []
+    in
+    (* The join is commutative, so both build orientations are candidates:
+       the statistics-driven cost model weights the build (right) side
+       heavier, so the cheaper orientation builds on the estimated-smaller
+       operand. §7: every other kind preserves its left operand, which
+       must stay on the probe side, so only the inner join is swapped. *)
+    let swapped =
+      match kind with
+      | P.Inner ->
+        [
+          join
+            (P.Keyed { by = P.Hash; lkey = rkey; rkey = lkey; residual })
+            ~left:r ~right:l;
+        ]
+      | P.Semi _ | P.Outer | P.Nest _ -> []
+    in
+    let candidates =
+      build_left @ (nl :: keyed P.Hash :: swapped) @ [ keyed P.Sort ]
+    in
     cheapest catalog (allowed options.force candidates ~nl)
-  in
+
+and plan_aux options catalog lp =
+  let recur = plan_aux options catalog in
+  let join = plan_join options catalog in
   match lp with
   | Plan.Unit -> P.Unit_row
   | Plan.Table { name; var } -> P.Scan { table = name; var }
   | Plan.Select { pred; input } -> P.Filter { pred; input = recur input }
-  | Plan.Join { pred; left; right } -> begin
-    let l = recur left and r = recur right in
-    let nl = P.Nl_join { pred; left = l; right = r } in
-    match
-      Kim.equi_split ~left_vars:(Plan.vars_of left)
-        ~right_vars:(Plan.vars_of right) pred
-    with
-    | None -> nl
-    | Some (pairs, residual) ->
-      let lkey, rkey = keys_of_pairs pairs in
-      let residual = residual_of residual in
-      let candidates =
-        [
-          nl;
-          P.Hash_join { lkey; rkey; residual; left = l; right = r };
-          (* The join is commutative, so both build orientations are
-             candidates: the statistics-driven cost model weights the build
-             (right) side heavier, so the cheaper orientation builds on the
-             estimated-smaller operand. The unswapped form comes first —
-             ties keep the source orientation. *)
-          P.Hash_join
-            { lkey = rkey; rkey = lkey; residual; left = r; right = l };
-          P.Merge_join { lkey; rkey; residual; left = l; right = r };
-        ]
-      in
-      pick ~nl candidates
-  end
+  | Plan.Join { pred; left; right } -> join P.Inner pred left right
   | Plan.Semijoin { pred; left; right } ->
-    plan_semi options catalog ~anti:false pred left right
+    join (P.Semi { anti = false }) pred left right
   | Plan.Antijoin { pred; left; right } ->
-    plan_semi options catalog ~anti:true pred left right
-  | Plan.Outerjoin { pred; left; right } -> begin
-    let l = recur left and r = recur right in
-    let nl = P.Nl_outerjoin { pred; left = l; right = r } in
-    match
-      Kim.equi_split ~left_vars:(Plan.vars_of left)
-        ~right_vars:(Plan.vars_of right) pred
-    with
-    | None -> nl
-    | Some (pairs, residual) ->
-      let lkey, rkey = keys_of_pairs pairs in
-      let residual = residual_of residual in
-      pick ~nl
-        [
-          nl;
-          P.Hash_outerjoin { lkey; rkey; residual; left = l; right = r };
-          P.Merge_outerjoin { lkey; rkey; residual; left = l; right = r };
-        ]
-  end
-  | Plan.Nestjoin { pred; func; label; left; right } -> begin
-    let l = recur left and r = recur right in
-    let nl = P.Nl_nestjoin { pred; func; label; left = l; right = r } in
-    match
-      Kim.equi_split ~left_vars:(Plan.vars_of left)
-        ~right_vars:(Plan.vars_of right) pred
-    with
-    | None -> nl
-    | Some (pairs, residual) ->
-      let lkey, rkey = keys_of_pairs pairs in
-      let residual = residual_of residual in
-      let candidates =
-        [
-          nl;
-          P.Hash_nestjoin
-            { lkey; rkey; residual; func; label; left = l; right = r };
-          P.Merge_nestjoin
-            { lkey; rkey; residual; func; label; left = l; right = r };
-        ]
-      in
-      let candidates =
-        (* Left-build streaming variant is only legal when the right key is
-           unique on the right operand (§6). *)
-        if rkey_is_key_of catalog r rkey then
-          P.Hash_nestjoin_left
-            { lkey; rkey; residual; func; label; left = l; right = r }
-          :: candidates
-        else candidates
-      in
-      (* §7: the nest join's left operand is preserved (every left row
-         survives, extended with its grouped set), so it must stay on the
-         probe side — unlike the commutative join, no swapped orientation
-         may ever be generated for Δ. Asserted so a future "swap
-         everywhere" refactor trips loudly. *)
-      List.iter
-        (function
-          | P.Hash_nestjoin { left; _ }
-          | P.Hash_nestjoin_left { left; _ }
-          | P.Merge_nestjoin { left; _ }
-          | P.Nl_nestjoin { left; _ } ->
-            assert (left == l)
-          | _ -> ())
-        candidates;
-      pick ~nl candidates
-  end
+    join (P.Semi { anti = true }) pred left right
+  | Plan.Outerjoin { pred; left; right } -> join P.Outer pred left right
+  | Plan.Nestjoin { pred; func; label; left; right } ->
+    join (P.Nest { func; label }) pred left right
   | Plan.Unnest { expr; var; input } ->
     P.Unnest_op { expr; var; input = recur input }
   | Plan.Nest { by; label; func; nulls; input } ->
@@ -207,27 +154,6 @@ let rec plan_aux options catalog lp =
     in
     let memo = uncorrelated || options.memo_applies in
     P.Apply_op { var; subquery; memo; input }
-
-and plan_semi options catalog ~anti pred left right =
-  let recur = plan_aux options catalog in
-  let l = recur left and r = recur right in
-  let nl = P.Nl_semijoin { pred; anti; left = l; right = r } in
-  match
-    Kim.equi_split ~left_vars:(Plan.vars_of left)
-      ~right_vars:(Plan.vars_of right) pred
-  with
-  | None -> nl
-  | Some (pairs, residual) ->
-    let lkey, rkey = keys_of_pairs pairs in
-    let residual = residual_of residual in
-    let candidates =
-      [
-        nl;
-        P.Hash_semijoin { lkey; rkey; residual; anti; left = l; right = r };
-        P.Merge_semijoin { lkey; rkey; residual; anti; left = l; right = r };
-      ]
-    in
-    cheapest catalog (allowed options.force ~nl candidates)
 
 and query_aux options catalog { Plan.plan = lp; result } =
   { P.plan = plan_aux options catalog lp; result }

@@ -1,12 +1,15 @@
 (** Physical planning: implementation selection for logical operators.
 
-    For every join-like node the planner tries to split the predicate into
-    equi-key pairs ({!Kim.equi_split}); when it succeeds, hash- and
-    sort-merge implementations compete with nested loops on {!Cost.cost},
-    otherwise nested loops is the only legal choice. Per the paper's §6
-    restriction, the hash nest join builds on the {b right} operand; the
-    left-build streaming variant is selected only when the right key is a
-    declared key of a right-side base table ([Table.key]). A hash candidate
+    Every logical join — join, semijoin, antijoin, outerjoin, nest join —
+    becomes one {!Engine.Physical.Join} of the matching kind. The planner
+    splits its predicate into equi-key pairs once ({!Kim.equi_split}); when
+    that succeeds, the hash and sort-merge methods compete with the nested
+    loop on {!Cost.cost}, otherwise the nested loop is the only legal
+    choice. Only the commutative inner join also tries the hash join with
+    its operands swapped. Per the paper's §6 restriction, the hash nest join
+    builds on the {b right} operand; the left-build streaming variant is a
+    candidate only when the right key is a declared key of a right-side
+    base table ([Table.key]). A hash candidate
     whose right operand is a bare base-table scan keyed on a plain field
     probes a cached build ({!Engine.Physical.cached_build}), which
     {!Cost.cost} prices at one table pass when cold and nothing when warm.

@@ -1,7 +1,5 @@
 module P = Physical
 
-let e = Lang.Pretty.pp
-
 (* Operands in the order the executor descends them (and the order of
    [Stats.node.children]): unary → [input]; binary → [left; right], or
    just [left] when the right operand is a cached build the executor never
@@ -9,12 +7,7 @@ let e = Lang.Pretty.pp
    relies on this order to annotate estimated cardinalities. *)
 let children plan =
   match plan with
-  | P.Hash_join { left; _ }
-  | P.Hash_semijoin { left; _ }
-  | P.Hash_outerjoin { left; _ }
-  | P.Hash_nestjoin { left; _ }
-    when Option.is_some (P.cached_build plan) ->
-    [ left ]
+  | P.Join { left; _ } when Option.is_some (P.cached_build plan) -> [ left ]
   | P.Unit_row | P.Scan _ -> []
   | P.Filter { input; _ }
   | P.Unnest_op { input; _ }
@@ -22,86 +15,13 @@ let children plan =
   | P.Extend_op { input; _ }
   | P.Project_op { input; _ } ->
     [ input ]
-  | P.Nl_join { left; right; _ }
-  | P.Hash_join { left; right; _ }
-  | P.Merge_join { left; right; _ }
-  | P.Nl_semijoin { left; right; _ }
-  | P.Hash_semijoin { left; right; _ }
-  | P.Merge_semijoin { left; right; _ }
-  | P.Nl_outerjoin { left; right; _ }
-  | P.Hash_outerjoin { left; right; _ }
-  | P.Merge_outerjoin { left; right; _ }
-  | P.Nl_nestjoin { left; right; _ }
-  | P.Hash_nestjoin { left; right; _ }
-  | P.Hash_nestjoin_left { left; right; _ }
-  | P.Merge_nestjoin { left; right; _ }
-  | P.Union_op { left; right } ->
-    [ left; right ]
+  | P.Join { left; right; _ } | P.Union_op { left; right } -> [ left; right ]
   | P.Apply_op { subquery; input; _ } -> [ input; subquery.P.plan ]
 
-let keys_detail lkey rkey residual =
-  Fmt.str "[%a = %a]%a" e lkey e rkey
-    (fun ppf -> function
-      | None -> ()
-      | Some r -> Fmt.pf ppf " residual=[%a]" e r)
-    residual
-
-let label_of = function
-  | P.Unit_row -> ("unit", "")
-  | P.Scan { table; var } -> ("scan", Printf.sprintf "%s %s" table var)
-  | P.Filter { pred; _ } -> ("filter", Fmt.str "[%a]" e pred)
-  | P.Nl_join { pred; _ } -> ("nl-join", Fmt.str "[%a]" e pred)
-  | P.Hash_join { lkey; rkey; residual; _ } ->
-    ("hash-join", keys_detail lkey rkey residual)
-  | P.Merge_join { lkey; rkey; residual; _ } ->
-    ("merge-join", keys_detail lkey rkey residual)
-  | P.Nl_semijoin { pred; anti; _ } ->
-    ((if anti then "nl-antijoin" else "nl-semijoin"), Fmt.str "[%a]" e pred)
-  | P.Hash_semijoin { lkey; rkey; residual; anti; _ } ->
-    ( (if anti then "hash-antijoin" else "hash-semijoin"),
-      keys_detail lkey rkey residual )
-  | P.Merge_semijoin { lkey; rkey; residual; anti; _ } ->
-    ( (if anti then "merge-antijoin" else "merge-semijoin"),
-      keys_detail lkey rkey residual )
-  | P.Nl_outerjoin { pred; _ } -> ("nl-outerjoin", Fmt.str "[%a]" e pred)
-  | P.Hash_outerjoin { lkey; rkey; residual; _ } ->
-    ("hash-outerjoin", keys_detail lkey rkey residual)
-  | P.Merge_outerjoin { lkey; rkey; residual; _ } ->
-    ("merge-outerjoin", keys_detail lkey rkey residual)
-  | P.Nl_nestjoin { pred; func; label; _ } ->
-    ("nl-nestjoin", Fmt.str "[%a] func=%a label=%s" e pred e func label)
-  | P.Hash_nestjoin { lkey; rkey; residual; func; label; _ } ->
-    ( "hash-nestjoin",
-      Fmt.str "%s func=%a label=%s" (keys_detail lkey rkey residual) e func
-        label )
-  | P.Hash_nestjoin_left { lkey; rkey; residual; func; label; _ } ->
-    ( "hash-nestjoin(build=left)",
-      Fmt.str "%s func=%a label=%s" (keys_detail lkey rkey residual) e func
-        label )
-  | P.Merge_nestjoin { lkey; rkey; residual; func; label; _ } ->
-    ( "merge-nestjoin",
-      Fmt.str "%s func=%a label=%s" (keys_detail lkey rkey residual) e func
-        label )
-  | P.Unnest_op { expr; var; _ } ->
-    ("unnest", Fmt.str "%s in %a" var e expr)
-  | P.Nest_op { by; label; func; nulls; _ } ->
-    ( (if nulls = [] then "nest" else "nest*"),
-      Fmt.str "by=[%s] label=%s func=%a" (String.concat ", " by) label e func
-    )
-  | P.Extend_op { var; expr; _ } -> ("extend", Fmt.str "%s = %a" var e expr)
-  | P.Project_op { vars; _ } ->
-    ("project", Printf.sprintf "[%s]" (String.concat ", " vars))
-  | P.Apply_op { var; subquery; memo; _ } ->
-    ( (if memo then "apply(memo)" else "apply"),
-      Fmt.str "%s = (result %a)" var e subquery.P.result )
-  | P.Union_op _ -> ("union", "")
-
 let label plan =
-  let op, detail = label_of plan in
-  match P.cached_build plan with
-  | Some (table, _, field) ->
-    (op, Printf.sprintf "%s build=cached %s.%s" detail table field)
-  | None -> (op, detail)
+  match P.describe plan with
+  | op, None -> (op, "")
+  | op, Some detail -> (op, Fmt.str "%t" detail)
 
 let rec tree_of_plan plan =
   let op, detail = label plan in

@@ -33,46 +33,29 @@ module Sset = Ast.String_set
 let rec free_vars plan =
   let expr_free bound e = Sset.diff (Ast.free_vars e) bound in
   let bound_of p = Sset.of_list (P.vars_of p) in
-  let binary_keys left right lkey rkey residual =
-    let lb = bound_of left and rb = bound_of right in
-    let both = Sset.union lb rb in
-    Sset.union
-      (Sset.union (free_vars left) (free_vars right))
-      (Sset.union
-         (Sset.union (expr_free lb lkey) (expr_free rb rkey))
-         (match residual with
-         | None -> Sset.empty
-         | Some r -> expr_free both r))
-  in
   match plan with
   | P.Unit_row | P.Scan _ -> Sset.empty
   | P.Filter { pred; input } ->
     Sset.union (free_vars input) (expr_free (bound_of input) pred)
-  | P.Nl_join { pred; left; right }
-  | P.Nl_semijoin { pred; left; right; _ }
-  | P.Nl_outerjoin { pred; left; right } ->
-    Sset.union
-      (Sset.union (free_vars left) (free_vars right))
-      (expr_free (Sset.union (bound_of left) (bound_of right)) pred)
-  | P.Hash_join { lkey; rkey; residual; left; right }
-  | P.Merge_join { lkey; rkey; residual; left; right }
-  | P.Hash_semijoin { lkey; rkey; residual; left; right; _ }
-  | P.Merge_semijoin { lkey; rkey; residual; left; right; _ }
-  | P.Hash_outerjoin { lkey; rkey; residual; left; right }
-  | P.Merge_outerjoin { lkey; rkey; residual; left; right } ->
-    binary_keys left right lkey rkey residual
-  | P.Nl_nestjoin { pred; func; left; right; _ } ->
-    let both = Sset.union (bound_of left) (bound_of right) in
-    Sset.union
-      (Sset.union (free_vars left) (free_vars right))
-      (Sset.union (expr_free both pred) (expr_free both func))
-  | P.Hash_nestjoin { lkey; rkey; residual; func; left; right; _ }
-  | P.Hash_nestjoin_left { lkey; rkey; residual; func; left; right; _ }
-  | P.Merge_nestjoin { lkey; rkey; residual; func; left; right; _ } ->
-    let both = Sset.union (bound_of left) (bound_of right) in
-    Sset.union
-      (binary_keys left right lkey rkey residual)
-      (expr_free both func)
+  | P.Join { kind; how; left; right } ->
+    let lb = bound_of left and rb = bound_of right in
+    let both = Sset.union lb rb in
+    let own =
+      match how with
+      | P.Loop { pred } -> expr_free both pred
+      | P.Keyed { lkey; rkey; residual; _ } ->
+        Sset.union
+          (Sset.union (expr_free lb lkey) (expr_free rb rkey))
+          (match residual with
+          | None -> Sset.empty
+          | Some r -> expr_free both r)
+    in
+    let own =
+      match kind with
+      | P.Nest { func; _ } -> Sset.union own (expr_free both func)
+      | P.Inner | P.Semi _ | P.Outer -> own
+    in
+    Sset.union (Sset.union (free_vars left) (free_vars right)) own
   | P.Unnest_op { expr; input; _ } ->
     Sset.union (free_vars input) (expr_free (bound_of input) expr)
   | P.Nest_op { func; input; _ } ->
@@ -108,25 +91,15 @@ let rec exprs_of_plan plan acc =
   match plan with
   | P.Unit_row | P.Scan _ -> acc
   | P.Filter { pred; input } -> exprs_of_plan input (pred :: acc)
-  | P.Nl_join { pred; left; right }
-  | P.Nl_semijoin { pred; left; right; _ }
-  | P.Nl_outerjoin { pred; left; right } ->
-    exprs_of_plan left (exprs_of_plan right (pred :: acc))
-  | P.Hash_join { lkey; rkey; residual; left; right }
-  | P.Merge_join { lkey; rkey; residual; left; right }
-  | P.Hash_semijoin { lkey; rkey; residual; left; right; _ }
-  | P.Merge_semijoin { lkey; rkey; residual; left; right; _ }
-  | P.Hash_outerjoin { lkey; rkey; residual; left; right }
-  | P.Merge_outerjoin { lkey; rkey; residual; left; right } ->
-    let acc = lkey :: rkey :: Option.to_list residual @ acc in
-    exprs_of_plan left (exprs_of_plan right acc)
-  | P.Nl_nestjoin { pred; func; left; right; _ } ->
-    exprs_of_plan left (exprs_of_plan right (pred :: func :: acc))
-  | P.Hash_nestjoin { lkey; rkey; residual; func; left; right; _ }
-  | P.Hash_nestjoin_left { lkey; rkey; residual; func; left; right; _ }
-  | P.Merge_nestjoin { lkey; rkey; residual; func; left; right; _ } ->
-    let acc = lkey :: rkey :: func :: Option.to_list residual @ acc in
-    exprs_of_plan left (exprs_of_plan right acc)
+  | P.Join { kind; how; left; right } ->
+    let func = match kind with P.Nest { func; _ } -> [ func ] | _ -> [] in
+    let own =
+      match how with
+      | P.Loop { pred } -> pred :: func
+      | P.Keyed { lkey; rkey; residual; _ } ->
+        lkey :: rkey :: func @ Option.to_list residual
+    in
+    exprs_of_plan left (exprs_of_plan right (own @ acc))
   | P.Unnest_op { expr; input; _ } | P.Extend_op { expr; input; _ } ->
     exprs_of_plan input (expr :: acc)
   | P.Nest_op { func; input; _ } -> exprs_of_plan input (func :: acc)
@@ -423,27 +396,32 @@ let parallel_rows = 20_000
    domain idle, few enough that per-morsel set-up stays negligible. *)
 let morsels_per_domain = 4
 
-(* Run an operator's one per-batch probe loop [loop st b] over its probe
-   batches, returning each source batch's outcome; [loop] also says
-   whether it fell back to the row replay. Serially the loop sees whole
-   batches and counts into the operator's sink. From the frame's gate
-   under [jobs > 1], each batch's selection is cut into contiguous
-   slices, the morsels, which run on the pool with a private [Stats.t]
-   each; outcomes ([concat]) and counters merge back in slice order per
-   source batch, so outputs, batch shapes and every counter are those of
-   a serial run. *)
-let probe_batches fr batches loop concat =
+(* Run an operator's one per-batch probe loop [loop st (b, x)] over its
+   probe batches [b], each with what the loop needs beside it [x],
+   returning each source batch's outcome; [loop] also says whether it fell
+   back to the row replay. Serially the loop sees whole batches and counts
+   into the operator's sink. From the frame's gate under [jobs > 1], each
+   batch's selection is cut into contiguous slices, the morsels, each
+   paired with its batch's [x]; they run on the pool with a private
+   [Stats.t] each; outcomes ([concat]) and counters merge back in slice
+   order per source batch, so outputs, batch shapes and every counter are
+   those of a serial run. *)
+let probe_batches fr items loop concat =
   let note (out, fell_back) =
     if fell_back then note_fallback ();
     out
   in
-  let n = Batch.live_total batches in
+  let n = Batch.live_total (List.map fst items) in
   if fr.jobs <= 1 || n < fr.gate then
-    List.map (fun b -> note (loop fr.sink b)) batches
+    List.map (fun item -> note (loop fr.sink item)) items
   else begin
     let per = morsels_per_domain * fr.jobs in
     let size = (n + per - 1) / per in
-    let cuts = List.map (Batch.slices ~size) batches in
+    let cuts =
+      List.map
+        (fun (b, x) -> List.map (fun m -> (m, x)) (Batch.slices ~size b))
+        items
+    in
     let morsels = Array.of_list (List.concat cuts) in
     let nm = Array.length morsels in
     let sinks = Array.map (fun _ -> Stats.create ()) morsels in
@@ -455,7 +433,7 @@ let probe_batches fr batches loop concat =
       for i = 0 to upto - 1 do
         Stats.add ~into:stats sinks.(i);
         stats.Stats.partition_max_rows <-
-          max stats.Stats.partition_max_rows (Batch.live morsels.(i))
+          max stats.Stats.partition_max_rows (Batch.live (fst morsels.(i)))
       done;
       stats.Stats.partitions <- stats.Stats.partitions + upto
     in
@@ -676,19 +654,23 @@ let sorted_table ?names (key : keyer) batches =
   { cols = build_cols names batches; index = Sorted { keys; ids }; next }
 
 (* The live rows of [batches], columns [names], sorted on [key] as
-   [sorted_table] sorts them, in batches of [size]. *)
+   [sorted_table] sorts them, in batches of [size], each with the keyer
+   that reads its rows' keys back from the sort: no key is evaluated
+   twice. *)
 let sorted_batches ~size names (key : keyer) batches =
   match batches with
   | [] -> []
   | b0 :: _ ->
-    let ids = sort_ids (keys_of key batches) in
+    let keys = keys_of key batches in
+    let ids = sort_ids keys in
     let cols = Batch.concat_live names batches in
     let n = Array.length ids in
     List.init ((n + size - 1) / size) (fun k ->
         let idx = Array.sub ids (k * size) (min size (n - (k * size))) in
-        Batch.of_cols (Array.length idx)
-          (List.map (fun (x, c) -> (x, Batch.gather c idx)) cols)
-          b0.Batch.tail)
+        ( Batch.of_cols (Array.length idx)
+            (List.map (fun (x, c) -> (x, Batch.gather c idx)) cols)
+            b0.Batch.tail,
+          fun _ i -> keys.(idx.(i)) ))
 
 (* The sorted key at position [p] of [ids], compared with [v]. *)
 let at_cmp keys ids p v = Value.compare keys.(ids.(p)) v
@@ -759,15 +741,6 @@ module Ibuf = struct
   let contents b = Array.sub b.a 0 b.n
 end
 
-(* What a keyed join does with the build rows matching a probe row. *)
-type kind =
-  | Join of { swap : bool }  (** all matches; [swap]: the probe side is the
-                                 right operand *)
-  | Semi of { anti : bool }  (** keep the probe row iff some match (not) *)
-  | Outer  (** all matches, or one row padded with nulls *)
-  | Nest of { label : string; func : Ast.expr }
-      (** the probe row, with the set of [func] over its matches *)
-
 (* One probe batch's outcome, before any output column exists. *)
 type matched =
   | Pairs of { ps : int array; bs : int array }
@@ -826,20 +799,20 @@ let pair_env (b : Batch.t) (pcols, bcols) i r =
   let at j cols = List.map (fun (x, c) -> (x, Batch.get c j)) cols in
   Env.prepend (at i pcols @ at r bcols) b.Batch.tail
 
-(* The probe loop of one keyed join over one probe batch [b]: each
-   live row's key probes [table], and [kind] decides what its matches
-   make. Residuals and the nest join's [func] run as kernels over one
-   batch of candidate pairs, gathered with only the columns they read; a
-   semijoin counts [predicate_evals] up to each probe row's first true
-   match, as the row loop stops there. Counters go to a scratch [Stats.t], committed on success. A
-   kernel that is missing, or an evaluation that raises, replays the batch
-   row by row ([replay]), counting straight into [st], so counters and the
-   first error are those of row order. Returns the outcome and whether it
-   replayed. *)
-let probe_batch catalog ~kind ~residual ~key ~table =
-  let swap = match kind with Join { swap } -> swap | _ -> false in
-  let outer = match kind with Outer -> true | _ -> false in
-  let func = match kind with Nest { func; _ } -> Some func | _ -> None in
+(* The probe loop of one keyed join over one probe batch [b] and its
+   keyer: each live row's key probes [table], and [kind] decides what its
+   matches make; [swap] says the probe side is the right operand.
+   Residuals and the nest join's [func] run as kernels over one batch of
+   candidate pairs, gathered with only the columns they read; a semijoin
+   counts [predicate_evals] up to each probe row's first true match, as
+   the row loop stops there. Counters go to a scratch [Stats.t], committed
+   on success. A kernel that is missing, or an evaluation that raises,
+   replays the batch row by row ([replay]), counting straight into [st],
+   so counters and the first error are those of row order. Returns the
+   outcome and whether it replayed. *)
+let probe_batch catalog ~kind ~swap ~residual ~table =
+  let outer = match kind with P.Outer -> true | _ -> false in
+  let func = match kind with P.Nest { func; _ } -> Some func | _ -> None in
   let exprs = Option.to_list residual @ Option.to_list func in
   let pred_k = Option.map (Vexpr.compile catalog) residual in
   let func_k = Option.map (Vexpr.compile catalog) func in
@@ -858,7 +831,7 @@ let probe_batch catalog ~kind ~residual ~key ~table =
       each_match table.next.(r) f
     end
   in
-  fun (st : Stats.t) (b : Batch.t) ->
+  fun (st : Stats.t) ((b : Batch.t), (key : keyer)) ->
     let at = key b in
     let cols = pair_cols ~swap b table in
     let replay () =
@@ -875,11 +848,11 @@ let probe_batch catalog ~kind ~residual ~key ~table =
       Batch.iter_live b (fun i ->
           let h = probe st table cursor (at i) in
           match kind with
-          | Semi { anti } ->
+          | P.Semi { anti } ->
             let rec exists r = r >= 0 && (ok i r || exists table.next.(r)) in
             let found = if Option.is_none residual then h >= 0 else exists h in
             if found <> anti then Ibuf.push ps i
-          | Join _ | Outer ->
+          | P.Inner | P.Outer ->
             let before = ps.Ibuf.n in
             each_match h (fun r ->
                 if ok i r then begin
@@ -890,7 +863,7 @@ let probe_batch catalog ~kind ~residual ~key ~table =
               Ibuf.push ps i;
               Ibuf.push bs (-1)
             end
-          | Nest _ ->
+          | P.Nest _ ->
             let members = ref [] in
             each_match h (fun r ->
                 if ok i r then
@@ -898,9 +871,10 @@ let probe_batch catalog ~kind ~residual ~key ~table =
                     Option.get funcfn (pair_env b cols i r) :: !members);
             sets := Value.set (List.rev !members) :: !sets);
       match kind with
-      | Semi _ -> Keep (Ibuf.contents ps)
-      | Join _ | Outer -> Pairs { ps = Ibuf.contents ps; bs = Ibuf.contents bs }
-      | Nest _ -> Sets (Array.of_list (List.rev !sets))
+      | P.Semi _ -> Keep (Ibuf.contents ps)
+      | P.Inner | P.Outer ->
+        Pairs { ps = Ibuf.contents ps; bs = Ibuf.contents bs }
+      | P.Nest _ -> Sets (Array.of_list (List.rev !sets))
     in
     (* [truth ps bs]: which pairs pass the residual (all, without one). *)
     let truth ps bs =
@@ -916,13 +890,13 @@ let probe_batch catalog ~kind ~residual ~key ~table =
       let heads = Array.map (fun i -> probe loc table cursor (at i)) slots in
       let out =
         match kind with
-        | Semi { anti } when Option.is_none residual ->
+        | P.Semi { anti } when Option.is_none residual ->
           let kept = Ibuf.create () in
           Array.iteri
             (fun u i -> if (heads.(u) >= 0) <> anti then Ibuf.push kept i)
             slots;
           Keep (Ibuf.contents kept)
-        | Semi _ | Join _ | Outer | Nest _ ->
+        | P.Semi _ | P.Inner | P.Outer | P.Nest _ ->
           (* The candidate pairs, counted first so that each array is
              made once, at its size. *)
           let n =
@@ -957,12 +931,12 @@ let probe_batch catalog ~kind ~residual ~key ~table =
           (* A semijoin counts the evaluations the row loop makes, up to
              each probe row's first true match; the others count all. *)
           (match kind with
-          | Semi _ -> ()
-          | Join _ | Outer | Nest _ ->
+          | P.Semi _ -> ()
+          | P.Inner | P.Outer | P.Nest _ ->
             if Option.is_some residual then
               loc.Stats.predicate_evals <- loc.Stats.predicate_evals + n);
           (match kind with
-          | Semi { anti } ->
+          | P.Semi { anti } ->
             let kept = Ibuf.create () in
             groups (fun u lo hi ->
                 let j = ref lo in
@@ -973,7 +947,7 @@ let probe_batch catalog ~kind ~residual ~key ~table =
                   loc.Stats.predicate_evals + min hi (!j + 1) - lo;
                 if (!j < hi) <> anti then Ibuf.push kept slots.(u));
             Keep (Ibuf.contents kept)
-          | Nest _ ->
+          | P.Nest _ ->
             (* [func] over the passing pairs, read at their pair index *)
             let live = Ibuf.create ~size:n () in
             for j = 0 to n - 1 do
@@ -995,7 +969,7 @@ let probe_batch catalog ~kind ~residual ~key ~table =
                 done;
                 sets.(u) <- Value.set !members);
             Sets sets
-          | _ ->
+          | P.Inner | P.Outer ->
             let ops = Ibuf.create () and obs = Ibuf.create () in
             groups (fun u lo hi ->
                 let before = ops.Ibuf.n in
@@ -1023,8 +997,7 @@ let probe_batch catalog ~kind ~residual ~key ~table =
 (* Output batches of a keyed join from its probe batches' outcomes:
    gathers of at most the frame's width for [Pairs], a narrowing for
    [Keep], and the probe batch plus the label column for [Sets]. *)
-let emit fr ~kind ~table probe_b outcomes =
-  let swap = match kind with Join { swap } -> swap | _ -> false in
+let emit fr ~kind ~swap ~table probe_b outcomes =
   List.concat
     (List.map2
        (fun (b : Batch.t) m ->
@@ -1032,7 +1005,7 @@ let emit fr ~kind ~table probe_b outcomes =
          | _ when Batch.live b = 0 -> []
          | Keep [||], _ -> []
          | Keep sel, _ -> [ Batch.narrow b sel ]
-         | Sets sets, Nest { label; _ } ->
+         | Sets sets, P.Nest { label; _ } ->
            let col = Array.make b.Batch.len Value.Null in
            let k = ref 0 in
            Batch.iter_live b (fun i ->
@@ -1057,17 +1030,18 @@ let emit fr ~kind ~table probe_b outcomes =
          | Sets _, _ -> assert false)
        probe_b outcomes)
 
-(* A keyed operator's probe of [table] over its probe batches. *)
-let keyed_probe fr catalog ~kind ~residual ~key ~table probe_b =
-  probe_batches fr probe_b
-    (probe_batch catalog ~kind ~residual ~key ~table)
+(* A keyed join's probe of [table] over its probe batches, each with its
+   keyer. *)
+let keyed_probe fr catalog ~kind ?(swap = false) ~residual ~table probe =
+  probe_batches fr probe
+    (probe_batch catalog ~kind ~swap ~residual ~table)
     concat_matched
-  |> emit fr ~kind ~table probe_b
+  |> emit fr ~kind ~swap ~table (List.map fst probe)
 
 (* What an operator's one implementation produces: the columnar operators
-   (scan, filter, extend, project and the hash-join family) emit batches,
-   every other operator emits rows, which enter batches in [batches_fr]
-   alone. *)
+   (scan, filter, extend, project and the joins by hash or sort) emit
+   batches, every other operator emits rows, which enter batches in
+   [batches_fr] alone. *)
 type produced = Batches of Batch.t list | Rows of Env.t list
 
 let produced_count = function
@@ -1118,11 +1092,13 @@ and exec_timed fr catalog env plan =
   | Batches _ | Rows _ -> ());
   out
 
-(* One arm per [Physical.t] constructor: the single implementation of that
-   operator. Output rows (in order) and every [Stats] counter are identical
-   at any [jobs] and any batch width. Columnar expression kernels that miss
-   or raise fall back to the row-compiled closures, replayed in row order;
-   with [Compile] disabled every expression takes that path. *)
+(* One arm per operator, and for a join one per method — the nested loop,
+   the keyed probe loop by hash or sort, the §6 left build: the single
+   implementation of each [(kind, how)] pair. Output rows (in order) and
+   every [Stats] counter are identical at any [jobs] and any batch width.
+   Columnar expression kernels that miss or raise fall back to the
+   row-compiled closures, replayed in row order; with [Compile] disabled
+   every expression takes that path. *)
 and exec fr catalog env plan =
   let stats = fr.sink in
   let out =
@@ -1161,125 +1137,62 @@ and exec fr catalog env plan =
       Batches
         (Batch.of_tuples ~size:fr.batch names env
            (List.sort_uniq Value.compare (List.rev !acc)))
-    | P.Hash_join { lkey; rkey; residual; left; right } ->
-      let lb = batches_fr (c0 fr) catalog env left in
-      let nl = Batch.live_total lb in
-      let lkeyer, rkeyer, hash = key_pair catalog lkey rkey in
-      (* A cached build is never swapped: its table already exists. *)
-      let swap, probe_b, probe_key, table =
-        match P.cached_build plan with
-        | Some _ ->
-          ( false,
-            lb,
-            lkeyer,
-            build_table fr catalog env plan ~nprobe:nl
-              ~names:(Some (P.vars_of right)) ~hash right rkeyer )
-        | None ->
-          let rb = batches_fr (c1 fr) catalog env right in
-          let swap = Batch.live_total rb > nl in
-          if swap then
-            stats.Stats.build_side_swaps <- stats.Stats.build_side_swaps + 1;
-          let probe_b, build_b, probe_key, build_key, build_plan =
-            if swap then (rb, lb, rkeyer, lkeyer, left)
-            else (lb, rb, lkeyer, rkeyer, right)
-          in
-          ( swap,
-            probe_b,
-            probe_key,
-            hash_batches fr ~names:(P.vars_of build_plan) ~hash build_key
-              build_b )
-      in
-      Batches
-        (keyed_probe fr catalog ~kind:(Join { swap }) ~residual ~key:probe_key
-           ~table probe_b)
-    | P.Hash_semijoin { lkey; rkey; residual; anti; left; right } ->
-      right_build fr catalog env plan ~sorted:false ~kind:(Semi { anti }) ~lkey
-        ~rkey ~residual left right
-    | P.Merge_semijoin { lkey; rkey; residual; anti; left; right } ->
-      right_build fr catalog env plan ~sorted:true ~kind:(Semi { anti }) ~lkey
-        ~rkey ~residual left right
-    | P.Merge_join { lkey; rkey; residual; left; right } ->
-      right_build fr catalog env plan ~sorted:true ~kind:(Join { swap = false })
-        ~lkey ~rkey ~residual left right
-    | P.Hash_outerjoin { lkey; rkey; residual; left; right } ->
-      right_build fr catalog env plan ~sorted:false ~kind:Outer ~lkey ~rkey
+    | P.Join
+        {
+          kind;
+          how = P.Keyed { by = (P.Hash | P.Sort) as by; lkey; rkey; residual };
+          left;
+          right;
+        } ->
+      keyed_join fr catalog env plan ~sorted:(by = P.Sort) ~kind ~lkey ~rkey
         ~residual left right
-    | P.Merge_outerjoin { lkey; rkey; residual; left; right } ->
-      right_build fr catalog env plan ~sorted:true ~kind:Outer ~lkey ~rkey
-        ~residual left right
-    | P.Hash_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-      right_build fr catalog env plan ~sorted:false ~kind:(Nest { label; func })
-        ~lkey ~rkey ~residual left right
-    | P.Merge_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-      right_build fr catalog env plan ~sorted:true ~kind:(Nest { label; func })
-        ~lkey ~rkey ~residual left right
     | P.Unit_row -> Rows [ env ]
-    | P.Nl_join { pred; left; right } ->
+    | P.Join { kind; how = P.Loop { pred }; left; right } ->
       let predfn = Compile.pred catalog pred in
       let rrows = List.map (own right) (rows_fr (c1 fr) catalog env right) in
+      let semi = match kind with P.Semi _ -> true | _ -> false in
+      (* The pairs of [l] that pass, each mapped by [f] as it is found, in
+         right-row order; a semijoin stops at the first. *)
+      let matches f l =
+        let rec go acc = function
+          | [] -> List.rev acc
+          | r :: rest ->
+            stats.Stats.predicate_evals <- stats.Stats.predicate_evals + 1;
+            let merged = Env.append r l in
+            if not (predfn merged) then go acc rest
+            else if semi then [ f merged ]
+            else go (f merged :: acc) rest
+        in
+        go [] rrows
+      in
+      let lrows = rows_fr (c0 fr) catalog env left in
       Rows
-        (rows_fr (c0 fr) catalog env left
-        |> List.concat_map (fun l ->
-               List.filter_map
-                 (fun r ->
-                   stats.Stats.predicate_evals <-
-                     stats.Stats.predicate_evals + 1;
-                   let merged = Env.append r l in
-                   if predfn merged then Some merged else None)
-                 rrows))
-    | P.Nl_semijoin { pred; anti; left; right } ->
-      let predfn = Compile.pred catalog pred in
-      let rrows = List.map (own right) (rows_fr (c1 fr) catalog env right) in
-      Rows
-        (rows_fr (c0 fr) catalog env left
-        |> List.filter (fun l ->
-               let found =
-                 List.exists
-                   (fun r ->
-                     stats.Stats.predicate_evals <-
-                       stats.Stats.predicate_evals + 1;
-                     predfn (Env.append r l))
-                   rrows
-               in
-               if anti then not found else found))
-    | P.Nl_outerjoin { pred; left; right } ->
-      let predfn = Compile.pred catalog pred in
-      let rrows = List.map (own right) (rows_fr (c1 fr) catalog env right) in
-      let rvars = P.vars_of right in
-      Rows
-        (rows_fr (c0 fr) catalog env left
-        |> List.concat_map (fun l ->
-               let matches =
-                 List.filter_map
-                   (fun r ->
-                     stats.Stats.predicate_evals <-
-                       stats.Stats.predicate_evals + 1;
-                     let merged = Env.append r l in
-                     if predfn merged then Some merged else None)
-                   rrows
-               in
-               match matches with
-               | [] -> [ pad_nulls rvars l ]
-               | _ :: _ -> matches))
-    | P.Nl_nestjoin { pred; func; label; left; right } ->
-      let predfn = Compile.pred catalog pred in
-      let funcfn = Compile.expr catalog func in
-      let rrows = List.map (own right) (rows_fr (c1 fr) catalog env right) in
-      Rows
-        (rows_fr (c0 fr) catalog env left
-        |> List.map (fun l ->
-               let members =
-                 List.filter_map
-                   (fun r ->
-                     stats.Stats.predicate_evals <-
-                       stats.Stats.predicate_evals + 1;
-                     let merged = Env.append r l in
-                     if predfn merged then Some (funcfn merged) else None)
-                   rrows
-               in
-               Env.bind label (Value.set members) l))
-    | P.Hash_nestjoin_left { lkey; rkey; residual; func; label; left; right }
-      ->
+        (match kind with
+        | P.Inner -> List.concat_map (matches Fun.id) lrows
+        | P.Semi { anti } ->
+          List.filter
+            (fun l -> (match matches Fun.id l with [] -> anti | _ -> not anti))
+            lrows
+        | P.Outer ->
+          let rvars = P.vars_of right in
+          List.concat_map
+            (fun l ->
+              match matches Fun.id l with
+              | [] -> [ pad_nulls rvars l ]
+              | ms -> ms)
+            lrows
+        | P.Nest { func; label } ->
+          let funcfn = Compile.expr catalog func in
+          List.map
+            (fun l -> Env.bind label (Value.set (matches funcfn l)) l)
+            lrows)
+    | P.Join
+        {
+          kind = P.Nest { func; label };
+          how = P.Keyed { by = P.Hash_left; lkey; rkey; residual };
+          left;
+          right;
+        } ->
       (* Streaming right against a left build table: emits a group as soon
          as a right row matches, so it is only correct when [rkey] is unique
          on the right input (§6). Dangling left rows flush at the end. *)
@@ -1343,6 +1256,8 @@ and exec fr catalog env plan =
           lrows
       in
       Rows (emitted @ dangling)
+    | P.Join { how = P.Keyed { by = P.Hash_left; _ }; _ } ->
+      invalid_arg "Exec: a left-build hash join must be a nest join (§6)"
     | P.Unnest_op { expr; var; input } ->
       let exprfn = Compile.expr catalog expr in
       Rows
@@ -1433,7 +1348,7 @@ and exec fr catalog env plan =
   stats.Stats.rows_out <- stats.Stats.rows_out + produced_count out;
   out
 
-(* The build table of the right-build hash operator [plan] for [nprobe]
+(* The build table of the right-build hash join [plan] for [nprobe]
    probe rows. A cacheable build ([Physical.cached_build]) comes from the
    cache without running its scan or counting [hash_builds]; an empty
    probe side fetches nothing, so an unused entry stays cold. Any other
@@ -1445,38 +1360,56 @@ and build_table fr catalog env plan ~nprobe ~names ~hash right key =
   | None ->
     hash_batches fr ?names ~hash key (batches_fr (c1 fr) catalog env right)
 
-(* A right-build keyed operator: [left] probes a table of [right] for
-   [kind]. Hashed, the probe side stays in its input order. [sorted], both
-   sides are sorted on their keys, stably, each counting its rows in
-   [sorts] and evaluating its keys as soon as it has run: output rows come
-   out in ascending key order, equal keys in input order, as a sort-merge
-   join emits them. *)
-and right_build fr catalog env plan ~sorted ~kind ~lkey ~rkey ~residual left
+(* A keyed join by hash or sort: [left] probes a table of [right] for
+   [kind]. Hashed, the probe side stays in its input order; an inner join
+   that does not probe a cached build builds on its smaller operand,
+   probing with the other ([swap]). [sorted], both sides are sorted on
+   their keys, stably, each counting its rows in [sorts] and evaluating
+   its keys once, as soon as it has run: output rows come out in
+   ascending key order, equal keys in input order, as a sort-merge join
+   emits them. *)
+and keyed_join fr catalog env plan ~sorted ~kind ~lkey ~rkey ~residual left
     right =
   let stats = fr.sink in
   let lkeyer, rkeyer, hash = key_pair catalog lkey rkey in
   let names =
     match kind, residual with
-    | Semi _, None -> None
+    | P.Semi _, None -> None
     | _ -> Some (P.vars_of right)
   in
   let lb = batches_fr (c0 fr) catalog env left in
-  let probe_b, table =
+  let nl = Batch.live_total lb in
+  let keyed key bs = List.map (fun b -> (b, key)) bs in
+  let swap, probe, table =
     if sorted then begin
-      stats.Stats.sorts <- stats.Stats.sorts + Batch.live_total lb;
-      let probe_b =
-        sorted_batches ~size:fr.batch (P.vars_of left) lkeyer lb
-      in
+      stats.Stats.sorts <- stats.Stats.sorts + nl;
+      let probe = sorted_batches ~size:fr.batch (P.vars_of left) lkeyer lb in
       let rb = batches_fr (c1 fr) catalog env right in
       stats.Stats.sorts <- stats.Stats.sorts + Batch.live_total rb;
-      (probe_b, sorted_table ?names rkeyer rb)
+      (false, probe, sorted_table ?names rkeyer rb)
     end
     else
-      ( lb,
-        build_table fr catalog env plan ~nprobe:(Batch.live_total lb) ~names
-          ~hash right rkeyer )
+      match kind, P.cached_build plan with
+      | P.Inner, None ->
+        let rb = batches_fr (c1 fr) catalog env right in
+        let swap = Batch.live_total rb > nl in
+        if swap then
+          stats.Stats.build_side_swaps <- stats.Stats.build_side_swaps + 1;
+        let probe_b, build_b, probe_key, build_key, build_plan =
+          if swap then (rb, lb, rkeyer, lkeyer, left)
+          else (lb, rb, lkeyer, rkeyer, right)
+        in
+        ( swap,
+          keyed probe_key probe_b,
+          hash_batches fr ~names:(P.vars_of build_plan) ~hash build_key build_b
+        )
+      | _ ->
+        ( false,
+          keyed lkeyer lb,
+          build_table fr catalog env plan ~nprobe:nl ~names ~hash right rkeyer
+        )
   in
-  Batches (keyed_probe fr catalog ~kind ~residual ~key:lkeyer ~table probe_b)
+  Batches (keyed_probe fr catalog ~kind ~swap ~residual ~table probe)
 
 (* The result expression runs as a kernel over the plan's batches once the
    plan has run, with the row replay per batch on a miss or a raise. *)
@@ -1549,5 +1482,5 @@ let nest_batches ?(stats = no_stats) ?(jobs = 1) ?gate ?(bloom = true) ?batch
     | [] -> []
   in
   let table = hash_batches fr ~names ~hash mkey members in
-  keyed_probe fr catalog ~kind:(Nest { label; func }) ~residual:None ~key:pkey
-    ~table parents
+  keyed_probe fr catalog ~kind:(P.Nest { func; label }) ~residual:None ~table
+    (List.map (fun b -> (b, pkey)) parents)

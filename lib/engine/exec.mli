@@ -5,12 +5,13 @@
     row order (tests enforce this). Work counters are collected into an
     optional {!Stats.t}.
 
-    {b Caveat} (§6 of the paper, exercised by the build-side bench):
-    [Hash_nestjoin_left] streams the right operand against a left-side build
-    table and is only correct when the right key expression is unique on the
-    right input — the planner enforces this; calling it directly without the
-    precondition produces un-grouped (wrong) output, which is the point of
-    the experiment. *)
+    {b Caveat} (§6 of the paper, exercised by the build-side bench): a
+    nest join keyed by {!Physical.Hash_left} streams the right operand
+    against a left-side build table and is only correct when the right key
+    expression is unique on the right input — the planner enforces this;
+    calling it directly without the precondition produces un-grouped
+    (wrong) output, which is the point of the experiment. Any other join
+    kind keyed by [Hash_left] raises [Invalid_argument]. *)
 
 val rows :
   ?stats:Stats.t ->
@@ -57,8 +58,8 @@ val rows :
     hash lookup and the probe row's materialization. Output is
     byte-identical with bloom on or off, and so is every [Stats] counter
     except [bloom_checks]/[bloom_prunes] (a pruned probe still counts in
-    [hash_probes]). The commutative [Hash_join] additionally builds on the
-    smaller operand at runtime ([build_side_swaps]); the one-sided
+    [hash_probes]). The commutative inner hash join additionally builds on
+    the smaller operand at runtime ([build_side_swaps]); the one-sided
     operators — semijoin, antijoin, outerjoin, nest join — never swap (§7:
     their left operand is preserved and must stay on the probe side).
 

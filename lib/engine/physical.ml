@@ -1,90 +1,22 @@
 type expr = Lang.Ast.expr
 
+type kind =
+  | Inner
+  | Semi of { anti : bool }
+  | Outer
+  | Nest of { func : expr; label : string }
+
+type keyed = Hash | Sort | Hash_left
+
+type how =
+  | Loop of { pred : expr }
+  | Keyed of { by : keyed; lkey : expr; rkey : expr; residual : expr option }
+
 type t =
   | Unit_row
   | Scan of { table : string; var : string }
   | Filter of { pred : expr; input : t }
-  | Nl_join of { pred : expr; left : t; right : t }
-  | Hash_join of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      left : t;
-      right : t;
-    }
-  | Merge_join of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      left : t;
-      right : t;
-    }
-  | Nl_semijoin of { pred : expr; anti : bool; left : t; right : t }
-  | Hash_semijoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      anti : bool;
-      left : t;
-      right : t;
-    }
-  | Merge_semijoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      anti : bool;
-      left : t;
-      right : t;
-    }
-  | Nl_outerjoin of { pred : expr; left : t; right : t }
-  | Hash_outerjoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      left : t;
-      right : t;
-    }
-  | Merge_outerjoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      left : t;
-      right : t;
-    }
-  | Nl_nestjoin of {
-      pred : expr;
-      func : expr;
-      label : string;
-      left : t;
-      right : t;
-    }
-  | Hash_nestjoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      func : expr;
-      label : string;
-      left : t;
-      right : t;
-    }
-  | Hash_nestjoin_left of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      func : expr;
-      label : string;
-      left : t;
-      right : t;
-    }
-  | Merge_nestjoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      func : expr;
-      label : string;
-      left : t;
-      right : t;
-    }
+  | Join of { kind : kind; how : how; left : t; right : t }
   | Unnest_op of { expr : expr; var : string; input : t }
   | Nest_op of {
       by : string list;
@@ -101,10 +33,7 @@ type t =
 and query = { plan : t; result : expr }
 
 let cached_build = function
-  | Hash_join { rkey; right; _ }
-  | Hash_semijoin { rkey; right; _ }
-  | Hash_outerjoin { rkey; right; _ }
-  | Hash_nestjoin { rkey; right; _ } -> (
+  | Join { how = Keyed { by = Hash; rkey; _ }; right; _ } -> (
     match right, rkey with
     | Scan { table; var }, Lang.Ast.Field (Lang.Ast.Var v, field)
       when String.equal var v ->
@@ -116,21 +45,10 @@ let rec vars_of = function
   | Unit_row -> []
   | Scan { var; _ } -> [ var ]
   | Filter { input; _ } -> vars_of input
-  | Nl_join { left; right; _ }
-  | Hash_join { left; right; _ }
-  | Merge_join { left; right; _ }
-  | Nl_outerjoin { left; right; _ }
-  | Hash_outerjoin { left; right; _ }
-  | Merge_outerjoin { left; right; _ } ->
+  | Join { kind = Inner | Outer; left; right; _ } ->
     vars_of left @ vars_of right
-  | Nl_semijoin { left; _ } | Hash_semijoin { left; _ }
-  | Merge_semijoin { left; _ } ->
-    vars_of left
-  | Nl_nestjoin { left; label; _ }
-  | Hash_nestjoin { left; label; _ }
-  | Hash_nestjoin_left { left; label; _ }
-  | Merge_nestjoin { left; label; _ } ->
-    vars_of left @ [ label ]
+  | Join { kind = Semi _; left; _ } -> vars_of left
+  | Join { kind = Nest { label; _ }; left; _ } -> vars_of left @ [ label ]
   | Unnest_op { var; input; _ } -> vars_of input @ [ var ]
   | Nest_op { by; label; _ } -> by @ [ label ]
   | Extend_op { var; input; _ } -> vars_of input @ [ var ]
@@ -146,124 +64,97 @@ let rec size = function
   | Extend_op { input; _ }
   | Project_op { input; _ } ->
     1 + size input
-  | Nl_join { left; right; _ }
-  | Hash_join { left; right; _ }
-  | Merge_join { left; right; _ }
-  | Nl_semijoin { left; right; _ }
-  | Hash_semijoin { left; right; _ }
-  | Merge_semijoin { left; right; _ }
-  | Nl_outerjoin { left; right; _ }
-  | Hash_outerjoin { left; right; _ }
-  | Merge_outerjoin { left; right; _ }
-  | Nl_nestjoin { left; right; _ }
-  | Hash_nestjoin { left; right; _ }
-  | Hash_nestjoin_left { left; right; _ }
-  | Merge_nestjoin { left; right; _ } ->
+  | Join { left; right; _ } | Union_op { left; right } ->
     1 + size left + size right
   | Apply_op { subquery; input; _ } -> 1 + size subquery.plan + size input
-  | Union_op { left; right } -> 1 + size left + size right
 
 let e = Lang.Pretty.pp
 
-let pp_keys ppf (lkey, rkey, residual) =
-  Fmt.pf ppf "[%a = %a]" e lkey e rkey;
-  match residual with
-  | None -> ()
-  | Some r -> Fmt.pf ppf " residual=[%a]" e r
+let join_name kind how =
+  let family =
+    match how with
+    | Loop _ -> "nl"
+    | Keyed { by = Hash | Hash_left; _ } -> "hash"
+    | Keyed { by = Sort; _ } -> "merge"
+  in
+  let op =
+    match kind with
+    | Inner -> "join"
+    | Semi { anti = false } -> "semijoin"
+    | Semi { anti = true } -> "antijoin"
+    | Outer -> "outerjoin"
+    | Nest _ -> "nestjoin"
+  in
+  let side =
+    match how with Keyed { by = Hash_left; _ } -> "(build=left)" | _ -> ""
+  in
+  family ^ "-" ^ op ^ side
+
+let join_detail kind how ppf =
+  (match how with
+  | Loop { pred } -> Fmt.pf ppf "[%a]" e pred
+  | Keyed { lkey; rkey; residual; _ } ->
+    Fmt.pf ppf "[%a = %a]" e lkey e rkey;
+    Option.iter (Fmt.pf ppf " residual=[%a]" e) residual);
+  match kind with
+  | Nest { func; label } -> Fmt.pf ppf " func=%a label=%s" e func label
+  | Inner | Semi _ | Outer -> ()
+
+let describe plan =
+  let name, detail =
+    match plan with
+    | Unit_row -> ("unit", None)
+    | Scan { table; var } ->
+      ("scan", Some (fun ppf -> Fmt.pf ppf "%s %s" table var))
+    | Filter { pred; _ } ->
+      ("filter", Some (fun ppf -> Fmt.pf ppf "[%a]" e pred))
+    | Join { kind; how; _ } -> (join_name kind how, Some (join_detail kind how))
+    | Unnest_op { expr; var; _ } ->
+      ("unnest", Some (fun ppf -> Fmt.pf ppf "%s in %a" var e expr))
+    | Nest_op { by; label; func; nulls; _ } ->
+      ( (if nulls = [] then "nest" else "nest*"),
+        Some
+          (fun ppf ->
+            Fmt.pf ppf "by=[%s] label=%s func=%a" (String.concat ", " by) label
+              e func) )
+    | Extend_op { var; expr; _ } ->
+      ("extend", Some (fun ppf -> Fmt.pf ppf "%s = %a" var e expr))
+    | Project_op { vars; _ } ->
+      ("project", Some (fun ppf -> Fmt.pf ppf "[%s]" (String.concat ", " vars)))
+    | Apply_op { var; subquery; memo; _ } ->
+      ( (if memo then "apply(memo)" else "apply"),
+        Some (fun ppf -> Fmt.pf ppf "%s = (result %a)" var e subquery.result) )
+    | Union_op _ -> ("union", None)
+  in
+  (* A cached build never runs its scan: name the table it probes. *)
+  match cached_build plan, detail with
+  | Some (table, _, field), Some d ->
+    (name, Some (fun ppf -> Fmt.pf ppf "%t build=cached %s.%s" d table field))
+  | _ -> (name, detail)
 
 let rec pp ppf plan =
-  let unary name args input =
-    Fmt.pf ppf "@[<v>%s%t@,└─ @[<v>%a@]@]" name args pp input
+  let head ppf =
+    match describe plan with
+    | name, None -> Fmt.string ppf name
+    | name, Some d -> Fmt.pf ppf "%s %t" name d
   in
-  (* A cached build never runs its scan: show the table it probes
-     instead, as EXPLAIN ANALYZE does. *)
-  let binary name args left right =
-    match cached_build plan with
-    | Some (table, _, field) ->
-      unary name
-        (fun ppf -> Fmt.pf ppf "%t build=cached %s.%s" args table field)
-        left
-    | None ->
-      Fmt.pf ppf "@[<v>%s%t@,├─ @[<v>%a@]@,└─ @[<v>%a@]@]" name args pp left
-        pp right
+  let unary input = Fmt.pf ppf "@[<v>%t@,└─ @[<v>%a@]@]" head pp input in
+  let binary left right =
+    Fmt.pf ppf "@[<v>%t@,├─ @[<v>%a@]@,└─ @[<v>%a@]@]" head pp left pp
+      right
   in
   match plan with
-  | Unit_row -> Fmt.pf ppf "unit"
-  | Scan { table; var } -> Fmt.pf ppf "scan %s %s" table var
-  | Filter { pred; input } ->
-    unary "filter" (fun ppf -> Fmt.pf ppf " [%a]" e pred) input
-  | Nl_join { pred; left; right } ->
-    binary "nl-join" (fun ppf -> Fmt.pf ppf " [%a]" e pred) left right
-  | Hash_join { lkey; rkey; residual; left; right } ->
-    binary "hash-join" (fun ppf -> Fmt.pf ppf " %a" pp_keys (lkey, rkey, residual)) left right
-  | Merge_join { lkey; rkey; residual; left; right } ->
-    binary "merge-join" (fun ppf -> Fmt.pf ppf " %a" pp_keys (lkey, rkey, residual)) left right
-  | Nl_semijoin { pred; anti; left; right } ->
-    binary
-      (if anti then "nl-antijoin" else "nl-semijoin")
-      (fun ppf -> Fmt.pf ppf " [%a]" e pred)
-      left right
-  | Hash_semijoin { lkey; rkey; residual; anti; left; right } ->
-    binary
-      (if anti then "hash-antijoin" else "hash-semijoin")
-      (fun ppf -> Fmt.pf ppf " %a" pp_keys (lkey, rkey, residual))
-      left right
-  | Merge_semijoin { lkey; rkey; residual; anti; left; right } ->
-    binary
-      (if anti then "merge-antijoin" else "merge-semijoin")
-      (fun ppf -> Fmt.pf ppf " %a" pp_keys (lkey, rkey, residual))
-      left right
-  | Nl_outerjoin { pred; left; right } ->
-    binary "nl-outerjoin" (fun ppf -> Fmt.pf ppf " [%a]" e pred) left right
-  | Hash_outerjoin { lkey; rkey; residual; left; right } ->
-    binary "hash-outerjoin"
-      (fun ppf -> Fmt.pf ppf " %a" pp_keys (lkey, rkey, residual))
-      left right
-  | Merge_outerjoin { lkey; rkey; residual; left; right } ->
-    binary "merge-outerjoin"
-      (fun ppf -> Fmt.pf ppf " %a" pp_keys (lkey, rkey, residual))
-      left right
-  | Nl_nestjoin { pred; func; label; left; right } ->
-    binary "nl-nestjoin"
-      (fun ppf -> Fmt.pf ppf " [%a] func=%a label=%s" e pred e func label)
-      left right
-  | Hash_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-    binary "hash-nestjoin"
-      (fun ppf ->
-        Fmt.pf ppf " %a func=%a label=%s" pp_keys (lkey, rkey, residual) e
-          func label)
-      left right
-  | Hash_nestjoin_left { lkey; rkey; residual; func; label; left; right } ->
-    binary "hash-nestjoin(build=left)"
-      (fun ppf ->
-        Fmt.pf ppf " %a func=%a label=%s" pp_keys (lkey, rkey, residual) e
-          func label)
-      left right
-  | Merge_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-    binary "merge-nestjoin"
-      (fun ppf ->
-        Fmt.pf ppf " %a func=%a label=%s" pp_keys (lkey, rkey, residual) e
-          func label)
-      left right
-  | Unnest_op { expr; var; input } ->
-    unary "unnest" (fun ppf -> Fmt.pf ppf " %s in %a" var e expr) input
-  | Nest_op { by; label; func; nulls; input } ->
-    unary
-      (if nulls = [] then "nest" else "nest*")
-      (fun ppf ->
-        Fmt.pf ppf " by=[%s] label=%s func=%a" (String.concat ", " by) label e
-          func)
-      input
-  | Extend_op { var; expr; input } ->
-    unary "extend" (fun ppf -> Fmt.pf ppf " %s = %a" var e expr) input
-  | Project_op { vars; input } ->
-    unary "project" (fun ppf -> Fmt.pf ppf " [%s]" (String.concat ", " vars)) input
-  | Apply_op { var; subquery; memo; input } ->
-    Fmt.pf ppf "@[<v>apply%s %s = (result %a)@,├─ @[<v>%a@]@,└─ @[<v>%a@]@]"
-      (if memo then "(memo)" else "")
-      var e subquery.result pp subquery.plan pp input
-  | Union_op { left; right } ->
-    binary "union" (fun _ -> ()) left right
+  | Unit_row | Scan _ -> head ppf
+  | Filter { input; _ }
+  | Unnest_op { input; _ }
+  | Nest_op { input; _ }
+  | Extend_op { input; _ }
+  | Project_op { input; _ } ->
+    unary input
+  (* a cached build side shows as the table it probes, not as a scan *)
+  | Join { left; _ } when Option.is_some (cached_build plan) -> unary left
+  | Join { left; right; _ } | Union_op { left; right } -> binary left right
+  | Apply_op { subquery; input; _ } -> binary subquery.plan input
 
 let pp_query ppf { plan; result } =
   Fmt.pf ppf "@[<v>result %a@,└─ @[<v>%a@]@]" e result pp plan

@@ -1,104 +1,48 @@
 (** Physical plans: logical operators with implementation choices.
 
-    Equi-predicates are split into key expressions ([lkey] evaluated under
-    left rows, [rkey] under right rows) plus an optional residual predicate;
-    hash- and sort-based implementations require this form, the nested-loop
-    forms take the predicate whole.
+    Every join is one node, {!Join}: a [kind] says what a left row makes of
+    its matches (the paper's join, semijoin, antijoin, outerjoin or nest
+    join) and a [how] says how the matches are found. A nested loop takes
+    the predicate whole. A keyed method needs the predicate split into key
+    expressions ([lkey] evaluated under left rows, [rkey] under right rows)
+    plus an optional residual; it finds matches through a hash table or a
+    sort of the keys. The paper's §6 says any join method adapts to the
+    nest join, and each [(kind, how)] pair is one operator.
 
     The paper's implementation notes (§6) are reflected here: the hash nest
     join always builds on the right operand — output must stay grouped by
     left rows, so the left side cannot be the build table unless the join
-    attribute is a key of the right operand (that special case is exercised
-    by the build-side bench through {!Hash_nestjoin_left}). *)
+    attribute is a key of the right operand. That special case,
+    {!Hash_left}, is legal only under a nest join, and only with such a
+    key; the build-side bench exercises it. *)
 
 type expr = Lang.Ast.expr
+
+(** What a join does with the right rows matching a left row. *)
+type kind =
+  | Inner  (** every pair *)
+  | Semi of { anti : bool }  (** the left row iff some match (not) *)
+  | Outer  (** every pair, or the left row padded with nulls *)
+  | Nest of { func : expr; label : string }
+      (** the left row, with [label] the set of [func] over its matches *)
+
+(** How a keyed join finds a key's matches. *)
+type keyed =
+  | Hash  (** build a hash table of the right operand, probe with the left *)
+  | Sort  (** sort both operands on their keys, search the sorted right *)
+  | Hash_left
+      (** build the left operand, stream the right: requires [rkey] to be a
+          key of the right operand, and a nest join (§6) *)
+
+type how =
+  | Loop of { pred : expr }  (** nested loop over every pair *)
+  | Keyed of { by : keyed; lkey : expr; rkey : expr; residual : expr option }
 
 type t =
   | Unit_row  (** one row binding nothing (the ambient environment) *)
   | Scan of { table : string; var : string }
   | Filter of { pred : expr; input : t }
-  | Nl_join of { pred : expr; left : t; right : t }
-  | Hash_join of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      left : t;
-      right : t;
-    }  (** build right, probe left *)
-  | Merge_join of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      left : t;
-      right : t;
-    }
-  | Nl_semijoin of { pred : expr; anti : bool; left : t; right : t }
-  | Hash_semijoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      anti : bool;
-      left : t;
-      right : t;
-    }
-  | Merge_semijoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      anti : bool;
-      left : t;
-      right : t;
-    }
-  | Nl_outerjoin of { pred : expr; left : t; right : t }
-  | Hash_outerjoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      left : t;
-      right : t;
-    }
-  | Merge_outerjoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      left : t;
-      right : t;
-    }
-  | Nl_nestjoin of {
-      pred : expr;
-      func : expr;
-      label : string;
-      left : t;
-      right : t;
-    }
-  | Hash_nestjoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      func : expr;
-      label : string;
-      left : t;
-      right : t;
-    }  (** build right (always legal) *)
-  | Hash_nestjoin_left of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      func : expr;
-      label : string;
-      left : t;
-      right : t;
-    }  (** build left — requires [rkey] to be a key of the right operand;
-           kept for the §6 build-side experiment *)
-  | Merge_nestjoin of {
-      lkey : expr;
-      rkey : expr;
-      residual : expr option;
-      func : expr;
-      label : string;
-      left : t;
-      right : t;
-    }
+  | Join of { kind : kind; how : how; left : t; right : t }
   | Unnest_op of { expr : expr; var : string; input : t }
   | Nest_op of {
       by : string list;
@@ -117,8 +61,7 @@ type t =
 and query = { plan : t; result : expr }
 
 val cached_build : t -> (string * string * string) option
-(** [Some (table, var, field)] when [t] is a right-build hash operator
-    ([Hash_join], [Hash_semijoin], [Hash_outerjoin], [Hash_nestjoin])
+(** [Some (table, var, field)] when [t] is a {!Hash} join of any kind
     whose build operand is a bare [Scan { table; var }] keyed on the plain
     field [var.field]. Such a build side is the same hash table for every
     query over [table]: the executor takes it from a per-(table, field)
@@ -128,6 +71,12 @@ val cached_build : t -> (string * string * string) option
 
 val vars_of : t -> string list
 (** Variables bound in output rows (mirrors {!Algebra.Plan.vars_of}). *)
+
+val describe : t -> string * (Format.formatter -> unit) option
+(** The operator's name and detail as EXPLAIN and EXPLAIN ANALYZE print
+    them (["hash-antijoin"], ["[x.b = y.b] residual=[...]"]), not its
+    operands. A cached build side ends the detail with
+    [build=cached T.f]. *)
 
 val size : t -> int
 val pp : t Fmt.t

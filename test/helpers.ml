@@ -109,3 +109,12 @@ let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| seed |])
     (QCheck2.Test.make ~count ~name gen prop)
+
+(* Physical joins: a keyed method or a nested loop, and a join kind. *)
+let keyed_join ?residual by kind lkey rkey left right =
+  let how = Engine.Physical.Keyed { by; lkey; rkey; residual } in
+  Engine.Physical.Join { kind; how; left; right }
+
+let loop_join kind pred left right =
+  let how = Engine.Physical.Loop { pred } in
+  Engine.Physical.Join { kind; how; left; right }

@@ -235,21 +235,22 @@ let hash_family rkey =
   let lkey = e "x.b" and left = scan "X" "x" and right = scan "Y" "y" in
   let residual = Some (e "y.c >= x.a") in
   [
-    ("join", P.Hash_join { lkey; rkey; residual = None; left; right });
-    ("join+residual", P.Hash_join { lkey; rkey; residual; left; right });
+    ("join", keyed_join P.Hash P.Inner lkey rkey left right);
+    ("join+residual", keyed_join ?residual P.Hash P.Inner lkey rkey left right);
     ( "semijoin",
-      P.Hash_semijoin { lkey; rkey; residual = None; anti = false; left; right }
-    );
+      keyed_join P.Hash (P.Semi { anti = false }) lkey rkey left right );
     ( "semijoin+residual",
-      P.Hash_semijoin { lkey; rkey; residual; anti = false; left; right } );
+      keyed_join ?residual P.Hash (P.Semi { anti = false }) lkey rkey left
+        right );
     ( "antijoin+residual",
-      P.Hash_semijoin { lkey; rkey; residual; anti = true; left; right } );
-    ( "outerjoin+residual",
-      P.Hash_outerjoin { lkey; rkey; residual; left; right } );
-    ( "nestjoin+residual",
-      P.Hash_nestjoin
-        { lkey; rkey; residual; func = e "y.c + x.a"; label = "z"; left; right }
+      keyed_join ?residual P.Hash (P.Semi { anti = true }) lkey rkey left right
     );
+    ( "outerjoin+residual",
+      keyed_join ?residual P.Hash P.Outer lkey rkey left right );
+    ( "nestjoin+residual",
+      keyed_join ?residual P.Hash
+        (P.Nest { func = e "y.c + x.a"; label = "z" })
+        lkey rkey left right );
   ]
 
 (* Every sort-merge operator over X x and Y y. *)
@@ -257,19 +258,20 @@ let merge_family rkey =
   let lkey = e "x.b" and left = scan "X" "x" and right = scan "Y" "y" in
   let residual = Some (e "y.c >= x.a") in
   [
-    ("merge join", P.Merge_join { lkey; rkey; residual = None; left; right });
-    ("merge join+residual", P.Merge_join { lkey; rkey; residual; left; right });
+    ("merge join", keyed_join P.Sort P.Inner lkey rkey left right);
+    ( "merge join+residual",
+      keyed_join ?residual P.Sort P.Inner lkey rkey left right );
     ( "merge semijoin",
-      P.Merge_semijoin
-        { lkey; rkey; residual = None; anti = false; left; right } );
+      keyed_join P.Sort (P.Semi { anti = false }) lkey rkey left right );
     ( "merge antijoin+residual",
-      P.Merge_semijoin { lkey; rkey; residual; anti = true; left; right } );
-    ( "merge outerjoin+residual",
-      P.Merge_outerjoin { lkey; rkey; residual; left; right } );
-    ( "merge nestjoin+residual",
-      P.Merge_nestjoin
-        { lkey; rkey; residual; func = e "y.c + x.a"; label = "z"; left; right }
+      keyed_join ?residual P.Sort (P.Semi { anti = true }) lkey rkey left right
     );
+    ( "merge outerjoin+residual",
+      keyed_join ?residual P.Sort P.Outer lkey rkey left right );
+    ( "merge nestjoin+residual",
+      keyed_join ?residual P.Sort
+        (P.Nest { func = e "y.c + x.a"; label = "z" })
+        lkey rkey left right );
   ]
 
 (* The hash and sort-merge families emit a column per output variable,
@@ -318,14 +320,7 @@ let test_merge_order () =
       ]
   in
   let plan =
-    P.Merge_join
-      {
-        lkey = e "x.k";
-        rkey = e "y.k";
-        residual = None;
-        left = scan "X" "x";
-        right = scan "Y" "y";
-      }
+    keyed_join P.Sort P.Inner (e "x.k") (e "y.k") (scan "X" "x") (scan "Y" "y")
   in
   List.iter
     (fun batch ->
@@ -396,15 +391,10 @@ let test_semijoin_stops_at_first_match () =
       ]
   in
   let plan =
-    P.Hash_semijoin
-      {
-        lkey = e "x.b";
-        rkey = e "y.b + 0";
-        residual = Some (e "y.a = 2 OR 10 / (y.a - 3) = 7");
-        anti = false;
-        left = scan "X" "x";
-        right = scan "Y" "y";
-      }
+    keyed_join
+      ~residual:(e "y.a = 2 OR 10 / (y.a - 3) = 7")
+      P.Hash (P.Semi { anti = false }) (e "x.b") (e "y.b + 0") (scan "X" "x")
+      (scan "Y" "y")
   in
   let kernel_rows, ks, fell = run_plan catalog plan in
   let row_rows, rs =

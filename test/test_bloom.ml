@@ -79,14 +79,8 @@ let swap_catalog =
    operand is a run-time build the executor may swap. *)
 let join ~left ~right =
   let lv, rv = if left = "X" then ("x", "y") else ("y", "x") in
-  P.Hash_join
-    {
-      lkey = parse (lv ^ ".b");
-      rkey = parse (rv ^ ".b + 0");
-      residual = None;
-      left = P.Scan { table = left; var = lv };
-      right = P.Scan { table = right; var = rv };
-    }
+  keyed_join P.Hash P.Inner (parse (lv ^ ".b")) (parse (rv ^ ".b + 0"))
+    (P.Scan { table = left; var = lv }) (P.Scan { table = right; var = rv })
 
 let canonical rows = List.sort Env.compare rows
 
@@ -122,12 +116,9 @@ let build_side_swap () =
         st_yx.Stats.hash_probes;
       (* Both orientations and a nested-loop reference agree on the rows. *)
       let nl =
-        P.Nl_join
-          {
-            pred = parse "x.b = y.b";
-            left = P.Scan { table = "X"; var = "x" };
-            right = P.Scan { table = "Y"; var = "y" };
-          }
+        loop_join P.Inner (parse "x.b = y.b")
+          (P.Scan { table = "X"; var = "x" })
+          (P.Scan { table = "Y"; var = "y" })
       in
       let rows_nl = Exec.rows swap_catalog Env.empty nl in
       let check_same name a b =
@@ -139,14 +130,9 @@ let build_side_swap () =
       check_same "orientations agree" rows_xy rows_yx;
       (* A cached build side is never swapped: its table already exists. *)
       let cached =
-        P.Hash_join
-          {
-            lkey = parse "x.b";
-            rkey = parse "y.b";
-            residual = None;
-            left = P.Scan { table = "X"; var = "x" };
-            right = P.Scan { table = "Y"; var = "y" };
-          }
+        keyed_join P.Hash P.Inner (parse "x.b") (parse "y.b")
+          (P.Scan { table = "X"; var = "x" })
+          (P.Scan { table = "Y"; var = "y" })
       in
       let rows_c, st_c = run_counted ~jobs cached in
       Alcotest.(check int) (tag "cached: no swap") 0
@@ -162,16 +148,9 @@ let build_side_swap () =
    right key keeps the build out of the cache, so it is built per run. *)
 let nestjoin_never_swaps () =
   let nj =
-    P.Hash_nestjoin
-      {
-        lkey = parse "x.b";
-        rkey = parse "y.b + 0";
-        residual = None;
-        func = parse "y.a";
-        label = "g";
-        left = P.Scan { table = "X"; var = "x" };
-        right = P.Scan { table = "Y"; var = "y" };
-      }
+    keyed_join P.Hash (P.Nest { func = parse "y.a"; label = "g" }) (parse "x.b")
+      (parse "y.b + 0") (P.Scan { table = "X"; var = "x" })
+      (P.Scan { table = "Y"; var = "y" })
   in
   List.iter
     (fun jobs ->
@@ -195,15 +174,8 @@ let pruning_observable () =
         nx = 60; ny = 30; dangling = 1.0; seed = 4 }
   in
   let semi =
-    P.Hash_semijoin
-      {
-        lkey = parse "x.b";
-        rkey = parse "y.b";
-        residual = None;
-        anti = false;
-        left = P.Scan { table = "X"; var = "x" };
-        right = P.Scan { table = "Y"; var = "y" };
-      }
+    keyed_join P.Hash (P.Semi { anti = false }) (parse "x.b") (parse "y.b")
+      (P.Scan { table = "X"; var = "x" }) (P.Scan { table = "Y"; var = "y" })
   in
   let run ~bloom ~jobs =
     let stats = Stats.create () in

@@ -175,16 +175,9 @@ let test_nestjoin_build_side_unproven () =
     (C.check_physical_query ~phase:"plan" catalog
        {
          P.plan =
-           P.Hash_nestjoin_left
-             {
-               lkey = parse "x.b";
-               rkey = parse "y.c";
-               residual = None;
-               func = parse "y.d";
-               label = "g";
-               left = P.Scan { table = "X"; var = "x" };
-               right = P.Scan { table = "Y"; var = "y" };
-             };
+           keyed_join P.Hash_left (P.Nest { func = parse "y.d"; label = "g" })
+             (parse "x.b") (parse "y.c") (P.Scan { table = "X"; var = "x" })
+             (P.Scan { table = "Y"; var = "y" });
          result = parse "x.a";
        })
 
@@ -206,21 +199,13 @@ let test_nestjoin_build_side_proven_through_filter () =
     C.check_physical_query ~phase:"plan" keyed_catalog
       {
         P.plan =
-          P.Hash_nestjoin_left
-            {
-              lkey = parse "l.id";
-              rkey = parse "k.id";
-              residual = None;
-              func = parse "k.v";
-              label = "g";
-              left = P.Scan { table = "L"; var = "l" };
-              right =
-                P.Filter
-                  {
-                    pred = parse "k.v > 0";
-                    input = P.Scan { table = "K"; var = "k" };
-                  };
-            };
+          keyed_join P.Hash_left (P.Nest { func = parse "k.v"; label = "g" })
+            (parse "l.id") (parse "k.id") (P.Scan { table = "L"; var = "l" })
+            (P.Filter
+               {
+                 pred = parse "k.v > 0";
+                 input = P.Scan { table = "K"; var = "k" };
+               });
         result = parse "l.id";
       }
   with

@@ -95,7 +95,17 @@ let test_disabled_falls_back () =
     | None -> Alcotest.fail "no physical plan"
   in
   Alcotest.(check bool) "plan has a hash semijoin" true
-    (has (function Engine.Physical.Hash_semijoin _ -> true | _ -> false) plan);
+    (has
+       (function
+         | Engine.Physical.Join
+             {
+               kind = Engine.Physical.Semi _;
+               how = Engine.Physical.Keyed { by = Engine.Physical.Hash; _ };
+               _;
+             } ->
+           true
+         | _ -> false)
+       plan);
   Alcotest.(check bool) "plan has a filter" true
     (has (function Engine.Physical.Filter _ -> true | _ -> false) plan);
   let expected = Core.Pipeline.execute ~jobs:1 cat compiled in

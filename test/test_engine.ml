@@ -63,9 +63,9 @@ let join_test =
   on_all_catalogs "join"
     (Plan.Join { pred; left = x; right = y })
     [
-      ("nl", P.Nl_join { pred; left = sx; right = sy });
-      ("hash", P.Hash_join { lkey; rkey; residual = None; left = sx; right = sy });
-      ("merge", P.Merge_join { lkey; rkey; residual = None; left = sx; right = sy });
+      ("nl", loop_join P.Inner pred sx sy);
+      ("hash", keyed_join P.Hash P.Inner lkey rkey sx sy);
+      ("merge", keyed_join P.Sort P.Inner lkey rkey sx sy);
     ]
 
 let join_residual_test =
@@ -74,35 +74,31 @@ let join_residual_test =
   on_all_catalogs "join+residual"
     (Plan.Join { pred; left = x; right = y })
     [
-      ("nl", P.Nl_join { pred; left = sx; right = sy });
-      ("hash", P.Hash_join { lkey; rkey; residual; left = sx; right = sy });
-      ("merge", P.Merge_join { lkey; rkey; residual; left = sx; right = sy });
+      ("nl", loop_join P.Inner pred sx sy);
+      ("hash", keyed_join ?residual P.Hash P.Inner lkey rkey sx sy);
+      ("merge", keyed_join ?residual P.Sort P.Inner lkey rkey sx sy);
     ]
 
 let semijoin_test =
   on_all_catalogs "semijoin"
     (Plan.Semijoin { pred; left = x; right = y })
     [
-      ("nl", P.Nl_semijoin { pred; anti = false; left = sx; right = sy });
+      ("nl", loop_join (P.Semi { anti = false }) pred sx sy);
       ( "hash",
-        P.Hash_semijoin
-          { lkey; rkey; residual = None; anti = false; left = sx; right = sy } );
+        keyed_join P.Hash (P.Semi { anti = false }) lkey rkey sx sy );
       ( "merge",
-        P.Merge_semijoin
-          { lkey; rkey; residual = None; anti = false; left = sx; right = sy } );
+        keyed_join P.Sort (P.Semi { anti = false }) lkey rkey sx sy );
     ]
 
 let antijoin_test =
   on_all_catalogs "antijoin"
     (Plan.Antijoin { pred; left = x; right = y })
     [
-      ("nl", P.Nl_semijoin { pred; anti = true; left = sx; right = sy });
+      ("nl", loop_join (P.Semi { anti = true }) pred sx sy);
       ( "hash",
-        P.Hash_semijoin
-          { lkey; rkey; residual = None; anti = true; left = sx; right = sy } );
+        keyed_join P.Hash (P.Semi { anti = true }) lkey rkey sx sy );
       ( "merge",
-        P.Merge_semijoin
-          { lkey; rkey; residual = None; anti = true; left = sx; right = sy } );
+        keyed_join P.Sort (P.Semi { anti = true }) lkey rkey sx sy );
     ]
 
 let semijoin_residual_test =
@@ -111,13 +107,11 @@ let semijoin_residual_test =
   on_all_catalogs "semijoin+residual"
     (Plan.Semijoin { pred; left = x; right = y })
     [
-      ("nl", P.Nl_semijoin { pred; anti = false; left = sx; right = sy });
+      ("nl", loop_join (P.Semi { anti = false }) pred sx sy);
       ( "hash",
-        P.Hash_semijoin
-          { lkey; rkey; residual; anti = false; left = sx; right = sy } );
+        keyed_join ?residual P.Hash (P.Semi { anti = false }) lkey rkey sx sy );
       ( "merge",
-        P.Merge_semijoin
-          { lkey; rkey; residual; anti = false; left = sx; right = sy } );
+        keyed_join ?residual P.Sort (P.Semi { anti = false }) lkey rkey sx sy );
     ]
 
 let antijoin_residual_test =
@@ -126,40 +120,33 @@ let antijoin_residual_test =
   on_all_catalogs "antijoin+residual"
     (Plan.Antijoin { pred; left = x; right = y })
     [
-      ("nl", P.Nl_semijoin { pred; anti = true; left = sx; right = sy });
+      ("nl", loop_join (P.Semi { anti = true }) pred sx sy);
       ( "hash",
-        P.Hash_semijoin
-          { lkey; rkey; residual; anti = true; left = sx; right = sy } );
+        keyed_join ?residual P.Hash (P.Semi { anti = true }) lkey rkey sx sy );
       ( "merge",
-        P.Merge_semijoin
-          { lkey; rkey; residual; anti = true; left = sx; right = sy } );
+        keyed_join ?residual P.Sort (P.Semi { anti = true }) lkey rkey sx sy );
     ]
 
 let outerjoin_test =
   on_all_catalogs "outerjoin"
     (Plan.Outerjoin { pred; left = x; right = y })
     [
-      ("nl", P.Nl_outerjoin { pred; left = sx; right = sy });
+      ("nl", loop_join P.Outer pred sx sy);
       ( "hash",
-        P.Hash_outerjoin { lkey; rkey; residual = None; left = sx; right = sy } );
+        keyed_join P.Hash P.Outer lkey rkey sx sy );
       ( "merge",
-        P.Merge_outerjoin
-          { lkey; rkey; residual = None; left = sx; right = sy } );
+        keyed_join P.Sort P.Outer lkey rkey sx sy );
     ]
 
 let nestjoin_test =
   on_all_catalogs "nestjoin"
     (Plan.Nestjoin { pred; func; label = "zs"; left = x; right = y })
     [
-      ("nl", P.Nl_nestjoin { pred; func; label = "zs"; left = sx; right = sy });
+      ("nl", loop_join (P.Nest { func; label = "zs" }) pred sx sy);
       ( "hash",
-        P.Hash_nestjoin
-          { lkey; rkey; residual = None; func; label = "zs"; left = sx;
-            right = sy } );
+        keyed_join P.Hash (P.Nest { func; label = "zs" }) lkey rkey sx sy );
       ( "merge",
-        P.Merge_nestjoin
-          { lkey; rkey; residual = None; func; label = "zs"; left = sx;
-            right = sy } );
+        keyed_join P.Sort (P.Nest { func; label = "zs" }) lkey rkey sx sy );
     ]
 
 let nestjoin_residual_test =
@@ -168,13 +155,13 @@ let nestjoin_residual_test =
   on_all_catalogs "nestjoin+residual"
     (Plan.Nestjoin { pred; func; label = "zs"; left = x; right = y })
     [
-      ("nl", P.Nl_nestjoin { pred; func; label = "zs"; left = sx; right = sy });
+      ("nl", loop_join (P.Nest { func; label = "zs" }) pred sx sy);
       ( "hash",
-        P.Hash_nestjoin
-          { lkey; rkey; residual; func; label = "zs"; left = sx; right = sy } );
+        keyed_join ?residual P.Hash (P.Nest { func; label = "zs" }) lkey rkey sx
+          sy );
       ( "merge",
-        P.Merge_nestjoin
-          { lkey; rkey; residual; func; label = "zs"; left = sx; right = sy } );
+        keyed_join ?residual P.Sort (P.Nest { func; label = "zs" }) lkey rkey sx
+          sy );
     ]
 
 (* Left-build hash nest join: legal when the right key is unique. Join Y
@@ -188,9 +175,8 @@ let test_nestjoin_left_build_legal () =
             left = y; right = x }
       in
       let physical =
-        P.Hash_nestjoin_left
-          { lkey = parse "y.b"; rkey = parse "x.id"; residual = None;
-            func = parse "x.a"; label = "zs"; left = sy; right = sx }
+        keyed_join P.Hash_left (P.Nest { func = parse "x.a"; label = "zs" })
+          (parse "y.b") (parse "x.id") sy sx
       in
       check_against_oracle ("left-build legal/" ^ cname) catalog logical
         physical)
@@ -205,8 +191,7 @@ let test_nestjoin_left_build_illegal () =
   in
   let logical = Plan.Nestjoin { pred; func; label = "zs"; left = x; right = y } in
   let physical =
-    P.Hash_nestjoin_left
-      { lkey; rkey; residual = None; func; label = "zs"; left = sx; right = sy }
+    keyed_join P.Hash_left (P.Nest { func; label = "zs" }) lkey rkey sx sy
   in
   let expected = Sem.rows catalog Env.empty logical in
   let got = canonical (Exec.rows catalog Env.empty physical) in
@@ -276,7 +261,7 @@ let test_unnest_nest_extend_project () =
              input = Plan.Join { pred; left = x; right = y } })
         (P.Nest_op
            { by = [ "x" ]; label = "g"; func = parse "y.a"; nulls = [];
-             input = P.Nl_join { pred; left = sx; right = sy } }))
+             input = loop_join P.Inner pred sx sy }))
     catalogs
 
 let test_stats_counters () =
@@ -285,9 +270,7 @@ let test_stats_counters () =
   (* a computed key keeps the build out of the cache: Y is built per run *)
   ignore
     (Exec.rows ~stats catalog Env.empty
-       (P.Hash_join
-          { lkey; rkey = parse "y.b + 0"; residual = None; left = sx;
-            right = sy }));
+       (keyed_join P.Hash P.Inner lkey (parse "y.b + 0") sx sy));
   Alcotest.check Alcotest.bool "builds counted" true
     (stats.Engine.Stats.hash_builds = 100);
   Alcotest.check Alcotest.bool "probes counted" true
@@ -296,7 +279,7 @@ let test_stats_counters () =
   (* the bare scan keyed on y.b probes the cached build: no build work *)
   ignore
     (Exec.rows ~stats catalog Env.empty
-       (P.Hash_join { lkey; rkey; residual = None; left = sx; right = sy }));
+       (keyed_join P.Hash P.Inner lkey rkey sx sy));
   Alcotest.check Alcotest.int "cached build counts no builds" 0
     stats.Engine.Stats.hash_builds;
   Alcotest.check Alcotest.int "cached build probes counted" 100
@@ -343,13 +326,9 @@ let test_set_valued_join_key () =
             catalog logical physical)
         [
           ( "hash",
-            P.Hash_join
-              { lkey = parse "x.s"; rkey = parse "w.s"; residual = None;
-                left = sx; right = sx2 } );
+            keyed_join P.Hash P.Inner (parse "x.s") (parse "w.s") sx sx2 );
           ( "merge",
-            P.Merge_join
-              { lkey = parse "x.s"; rkey = parse "w.s"; residual = None;
-                left = sx; right = sx2 } );
+            keyed_join P.Sort P.Inner (parse "x.s") (parse "w.s") sx sx2 );
         ])
     catalogs
 
@@ -479,4 +458,157 @@ let suite =
   @ [
       Alcotest.test_case "shadowed join variable" `Quick
         test_shadowed_join_variable;
+    ]
+
+(* --- every (kind, how) pair the planner can emit ------------------------- *)
+
+(* The forced-method differential's catalogs: a quarter of X dangling, or
+   all of it. *)
+let pair_catalogs =
+  List.map
+    (fun (name, dangling) ->
+      ( name,
+        Workload.Gen.xy
+          { Workload.Gen.default_xy with
+            nx = 20; ny = 20; key_dom = 5; dangling; val_dom = 5; seed = 99 } ))
+    [ ("mixed", 0.25); ("all-dangling", 1.0) ]
+
+let nest_src =
+  "SELECT (i = x.id, g = (SELECT y.a FROM Y y WHERE y.b = x.b)) FROM X x"
+
+(* One row per pair: its EXPLAIN line, the rule the verifier raises when the
+   left key is the set [x.s], the join with a good and a bad key, and a
+   query the join answers — its source, and the physical query around the
+   join. The pairs join X x to Y y on [x.b = y.b + 0], the computed key
+   keeping the build out of the cache; the left build needs a key of its
+   right operand, so it nests X into Y on [y.b = x.id]. *)
+let join_pairs =
+  let lkey = parse "x.b" and rkey = parse "y.b + 0" and bad = parse "x.s" in
+  let pred = parse "x.b = y.b + 0" and bad_pred = parse "x.s = y.b + 0" in
+  let loop kind = (loop_join kind pred sx sy, loop_join kind bad_pred sx sy) in
+  let keyed by kind =
+    (keyed_join by kind lkey rkey sx sy, keyed_join by kind bad rkey sx sy)
+  in
+  let over result plan = { P.plan; result = parse result } in
+  let inner =
+    ( "SELECT (i = x.id, j = y.id) FROM X x, Y y WHERE x.b = y.b",
+      over "(i = x.id, j = y.id)" )
+  in
+  let semi =
+    ("SELECT x.id FROM X x WHERE EXISTS y IN Y (x.b = y.b)", over "x.id")
+  in
+  let anti =
+    ("SELECT x.id FROM X x WHERE NOT EXISTS y IN Y (x.b = y.b)", over "x.id")
+  in
+  (* ν*(X ⟗ Y) = X Δ Y *)
+  let outer =
+    ( nest_src,
+      fun input ->
+        over "(i = x.id, g = g)"
+          (P.Nest_op
+             { by = [ "x" ]; label = "g"; func = parse "y.a"; nulls = [ "y" ];
+               input }) )
+  in
+  let nest = (nest_src, over "(i = x.id, g = g)") in
+  let s = P.Semi { anti = false } and a = P.Semi { anti = true } in
+  let g = P.Nest { func = parse "y.a"; label = "g" } in
+  let keys = "[x.b = y.b + 0]" in
+  let groups = keys ^ " func=y.a label=g" in
+  let build_left =
+    let g = P.Nest { func = parse "x.a"; label = "g" } in
+    let join rkey = keyed_join P.Hash_left g (parse "y.b") rkey sy sx in
+    ( ("hash-nestjoin(build=left)", "[y.b = x.id] func=x.a label=g"),
+      "hash-key-type",
+      (join (parse "x.id"), join (parse "x.s")),
+      ( "SELECT (i = y.id, g = (SELECT x.a FROM X x WHERE x.id = y.b)) FROM Y \
+         y",
+        over "(i = y.id, g = g)" ) )
+  in
+  [
+    (("nl-join", keys), "ill-typed", loop P.Inner, inner);
+    (("hash-join", keys), "hash-key-type", keyed P.Hash P.Inner, inner);
+    (("merge-join", keys), "merge-key-type", keyed P.Sort P.Inner, inner);
+    (("nl-semijoin", keys), "ill-typed", loop s, semi);
+    (("hash-semijoin", keys), "hash-key-type", keyed P.Hash s, semi);
+    (("merge-semijoin", keys), "merge-key-type", keyed P.Sort s, semi);
+    (("nl-antijoin", keys), "ill-typed", loop a, anti);
+    (("hash-antijoin", keys), "hash-key-type", keyed P.Hash a, anti);
+    (("merge-antijoin", keys), "merge-key-type", keyed P.Sort a, anti);
+    (("nl-outerjoin", keys), "ill-typed", loop P.Outer, outer);
+    (("hash-outerjoin", keys), "hash-key-type", keyed P.Hash P.Outer, outer);
+    (("merge-outerjoin", keys), "merge-key-type", keyed P.Sort P.Outer, outer);
+    (("nl-nestjoin", groups), "ill-typed", loop g, nest);
+    (("hash-nestjoin", groups), "hash-key-type", keyed P.Hash g, nest);
+    (("merge-nestjoin", groups), "merge-key-type", keyed P.Sort g, nest);
+    build_left;
+  ]
+
+let test_join_pairs () =
+  List.iter
+    (fun ((op, detail), rule, (join, bad_join), (src, query)) ->
+      Alcotest.(check string) (op ^ ": EXPLAIN") (op ^ " " ^ detail)
+        (List.hd (String.split_on_char '\n' (P.to_string join)));
+      Alcotest.(check (pair string string)) (op ^ ": EXPLAIN ANALYZE")
+        (op, detail) (Engine.Analyze.label join);
+      List.iter
+        (fun (cname, catalog) ->
+          let what = Printf.sprintf "%s on %s" op cname in
+          (match
+             Analysis.Verify.check_physical_query ~phase:"plan" catalog
+               (query join)
+           with
+          | Ok () -> ()
+          | Error v ->
+            Alcotest.failf "%s: verifier: %s" what
+              (Analysis.Verify.to_string v));
+          (match
+             Analysis.Verify.check_physical_query ~phase:"plan" catalog
+               (query bad_join)
+           with
+          | Ok () -> Alcotest.failf "%s: a set key passes the verifier" what
+          | Error v ->
+            Alcotest.(check string) (what ^ ": bad key rule") rule
+              v.Analysis.Verify.rule);
+          match Core.Pipeline.run Core.Pipeline.Interp catalog src with
+          | Error msg -> Alcotest.failf "%s: interp: %s" what msg
+          | Ok reference ->
+            Alcotest.check value (what ^ ": = interp") reference
+              (Exec.run catalog (query join)))
+        pair_catalogs)
+    join_pairs
+
+(* Only a nest join may build on the left (§6): on every other kind the
+   verifier and the certifier refuse it, though the right key is a key. *)
+let test_build_left_needs_nest () =
+  let catalog = snd (List.hd pair_catalogs) in
+  List.iter
+    (fun kind ->
+      let join =
+        keyed_join P.Hash_left kind (parse "y.b") (parse "x.id") sy sx
+      in
+      let query = { P.plan = join; result = parse "y.id" } in
+      let name = fst (Engine.Analyze.label join) in
+      let rule = "nestjoin-build-side" in
+      (match
+         Analysis.Verify.check_physical_query ~phase:"plan" catalog query
+       with
+      | Ok () -> Alcotest.failf "%s passes the verifier" name
+      | Error v ->
+        Alcotest.(check string) (name ^ ": verifier rule") rule
+          v.Analysis.Verify.rule);
+      match
+        Analysis.Certify.check_physical_query ~phase:"plan" catalog query
+      with
+      | Ok () -> Alcotest.failf "%s passes the certifier" name
+      | Error v ->
+        Alcotest.(check string) (name ^ ": certifier rule") rule
+          v.Analysis.Certify.rule)
+    [ P.Inner; P.Semi { anti = false }; P.Semi { anti = true }; P.Outer ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "every (kind, how) pair" `Quick test_join_pairs;
+      Alcotest.test_case "build-left needs a nest join" `Quick
+        test_build_left_needs_nest;
     ]

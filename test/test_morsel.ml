@@ -61,16 +61,9 @@ let catalog ?(ny = 0) ?(key_dom = 10) n =
     { Workload.Gen.default_xy with nx = n; ny; key_dom; seed = 5 }
 
 let nest_join =
-  P.Hash_nestjoin
-    {
-      lkey = parse "x.b";
-      rkey = parse "y.b";
-      residual = None;
-      func = parse "y.a";
-      label = "g";
-      left = P.Scan { table = "X"; var = "x" };
-      right = P.Scan { table = "Y"; var = "y" };
-    }
+  keyed_join P.Hash (P.Nest { func = parse "y.a"; label = "g" }) (parse "x.b")
+    (parse "y.b") (P.Scan { table = "X"; var = "x" })
+    (P.Scan { table = "Y"; var = "y" })
 
 let morsel_spans () =
   List.length
@@ -194,13 +187,11 @@ let composite_label_order () =
   let left = P.Scan { table = "X"; var = "x" }
   and right = P.Scan { table = "Y"; var = "y" } in
   let hash =
-    P.Hash_semijoin
-      { lkey; rkey; residual = None; anti = false; left; right }
+    keyed_join P.Hash (P.Semi { anti = false }) lkey rkey left right
   in
   let nl =
-    P.Nl_semijoin
-      { pred = Lang.Ast.Binop (Lang.Ast.Eq, lkey, rkey); anti = false; left;
-        right }
+    loop_join (P.Semi { anti = false })
+      (Lang.Ast.Binop (Lang.Ast.Eq, lkey, rkey)) left right
   in
   let rows plan = Exec.rows cat Env.empty plan in
   Alcotest.(check bool) "hash = nested loop" true

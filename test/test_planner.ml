@@ -22,20 +22,7 @@ let rec find_op pred plan =
     | P.Extend_op { input; _ }
     | P.Project_op { input; _ } ->
       find_op pred input
-    | P.Nl_join { left; right; _ }
-    | P.Hash_join { left; right; _ }
-    | P.Merge_join { left; right; _ }
-    | P.Nl_semijoin { left; right; _ }
-    | P.Hash_semijoin { left; right; _ }
-    | P.Merge_semijoin { left; right; _ }
-    | P.Nl_outerjoin { left; right; _ }
-    | P.Hash_outerjoin { left; right; _ }
-    | P.Merge_outerjoin { left; right; _ }
-    | P.Nl_nestjoin { left; right; _ }
-    | P.Hash_nestjoin { left; right; _ }
-    | P.Hash_nestjoin_left { left; right; _ }
-    | P.Merge_nestjoin { left; right; _ } ->
-      find_op pred left || find_op pred right
+    | P.Join { left; right; _ } -> find_op pred left || find_op pred right
     | P.Apply_op { subquery; input; _ } ->
       find_op pred subquery.P.plan || find_op pred input
     | P.Union_op { left; right } -> find_op pred left || find_op pred right
@@ -49,7 +36,9 @@ let test_equi_join_hashes () =
   Alcotest.check Alcotest.bool "cached-build hash join selected" true
     (find_op
        (function
-         | P.Hash_join _ as p -> P.cached_build p = Some ("Y", "y", "b")
+         | P.Join { kind = P.Inner; how = P.Keyed { by = P.Hash; _ }; _ } as p
+           ->
+           P.cached_build p = Some ("Y", "y", "b")
          | _ -> false)
        physical)
 
@@ -59,7 +48,10 @@ let test_non_equi_join_nl () =
       (Plan.Join { pred = parse "x.b < y.b"; left = x; right = y })
   in
   Alcotest.check Alcotest.bool "nested loops for non-equi" true
-    (find_op (function P.Nl_join _ -> true | _ -> false) physical)
+    (find_op
+       (function
+         | P.Join { kind = P.Inner; how = P.Loop _; _ } -> true | _ -> false)
+       physical)
 
 let test_force_modes () =
   let logical = Plan.Join { pred; left = x; right = y } in
@@ -86,7 +78,13 @@ let test_residual_extracted () =
   Alcotest.check Alcotest.bool "equi key + residual" true
     (find_op
        (function
-         | P.Hash_join { residual = Some _; _ } -> true
+         | P.Join
+             {
+               kind = P.Inner;
+               how = P.Keyed { by = P.Hash; residual = Some _; _ };
+               _;
+             } ->
+           true
          | _ -> false)
        physical)
 
@@ -96,7 +94,19 @@ let test_multi_key_join () =
   in
   let physical = Core.Planner.plan catalog logical in
   let uses_tuple_keys = function
-    | P.Hash_join { lkey = Lang.Ast.TupleE _; rkey = Lang.Ast.TupleE _; _ } ->
+    | P.Join
+        {
+          kind = P.Inner;
+          how =
+            P.Keyed
+              {
+                by = P.Hash;
+                lkey = Lang.Ast.TupleE _;
+                rkey = Lang.Ast.TupleE _;
+                _;
+              };
+          _;
+        } ->
       true
     | _ -> false
   in
@@ -120,7 +130,11 @@ let test_left_build_requires_key () =
   in
   let physical = Core.Planner.plan catalog keyed in
   ignore
-    (find_op (function P.Hash_nestjoin_left _ -> true | _ -> false) physical);
+    (find_op (function
+         | P.Join { kind = P.Nest _; how = P.Keyed { by = P.Hash_left; _ }; _ }
+           ->
+           true
+         | _ -> false) physical);
   (* keyed on the non-unique x.b: left-build must NOT be chosen *)
   let unkeyed =
     Plan.Nestjoin
@@ -129,7 +143,11 @@ let test_left_build_requires_key () =
   in
   let physical = Core.Planner.plan catalog unkeyed in
   Alcotest.check Alcotest.bool "left-build rejected without key" false
-    (find_op (function P.Hash_nestjoin_left _ -> true | _ -> false) physical)
+    (find_op (function
+         | P.Join { kind = P.Nest _; how = P.Keyed { by = P.Hash_left; _ }; _ }
+           ->
+           true
+         | _ -> false) physical)
 
 let test_uncorrelated_apply_memoized () =
   let sub =
@@ -178,27 +196,22 @@ let test_cached_builds_correct () =
          y.a",
         {
           P.plan =
-            P.Hash_join
-              { lkey; rkey; residual = Some (parse "x.a < y.a"); left = sx;
-                right = sy };
+            keyed_join ~residual:(parse "x.a < y.a") P.Hash P.Inner lkey rkey sx
+              sy;
           result = parse "(i = x.id, j = y.id)";
         } );
       ( "semijoin",
         "SELECT x.id FROM X x WHERE EXISTS y IN Y (x.b = y.b)",
         {
           P.plan =
-            P.Hash_semijoin
-              { lkey; rkey; residual = None; anti = false; left = sx;
-                right = sy };
+            keyed_join P.Hash (P.Semi { anti = false }) lkey rkey sx sy;
           result = parse "x.id";
         } );
       ( "antijoin",
         "SELECT x.id FROM X x WHERE NOT EXISTS y IN Y (x.b = y.b)",
         {
           P.plan =
-            P.Hash_semijoin
-              { lkey; rkey; residual = None; anti = true; left = sx;
-                right = sy };
+            keyed_join P.Hash (P.Semi { anti = true }) lkey rkey sx sy;
           result = parse "x.id";
         } );
       (* ν*(X ⟗ Y) = X Δ Y: the padded outerjoin regrouped by x *)
@@ -213,8 +226,7 @@ let test_cached_builds_correct () =
                 func = parse "y.a";
                 nulls = [ "y" ];
                 input =
-                  P.Hash_outerjoin
-                    { lkey; rkey; residual = None; left = sx; right = sy };
+                  keyed_join P.Hash P.Outer lkey rkey sx sy;
               };
           result = parse "(i = x.id, g = g)";
         } );
@@ -222,9 +234,8 @@ let test_cached_builds_correct () =
         nest_src,
         {
           P.plan =
-            P.Hash_nestjoin
-              { lkey; rkey; residual = None; func = parse "y.a"; label = "g";
-                left = sx; right = sy };
+            keyed_join P.Hash (P.Nest { func = parse "y.a"; label = "g" }) lkey
+              rkey sx sy;
           result = parse "(i = x.id, g = g)";
         } );
     ]
@@ -265,9 +276,7 @@ let test_cached_builds_correct () =
   let none = P.Filter { pred = parse "x.id < 0"; input = sx } in
   ignore
     (Engine.Exec.rows catalog Cobj.Env.empty
-       (P.Hash_semijoin
-          { lkey; rkey; residual = None; anti = false; left = none;
-            right = sy }));
+       (keyed_join P.Hash (P.Semi { anti = false }) lkey rkey none sy));
   Alcotest.(check bool) "empty probe side leaves the cache cold" false
     (Engine.Exec.is_cached (Cobj.Catalog.find_exn "Y" catalog) "b")
 
@@ -279,11 +288,9 @@ let test_cached_build_shared () =
   let q =
     {
       P.plan =
-        P.Hash_nestjoin
-          { lkey = parse "x.b"; rkey = parse "y.b"; residual = None;
-            func = parse "y.a"; label = "g";
-            left = P.Scan { table = "X"; var = "x" };
-            right = P.Scan { table = "Y"; var = "y" } };
+        keyed_join P.Hash (P.Nest { func = parse "y.a"; label = "g" })
+          (parse "x.b") (parse "y.b") (P.Scan { table = "X"; var = "x" })
+          (P.Scan { table = "Y"; var = "y" });
       result = parse "(i = x.id, g = g)";
     }
   in
@@ -300,11 +307,9 @@ let test_cost_sanity () =
   (* hash beats nested loops on equal inputs at these sizes *)
   let sx = P.Scan { table = "X"; var = "x" } in
   let sy = P.Scan { table = "Y"; var = "y" } in
-  let nl = P.Nl_join { pred; left = sx; right = sy } in
+  let nl = loop_join P.Inner pred sx sy in
   let hash =
-    P.Hash_join
-      { lkey = parse "x.b"; rkey = parse "y.b"; residual = None; left = sx;
-        right = sy }
+    keyed_join P.Hash P.Inner (parse "x.b") (parse "y.b") sx sy
   in
   Alcotest.check Alcotest.bool "cost(hash) < cost(nl)" true
     (Core.Cost.cost catalog hash < Core.Cost.cost catalog nl)

@@ -16,14 +16,12 @@ let sx = P.Scan { table = "X"; var = "x" }
 let sy = P.Scan { table = "Y"; var = "y" }
 
 let nl_nestjoin =
-  P.Nl_nestjoin
-    { pred = parse "x.b = y.b"; func = parse "y.a"; label = "s";
-      left = sx; right = sy }
+  loop_join (P.Nest { func = parse "y.a"; label = "s" }) (parse "x.b = y.b") sx
+    sy
 
 let hash_nestjoin =
-  P.Hash_nestjoin
-    { lkey = parse "x.b"; rkey = parse "y.b"; residual = None;
-      func = parse "y.a"; label = "s"; left = sx; right = sy }
+  keyed_join P.Hash (P.Nest { func = parse "y.a"; label = "s" }) (parse "x.b")
+    (parse "y.b") sx sy
 
 let catalogs =
   [
@@ -58,9 +56,8 @@ let per_node_attribution () =
   let catalog = List.assoc "default" catalogs in
   let nx = table_size catalog "X" and ny = table_size catalog "Y" in
   let built =
-    P.Hash_nestjoin
-      { lkey = parse "x.b"; rkey = parse "y.b + 0"; residual = None;
-        func = parse "y.a"; label = "s"; left = sx; right = sy }
+    keyed_join P.Hash (P.Nest { func = parse "y.a"; label = "s" }) (parse "x.b")
+      (parse "y.b + 0") sx sy
   in
   let rows, tree = instrument catalog built in
   Alcotest.(check int) "nestjoin preserves left rows" nx (List.length rows);

@@ -189,6 +189,65 @@ let test_add_int_edges () =
         (Buffer.contents buf))
     [ 0; 1; -1; min_int; max_int ]
 
+(* [equal] identifies an [Int] with the [Float] it converts to, so the two
+   must hash alike, at the 2^53 rounding edge, the int range's ends, -0.0
+   and nan included. *)
+let prop_hash_numeric =
+  let open QCheck2.Gen in
+  let edge =
+    oneofl
+      [ 1 lsl 53; (1 lsl 53) + 1; -(1 lsl 53) - 1; max_int; max_int - 1;
+        min_int; min_int + 1; (1 lsl 62) - 512 ]
+  in
+  let i =
+    oneof [ small_signed_int; int; edge; map2 ( + ) edge small_signed_int ]
+  in
+  let f =
+    oneof
+      [
+        float;
+        map float_of_int i;
+        oneofl
+          [ 0.0; -0.0; nan; infinity; neg_infinity; 0.5; -1.5; 0x1p53; 0x1p62;
+            -0x1p62; 0x1p63 ];
+      ]
+  in
+  let num =
+    oneof [ map (fun i -> Value.Int i) i; map (fun f -> Value.Float f) f ]
+  in
+  qcheck ~count:1000 "equal numbers hash equally"
+    (oneof
+       [
+         pair num num;
+         map (fun i -> (Value.Int i, Value.Float (float_of_int i))) i;
+         map
+           (fun i ->
+             ( Value.List [ Value.Int i ],
+               Value.List [ Value.Float (float_of_int i) ] ))
+           i;
+       ])
+    (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
+
+(* An integer key is hashed once per build and probe row: it must not box
+   a float. *)
+let test_hash_int_no_alloc () =
+  let keys = Array.init 10_000 (fun i -> Value.Int ((i * 7919) - 5000)) in
+  let acc = ref 0 in
+  let hash_all () =
+    for i = 0 to Array.length keys - 1 do
+      acc := !acc lxor Value.hash keys.(i)
+    done
+  in
+  (* the words [f] allocates, beside the measurement's own *)
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  hash_all ();
+  Alcotest.(check (float 0.)) "minor words for 10 000 Int hashes"
+    (words ignore) (words hash_all)
+
 let suite =
   [
     Alcotest.test_case "set dedup and sort" `Quick test_set_dedup_sort;
@@ -209,4 +268,7 @@ let suite =
     prop_pp_one_line;
     prop_add_int;
     Alcotest.test_case "add_int edge cases" `Quick test_add_int_edges;
+    prop_hash_numeric;
+    Alcotest.test_case "Int hash allocates nothing" `Quick
+      test_hash_int_no_alloc;
   ]

@@ -61,16 +61,9 @@ let test_wrong_nestjoin_build_side () =
     (V.check_physical_query ~phase:"plan" catalog
        {
          P.plan =
-           P.Hash_nestjoin_left
-             {
-               lkey = parse "x.b";
-               rkey = parse "y.c";
-               residual = None;
-               func = parse "y.d";
-               label = "g";
-               left = P.Scan { table = "X"; var = "x" };
-               right = P.Scan { table = "Y"; var = "y" };
-             };
+           keyed_join P.Hash_left (P.Nest { func = parse "y.d"; label = "g" })
+             (parse "x.b") (parse "y.c") (P.Scan { table = "X"; var = "x" })
+             (P.Scan { table = "Y"; var = "y" });
          result = parse "x.a";
        })
 
@@ -114,14 +107,9 @@ let test_hash_key_type () =
     (V.check_physical_query ~phase:"plan" catalog
        {
          P.plan =
-           P.Hash_join
-             {
-               lkey = parse "x.s";
-               rkey = parse "y.c";
-               residual = None;
-               left = P.Scan { table = "X"; var = "x" };
-               right = P.Scan { table = "Y"; var = "y" };
-             };
+           keyed_join P.Hash P.Inner (parse "x.s") (parse "y.c")
+             (P.Scan { table = "X"; var = "x" })
+             (P.Scan { table = "Y"; var = "y" });
          result = parse "x.a";
        })
 
@@ -129,15 +117,8 @@ let test_cached_build_missing_field () =
   (* a bare-scan build keyed on a plain field is a cached build: its key
      must name a field the scanned table's rows have *)
   let plan =
-    P.Hash_semijoin
-      {
-        lkey = parse "x.b";
-        rkey = parse "y.zz";
-        residual = None;
-        anti = false;
-        left = P.Scan { table = "X"; var = "x" };
-        right = P.Scan { table = "Y"; var = "y" };
-      }
+    keyed_join P.Hash (P.Semi { anti = false }) (parse "x.b") (parse "y.zz")
+      (P.Scan { table = "X"; var = "x" }) (P.Scan { table = "Y"; var = "y" })
   in
   Alcotest.(check bool) "cached build" true (P.cached_build plan <> None);
   expect_rule ~phase:"plan" ~rule:"ill-typed"
