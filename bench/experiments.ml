@@ -417,7 +417,8 @@ let build_side () =
   let a = canon legal and b = canon illegal in
   Printf.printf
     "\nillegal left-build on a non-key: %d correct groups vs %d streamed \
-     fragments — the planner refuses this plan (the §6 restriction).\n"
+     fragments — the verifier and the certifier reject this plan (the §6 \
+     restriction).\n"
     (List.length a) (List.length b)
 
 (* ---------------------------------------------------------------- E6 --- *)

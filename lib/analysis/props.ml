@@ -1,5 +1,4 @@
 module Ast = Lang.Ast
-module Plan = Algebra.Plan
 module P = Engine.Physical
 module Sset = Ast.String_set
 module Cstats = Cobj.Stats
@@ -165,13 +164,15 @@ let pairs_unique side_of p pairs =
     let ps = Sset.of_list paths in
     p.keys <> [] && List.exists (fun k -> Sset.subset k ps) p.keys
 
-let equi_pairs_of_logical left right pred =
-  match pred with
-  | Ast.Const (Cobj.Value.Bool true) -> None
-  | _ ->
+(* A join's equi-key pairs: a keyed method's key pair, or those of a
+   nested loop's predicate, split as the planner splits it — so every
+   method proves what the logical join proves. *)
+let equi_pairs left right = function
+  | P.Keyed { lkey; rkey; _ } -> Some [ (lkey, rkey) ]
+  | P.Loop { pred } ->
     Option.map fst
-      (Core.Kim.equi_split ~left_vars:(Plan.vars_of left)
-         ~right_vars:(Plan.vars_of right) pred)
+      (Core.Kim.equi_split ~left_vars:(P.vars_of left)
+         ~right_vars:(P.vars_of right) pred)
 
 (* Inner-join combination: cross keys pairwise; a unique build side
    preserves the probe side's keys and caps the output at the probe side's
@@ -267,78 +268,28 @@ let union_props pl pr = {
     };
 }
 
-(* --- logical plans ------------------------------------------------------- *)
-
-let rec of_plan catalog plan =
-  let go = of_plan catalog in
-  match plan with
-  | Plan.Unit -> unit_props
-  | Plan.Table { name; var } -> scan_props catalog name var
-  | Plan.Select { input; _ } -> select_props (go input)
-  | Plan.Join { pred; left; right } ->
-    let pl = go left and pr = go right in
-    let runique, lunique =
-      match equi_pairs_of_logical left right pred with
-      | Some pairs -> (pairs_unique snd pr pairs, pairs_unique fst pl pairs)
-      | None -> (false, false)
-    in
-    let p = join_props ~runique ~lunique pl pr in
-    (* any predicate can reject rows *)
-    { p with bounds = { p.bounds with lo = 0.0 } }
-  | Plan.Semijoin { left; _ } | Plan.Antijoin { left; _ } ->
-    semi_props (go left)
-  | Plan.Outerjoin { pred; left; right } ->
-    let pl = go left and pr = go right in
-    let runique =
-      match equi_pairs_of_logical left right pred with
-      | Some pairs -> pairs_unique snd pr pairs
-      | None -> false
-    in
-    join_props ~outer:true ~runique ~lunique:false pl pr
-  | Plan.Nestjoin { label; left; _ } -> nestjoin_props label (go left)
-  | Plan.Unnest { expr; input; _ } ->
-    let pin = go input in
-    let proven =
-      match expr with
-      | Ast.Field (Ast.Var v, f) ->
-        let p = field_path v f in
-        Sset.mem p pin.non_empty && Sset.mem p pin.null_free
-      | _ -> false
-    in
-    unnest_props ~proven_non_empty:proven pin
-  | Plan.Nest { by; label; nulls; input; _ } ->
-    nest_props ~by ~label ~nulls (go input)
-  | Plan.Extend { var; input; _ } -> extend_props var (go input)
-  | Plan.Project { vars; input } -> project_props vars (go input)
-  | Plan.Apply { var; input; _ } -> apply_props var (go input)
-  | Plan.Union { left; right } -> union_props (go left) (go right)
-
-(* --- physical plans ------------------------------------------------------ *)
+(* --- the plan walk -------------------------------------------------------- *)
 
 let rec of_physical catalog plan =
   let go = of_physical catalog in
-  let equi_join ?(outer = false) left right lkey rkey =
-    let pl = go left and pr = go right in
-    let pairs = [ (lkey, rkey) ] in
-    let runique = pairs_unique snd pr pairs in
-    let lunique = pairs_unique fst pl pairs in
-    let p = join_props ~outer ~runique ~lunique pl pr in
-    if outer then p else { p with bounds = { p.bounds with lo = 0.0 } }
-  in
   match plan with
   | P.Unit_row -> unit_props
   | P.Scan { table; var } -> scan_props catalog table var
   | P.Filter { input; _ } -> select_props (go input)
-  | P.Join { kind = P.Inner; how = P.Loop _; left; right } ->
-    let p = join_props ~runique:false ~lunique:false (go left) (go right) in
-    { p with bounds = { p.bounds with lo = 0.0 } }
-  | P.Join { kind = P.Inner; how = P.Keyed { lkey; rkey; _ }; left; right } ->
-    equi_join left right lkey rkey
+  | P.Join { kind = (P.Inner | P.Outer) as kind; how; left; right } ->
+    let pl = go left and pr = go right in
+    let runique, lunique =
+      match equi_pairs left right how with
+      | Some pairs -> (pairs_unique snd pr pairs, pairs_unique fst pl pairs)
+      | None -> (false, false)
+    in
+    (match kind with
+    | P.Outer -> join_props ~outer:true ~runique ~lunique:false pl pr
+    | _ ->
+      let p = join_props ~runique ~lunique pl pr in
+      (* any predicate can reject rows *)
+      { p with bounds = { p.bounds with lo = 0.0 } })
   | P.Join { kind = P.Semi _; left; _ } -> semi_props (go left)
-  | P.Join { kind = P.Outer; how = P.Loop _; left; right } ->
-    join_props ~outer:true ~runique:false ~lunique:false (go left) (go right)
-  | P.Join { kind = P.Outer; how = P.Keyed { lkey; rkey; _ }; left; right } ->
-    equi_join ~outer:true left right lkey rkey
   | P.Join { kind = P.Nest { label; _ }; left; _ } ->
     nestjoin_props label (go left)
   | P.Unnest_op { expr; input; _ } ->
@@ -357,6 +308,10 @@ let rec of_physical catalog plan =
   | P.Project_op { vars; input } -> project_props vars (go input)
   | P.Apply_op { var; input; _ } -> apply_props var (go input)
   | P.Union_op { left; right } -> union_props (go left) (go right)
+
+(* A logical plan has the properties of the nested-loop plan it denotes. *)
+let of_plan catalog plan =
+  of_physical catalog (Core.Planner.nested_loops_plan plan)
 
 (* The §6 build-side obligation, generalized from "declared key of a bare
    scan" to "proven key of the whole right operand": a left-build hash

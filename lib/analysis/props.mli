@@ -1,5 +1,6 @@
 (** Plan-property inference: a bottom-up abstract interpretation over
-    logical and physical plans.
+    physical plans; a logical plan is analysed as the nested-loop physical
+    plan it denotes.
 
     For every plan node the analysis infers a conservative summary of the
     rows it can produce:
@@ -54,8 +55,14 @@ val compatible : t -> t -> bool
 (** The two bound intervals intersect — necessary for two plans to have a
     common true cardinality (the certifier's phase obligation). *)
 
-val of_plan : Cobj.Catalog.t -> Algebra.Plan.plan -> t
 val of_physical : Cobj.Catalog.t -> Engine.Physical.t -> t
+(** The analysis proper. A join's equi-key pairs are a keyed method's key
+    pair, or a nested loop's predicate split by {!Core.Kim.equi_split}, so
+    a join proves the same facts whatever its method. *)
+
+val of_plan : Cobj.Catalog.t -> Algebra.Plan.plan -> t
+(** {!of_physical} of the nested-loop plan the logical plan denotes
+    ({!Core.Planner.nested_loops_plan}). *)
 
 val paths_of_key_expr : Lang.Ast.expr -> string list option
 (** The paths a key expression denotes ([Var v] → ["v"],

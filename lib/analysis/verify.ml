@@ -22,7 +22,14 @@ let to_string v = Fmt.str "%a" pp_violation v
 
 exception Violation of violation
 
-type ctx = { phase : string; catalog : Cobj.Catalog.t }
+(* [render] prints an offending subplan: as logical text when the plan
+   under check is the nested-loop embedding of a logical plan. *)
+type ctx = { phase : string; catalog : Cobj.Catalog.t; render : P.t -> string }
+
+let logical phase catalog =
+  { phase; catalog; render = (fun p -> Plan.to_string (P.to_logical p)) }
+
+let physical phase catalog = { phase; catalog; render = P.to_string }
 
 let viol ctx rule sub fmt =
   Format.kasprintf
@@ -96,184 +103,11 @@ let check_label ctx sub what ll label =
        attribute)"
       what label
 
-(* --- logical plans ------------------------------------------------------ *)
-
-(* Returns the schema of output rows plus the set of variables this plan
-   itself binds (plan-local: an Apply subquery is a fresh scope, so outer
-   names may legitimately reappear inside it). *)
-let rec go_logical ctx ambient plan : Typing.schema * Sset.t =
-  let sub () = Plan.to_string plan in
-  match plan with
-  | Plan.Unit -> (ambient, Sset.empty)
-  | Plan.Table { name; var } -> begin
-    match Cobj.Catalog.find name ctx.catalog with
-    | Some table ->
-      (extend ambient [ (var, Cobj.Table.elt table) ], Sset.singleton var)
-    | None ->
-      viol ctx "unknown-table" sub
-        "extension %s is not in the catalog (extensions: %s)" name
-        (String.concat ", " (Cobj.Catalog.names ctx.catalog))
-  end
-  | Plan.Select { pred; input } ->
-    let s, l = go_logical ctx ambient input in
-    check_pred ctx sub s "selection predicate" pred;
-    (s, l)
-  | Plan.Join { pred; left; right } | Plan.Outerjoin { pred; left; right } ->
-    let ls, ll = go_logical ctx ambient left in
-    let rs, rl = go_logical ctx ambient right in
-    disjoint ctx sub ll rl;
-    let merged = extend ls (added ambient rs) in
-    check_pred ctx sub merged "join predicate" pred;
-    (merged, Sset.union ll rl)
-  | Plan.Semijoin { pred; left; right } | Plan.Antijoin { pred; left; right }
-    ->
-    let ls, ll = go_logical ctx ambient left in
-    let rs, rl = go_logical ctx ambient right in
-    disjoint ctx sub ll rl;
-    let merged = extend ls (added ambient rs) in
-    check_pred ctx sub merged "semijoin/antijoin predicate" pred;
-    (* output schema is the left schema — right bindings must not escape *)
-    (ls, ll)
-  | Plan.Nestjoin { pred; func; label; left; right } ->
-    let ls, ll = go_logical ctx ambient left in
-    let rs, rl = go_logical ctx ambient right in
-    disjoint ctx sub ll rl;
-    let merged = extend ls (added ambient rs) in
-    check_pred ctx sub merged "nest join predicate" pred;
-    let tf = infer_under ctx sub merged "nest join function" func in
-    check_label ctx sub "nest join" ll label;
-    (extend ls [ (label, Ctype.TSet tf) ], Sset.add label ll)
-  | Plan.Unnest { expr; var; input } ->
-    let s, l = go_logical ctx ambient input in
-    let elt =
-      match infer_under ctx sub s "unnest operand" expr with
-      | Ctype.TSet elt | Ctype.TList elt -> elt
-      | Ctype.TAny -> Ctype.TAny
-      | t ->
-        viol ctx "unnest-not-collection" sub
-          "unnest operand must be a set or list, got %a: %s" Ctype.pp t
-          (Lang.Pretty.to_string expr)
-    in
-    let l = bind ctx sub l "unnest" var in
-    (extend s [ (var, elt) ], l)
-  | Plan.Nest { by; label; func; nulls; input } ->
-    let s, _l = go_logical ctx ambient input in
-    let grouped what v =
-      if not (List.mem_assoc v s) then
-        viol ctx "nest-unbound" sub
-          "nest %s %s, which the input does not bind (schema %a)" what v
-          Typing.pp_schema s
-    in
-    List.iter (grouped "groups by") by;
-    List.iter (grouped "null-tests (ν*)") nulls;
-    let tf = infer_under ctx sub s "nest function" func in
-    if List.mem label by then
-      viol ctx "shadowed-label" sub
-        "nest label %s collides with a grouping variable" label;
-    let kept = List.filter (fun (v, _) -> List.mem v by) s in
-    ( extend ambient (kept @ [ (label, Ctype.TSet tf) ]),
-      Sset.add label (Sset.of_list by) )
-  | Plan.Extend { var; expr; input } ->
-    let s, l = go_logical ctx ambient input in
-    let t = infer_under ctx sub s "extend expression" expr in
-    let l = bind ctx sub l "extend" var in
-    (extend s [ (var, t) ], l)
-  | Plan.Project { vars; input } ->
-    let s, _l = go_logical ctx ambient input in
-    let kept =
-      List.map
-        (fun v ->
-          match List.assoc_opt v s with
-          | Some t -> (v, t)
-          | None ->
-            viol ctx "project-unbound" sub
-              "project keeps %s, which the input does not bind (schema %a)"
-              v Typing.pp_schema s)
-        vars
-    in
-    (extend ambient kept, Sset.of_list vars)
-  | Plan.Apply { var; subquery; input } ->
-    let s, l = go_logical ctx ambient input in
-    let unbound = Sset.diff (Plan.query_free_vars subquery) (scope_of s) in
-    (match Sset.min_elt_opt unbound with
-    | Some v ->
-      viol ctx "apply-free-vars" sub
-        "apply subquery references %s, which the outer plan does not bind \
-         (in scope: %a)"
-        v pp_scope s
-    | None -> ());
-    (* the subquery is its own scope: the current schema is its ambient *)
-    let ss, _sl = go_logical ctx s subquery.Plan.plan in
-    let tr =
-      infer_under ctx sub ss "apply subquery result" subquery.Plan.result
-    in
-    let l = bind ctx sub l "apply" var in
-    (extend s [ (var, Ctype.TSet tr) ], l)
-  | Plan.Union { left; right } ->
-    let ls, ll = go_logical ctx ambient left in
-    let rs, rl = go_logical ctx ambient right in
-    if not (Sset.equal ll rl) then begin
-      let d = Sset.union (Sset.diff ll rl) (Sset.diff rl ll) in
-      viol ctx "union-mismatch" sub
-        "union operands bind different variables (%s only on one side)"
-        (String.concat ", " (Sset.elements d))
-    end;
-    let joined =
-      List.map
-        (fun (v, lt) ->
-          match List.assoc_opt v rs with
-          | None -> viol ctx "union-mismatch" sub "%s bound only on the left" v
-          | Some rt -> (
-            match Ctype.join lt rt with
-            | Some t -> (v, t)
-            | None ->
-              viol ctx "union-mismatch" sub
-                "union binds %s at incompatible types %a and %a" v Ctype.pp
-                lt Ctype.pp rt))
-        ls
-    in
-    (joined, ll)
-
-let check_plan ~phase ?(ambient = []) catalog plan =
-  let ctx = { phase; catalog } in
-  match go_logical ctx ambient plan with
-  | schema, _locals -> begin
-    (* backstop: the independent schema inference must agree *)
-    match Typing.schema_of catalog ambient plan with
-    | Ok _ -> Ok schema
-    | Error msg ->
-      Error { phase; rule = "schema"; detail = msg; subplan = Plan.to_string plan }
-  end
-  | exception Violation v -> Error v
-
-let check_query ~phase ?(ambient = []) catalog (q : Plan.query) =
-  let ctx = { phase; catalog } in
-  match
-    let s, _ = go_logical ctx ambient q.Plan.plan in
-    ignore
-      (infer_under ctx
-         (fun () -> Plan.to_string q.Plan.plan)
-         s "result expression" q.Plan.result)
-  with
-  | () -> begin
-    match Typing.query_type catalog ambient q with
-    | Ok _ -> Ok ()
-    | Error msg ->
-      Error
-        {
-          phase;
-          rule = "schema";
-          detail = msg;
-          subplan = Plan.to_string q.Plan.plan;
-        }
-  end
-  | exception Violation v -> Error v
-
-(* --- physical plans ----------------------------------------------------- *)
+(* --- the plan walk ------------------------------------------------------- *)
 
 (* §6: building the hash nest join on the left (streaming the right) is only
    sound when the right key is unique per right row — we require it to be a
-   declared key of the scanned right operand, exactly as the planner does. *)
+   declared key of the scanned right operand. *)
 let right_key_declared catalog right rkey =
   match right with
   | P.Scan { table; var } -> begin
@@ -288,8 +122,13 @@ let right_key_declared catalog right rkey =
   end
   | _ -> false
 
-let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
-  let sub () = P.to_string plan in
+(* Returns the schema of output rows plus the set of variables this plan
+   itself binds (plan-local: an Apply subquery is a fresh scope, so outer
+   names may legitimately reappear inside it). A logical plan is walked as
+   its nested-loop embedding ([Core.Planner.nested_loops]), which has the
+   same operators, predicates and binders. *)
+let rec go ctx ambient plan : Typing.schema * Sset.t =
+  let sub () = ctx.render plan in
   let check_keys rule ls rs lkey rkey =
     let lt = infer_under ctx sub ls "left key" lkey in
     let rt = infer_under ctx sub rs "right key" rkey in
@@ -308,8 +147,8 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     | Some r -> check_pred ctx sub merged "residual predicate" r
   in
   let binary left right =
-    let ls, ll = go_physical ctx ambient left in
-    let rs, rl = go_physical ctx ambient right in
+    let ls, ll = go ctx ambient left in
+    let rs, rl = go ctx ambient right in
     disjoint ctx sub ll rl;
     (ls, ll, rs, rl, extend ls (added ambient rs))
   in
@@ -325,7 +164,7 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
         (String.concat ", " (Cobj.Catalog.names ctx.catalog))
   end
   | P.Filter { pred; input } ->
-    let s, l = go_physical ctx ambient input in
+    let s, l = go ctx ambient input in
     check_pred ctx sub s "filter predicate" pred;
     (s, l)
   | P.Join { kind; how; left; right } ->
@@ -351,6 +190,7 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     let out =
       match kind with
       | P.Inner | P.Outer -> (merged, Sset.union ll rl)
+      (* right bindings must not escape a semijoin *)
       | P.Semi _ -> (ls, ll)
       | P.Nest { func; label } ->
         let tf = infer_under ctx sub merged "nest join function" func in
@@ -372,7 +212,7 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     | _, (P.Loop _ | P.Keyed { by = P.Hash | P.Sort; _ }) -> ());
     out
   | P.Unnest_op { expr; var; input } ->
-    let s, l = go_physical ctx ambient input in
+    let s, l = go ctx ambient input in
     let elt =
       match infer_under ctx sub s "unnest operand" expr with
       | Ctype.TSet elt | Ctype.TList elt -> elt
@@ -385,7 +225,7 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     let l = bind ctx sub l "unnest" var in
     (extend s [ (var, elt) ], l)
   | P.Nest_op { by; label; func; nulls; input } ->
-    let s, _l = go_physical ctx ambient input in
+    let s, _l = go ctx ambient input in
     let grouped what v =
       if not (List.mem_assoc v s) then
         viol ctx "nest-unbound" sub
@@ -402,12 +242,12 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     ( extend ambient (kept @ [ (label, Ctype.TSet tf) ]),
       Sset.add label (Sset.of_list by) )
   | P.Extend_op { var; expr; input } ->
-    let s, l = go_physical ctx ambient input in
+    let s, l = go ctx ambient input in
     let t = infer_under ctx sub s "extend expression" expr in
     let l = bind ctx sub l "extend" var in
     (extend s [ (var, t) ], l)
   | P.Project_op { vars; input } ->
-    let s, _l = go_physical ctx ambient input in
+    let s, _l = go ctx ambient input in
     let kept =
       List.map
         (fun v ->
@@ -421,9 +261,9 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     in
     (extend ambient kept, Sset.of_list vars)
   | P.Apply_op { var; subquery; memo = _; input } ->
-    let s, l = go_physical ctx ambient input in
+    let s, l = go ctx ambient input in
     let unbound =
-      Sset.diff (Engine.Exec.query_free_vars subquery) (scope_of s)
+      Sset.diff (P.query_free_vars subquery) (scope_of s)
     in
     (match Sset.min_elt_opt unbound with
     | Some v ->
@@ -432,13 +272,14 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
          (in scope: %a)"
         v pp_scope s
     | None -> ());
-    let ss, _sl = go_physical ctx s subquery.P.plan in
+    (* the subquery is its own scope: the current schema is its ambient *)
+    let ss, _sl = go ctx s subquery.P.plan in
     let tr = infer_under ctx sub ss "apply subquery result" subquery.P.result in
     let l = bind ctx sub l "apply" var in
     (extend s [ (var, Ctype.TSet tr) ], l)
   | P.Union_op { left; right } ->
-    let ls, ll = go_physical ctx ambient left in
-    let rs, rl = go_physical ctx ambient right in
+    let ls, ll = go ctx ambient left in
+    let rs, rl = go ctx ambient right in
     if not (Sset.equal ll rl) then begin
       let d = Sset.union (Sset.diff ll rl) (Sset.diff rl ll) in
       viol ctx "union-mismatch" sub
@@ -461,24 +302,6 @@ let rec go_physical ctx ambient plan : Typing.schema * Sset.t =
     in
     (joined, ll)
 
-let check_physical ~phase ?(ambient = []) catalog plan =
-  let ctx = { phase; catalog } in
-  match go_physical ctx ambient plan with
-  | schema, _locals -> Ok schema
-  | exception Violation v -> Error v
-
-let check_physical_query ~phase ?(ambient = []) catalog (pq : P.query) =
-  let ctx = { phase; catalog } in
-  match
-    let s, _ = go_physical ctx ambient pq.P.plan in
-    ignore
-      (infer_under ctx
-         (fun () -> P.to_string pq.P.plan)
-         s "result expression" pq.P.result)
-  with
-  | () -> Ok ()
-  | exception Violation v -> Error v
-
 (* --- the flat fragment (query shredding) --------------------------------- *)
 
 (* Rule [shred-flat]: the flat queries a shredded program executes must not
@@ -488,64 +311,67 @@ let check_physical_query ~phase ?(ambient = []) catalog (pq : P.query) =
 let shred_phase phase =
   String.length phase >= 5 && String.sub phase 0 5 = "shred"
 
-let check_flat_logical ctx (q : Plan.query) =
-  Plan.fold
-    (fun () node ->
-      match node with
-      | Plan.Nestjoin { label; _ } ->
-        viol ctx "shred-flat"
-          (fun () -> Plan.to_string node)
-          "nest join (label %s) inside a shredded flat query" label
-      | Plan.Nest { label; _ } ->
-        viol ctx "shred-flat"
-          (fun () -> Plan.to_string node)
-          "nest operator (label %s) inside a shredded flat query" label
-      | Plan.Apply { var; _ } ->
-        viol ctx "shred-flat"
-          (fun () -> Plan.to_string node)
-          "apply (variable %s) inside a shredded flat query" var
-      | _ -> ())
-    () q.Plan.plan
+let rec check_flat ctx plan =
+  let flat fmt = viol ctx "shred-flat" (fun () -> ctx.render plan) fmt in
+  (match plan with
+  | P.Join { kind = P.Nest { label; _ }; _ } ->
+    flat "nest join (label %s) inside a shredded flat plan" label
+  | P.Nest_op { label; _ } ->
+    flat "nest operator (label %s) inside a shredded flat plan" label
+  | P.Apply_op { var; _ } ->
+    flat "apply (variable %s) inside a shredded flat plan" var
+  | _ -> ());
+  List.iter (check_flat ctx) (Engine.Analyze.children plan)
 
-let check_flat_physical ctx (pq : P.query) =
-  let rec go plan =
-    (match plan with
-    | P.Join { kind = P.Nest { label; _ }; _ } ->
-      viol ctx "shred-flat"
-        (fun () -> P.to_string plan)
-        "nest join (label %s) inside a shredded flat plan" label
-    | P.Nest_op { label; _ } ->
-      viol ctx "shred-flat"
-        (fun () -> P.to_string plan)
-        "nest operator (label %s) inside a shredded flat plan" label
-    | P.Apply_op { var; _ } ->
-      viol ctx "shred-flat"
-        (fun () -> P.to_string plan)
-        "apply (variable %s) inside a shredded flat plan" var
-    | _ -> ());
-    List.iter go (Engine.Analyze.children plan)
-  in
-  go pq.P.plan
+(* --- entry points -------------------------------------------------------- *)
+
+let run f = match f () with x -> Ok x | exception Violation v -> Error v
+
+let walk_query ctx ambient (pq : P.query) =
+  if shred_phase ctx.phase then check_flat ctx pq.P.plan;
+  let s, _ = go ctx ambient pq.P.plan in
+  ignore
+    (infer_under ctx
+       (fun () -> ctx.render pq.P.plan)
+       s "result expression" pq.P.result)
+
+(* The independent schema inference must agree with the walk. *)
+let backstop ctx plan = function
+  | Ok _ -> ()
+  | Error detail ->
+    raise
+      (Violation
+         {
+           phase = ctx.phase;
+           rule = "schema";
+           detail;
+           subplan = Plan.to_string plan;
+         })
+
+let check_plan ~phase ?(ambient = []) catalog plan =
+  let ctx = logical phase catalog in
+  run (fun () ->
+      let schema, _ = go ctx ambient (Core.Planner.nested_loops_plan plan) in
+      backstop ctx plan (Typing.schema_of catalog ambient plan);
+      schema)
+
+let check_query ~phase ?(ambient = []) catalog (q : Plan.query) =
+  let ctx = logical phase catalog in
+  run (fun () ->
+      walk_query ctx ambient (Core.Planner.nested_loops q);
+      backstop ctx q.Plan.plan (Typing.query_type catalog ambient q))
+
+let check_physical ~phase ?(ambient = []) catalog plan =
+  run (fun () -> fst (go (physical phase catalog) ambient plan))
+
+let check_physical_query ~phase ?(ambient = []) catalog pq =
+  run (fun () -> walk_query (physical phase catalog) ambient pq)
 
 let verifier : Core.Pipeline.verifier =
  fun ~phase catalog plan ->
-  let checked =
-    match plan with
-    | Core.Pipeline.Logical q -> (
-      match
-        if shred_phase phase then
-          check_flat_logical { phase; catalog } q
-      with
-      | () -> check_query ~phase catalog q
-      | exception Violation v -> Error v)
-    | Core.Pipeline.Physical pq -> (
-      match
-        if shred_phase phase then
-          check_flat_physical { phase; catalog } pq
-      with
-      | () -> check_physical_query ~phase catalog pq
-      | exception Violation v -> Error v)
-  in
-  Result.map_error to_string checked
+  Result.map_error to_string
+    (match plan with
+    | Core.Pipeline.Logical q -> check_query ~phase catalog q
+    | Core.Pipeline.Physical pq -> check_physical_query ~phase catalog pq)
 
 let install () = Core.Pipeline.set_verifier (Some verifier)

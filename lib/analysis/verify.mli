@@ -39,10 +39,17 @@
       only when the right key is a declared key of the scanned right
       operand ({b nestjoin-build-side}).
 
-    Violations are reported with the phase that produced the plan, the
-    specific rule, a detail message and the pretty-printed offending
-    subplan. See [docs/VERIFIER.md] for the paper justification of each
-    rule. *)
+    Under a phase named ["shred"] or ["shred-plan"] a query must also stay
+    in the flat fragment: no nest join, nest or apply ({b shred-flat}).
+
+    There is one rule walk, over {!Engine.Physical.t}. A logical plan is
+    checked as the nested-loop physical plan it denotes
+    ({!Core.Planner.nested_loops}): the same operators, predicates and
+    binders, so the same rules fire in the same order. Violations are
+    reported with the phase that produced the plan, the specific rule, a
+    detail message and the pretty-printed offending subplan — as logical
+    text ({!Engine.Physical.to_logical}) in a logical phase. See
+    [docs/VERIFIER.md] for the paper justification of each rule. *)
 
 type violation = {
   phase : string;  (** pipeline phase that produced the offending plan *)
@@ -62,7 +69,8 @@ val check_plan :
   (Algebra.Typing.schema, violation) result
 (** Walk a logical plan, enforcing every structural invariant; returns the
     inferred schema. [ambient] types correlation variables available from
-    an enclosing scope (empty for closed plans). *)
+    an enclosing scope (empty for closed plans). {!Algebra.Typing} is then
+    re-run as the {b schema} backstop. *)
 
 val check_query :
   phase:string ->

@@ -30,22 +30,6 @@ let residual_of = function
   | [] -> None
   | conjs -> Some (Ast.conj conjs)
 
-(* Is [rkey] a declared key of the right operand? Only the simple base-table
-   single-field case is recognized — enough for the §6 build-side rule. *)
-let rkey_is_key_of catalog right rkey =
-  match right with
-  | P.Scan { table; var } -> begin
-    match Cobj.Catalog.find table catalog with
-    | Some t -> begin
-      match Cobj.Table.key t, rkey with
-      | Some [ field ], Ast.Field (Ast.Var v, f) ->
-        String.equal v var && String.equal f field
-      | _, _ -> false
-    end
-    | None -> false
-  end
-  | _ -> false
-
 let cheapest catalog candidates =
   match candidates with
   | [] -> invalid_arg "Planner.cheapest: no candidates"
@@ -69,35 +53,34 @@ let allowed force candidates ~nl =
   match force with
   | Auto -> candidates
   | Force_nl -> [ nl ]
-  | Force_hash -> only (function P.Hash | P.Hash_left -> true | _ -> false)
+  | Force_hash -> only (function P.Hash -> true | _ -> false)
   | Force_merge -> only (function P.Sort -> true | _ -> false)
 
 (* The physical join of kind [kind] with predicate [pred] over the logical
    operands [left] and [right]: the cheapest of its candidates, which are,
-   in the order cost ties resolve, the §6 left-build hash nest join when
-   the right key is unique on the right operand, the nested loop, the hash
-   join, the inner join's swapped hash join, and the sort-merge join. A
-   predicate with no equi-key pair has only the nested loop. *)
+   in the order cost ties resolve, the nested loop, the hash join, the
+   inner join's swapped hash join, and the sort-merge join. A predicate
+   with no equi-key pair has only the nested loop, and so has every join
+   under [Force_nl]. *)
 let rec plan_join options catalog kind pred left right =
   let recur = plan_aux options catalog in
   let l = recur left and r = recur right in
   let join how ~left ~right = P.Join { kind; how; left; right } in
   let nl = join (P.Loop { pred }) ~left:l ~right:r in
-  match
-    Kim.equi_split ~left_vars:(Plan.vars_of left)
-      ~right_vars:(Plan.vars_of right) pred
-  with
+  let split =
+    match options.force with
+    | Force_nl -> None
+    | Auto | Force_hash | Force_merge ->
+      Kim.equi_split ~left_vars:(Plan.vars_of left)
+        ~right_vars:(Plan.vars_of right) pred
+  in
+  match split with
   | None -> nl
   | Some (pairs, residual) ->
     let lkey, rkey = keys_of_pairs pairs in
     let residual = residual_of residual in
     let keyed by =
       join (P.Keyed { by; lkey; rkey; residual }) ~left:l ~right:r
-    in
-    let build_left =
-      match kind with
-      | P.Nest _ when rkey_is_key_of catalog r rkey -> [ keyed P.Hash_left ]
-      | _ -> []
     in
     (* The join is commutative, so both build orientations are candidates:
        the statistics-driven cost model weights the build (right) side
@@ -114,9 +97,7 @@ let rec plan_join options catalog kind pred left right =
         ]
       | P.Semi _ | P.Outer | P.Nest _ -> []
     in
-    let candidates =
-      build_left @ (nl :: keyed P.Hash :: swapped) @ [ keyed P.Sort ]
-    in
+    let candidates = (nl :: keyed P.Hash :: swapped) @ [ keyed P.Sort ] in
     cheapest catalog (allowed options.force candidates ~nl)
 
 and plan_aux options catalog lp =
@@ -144,16 +125,20 @@ and plan_aux options catalog lp =
   | Plan.Union { left; right } ->
     P.Union_op { left = recur left; right = recur right }
   | Plan.Apply { var; subquery; input } ->
-    let input = recur input in
-    let subquery = query_aux options catalog subquery in
     let uncorrelated =
       Sset.is_empty
         (Sset.inter
-           (Engine.Exec.query_free_vars subquery)
-           (Sset.of_list (P.vars_of input)))
+           (Plan.query_free_vars subquery)
+           (Sset.of_list (Plan.vars_of input)))
     in
     let memo = uncorrelated || options.memo_applies in
-    P.Apply_op { var; subquery; memo; input }
+    P.Apply_op
+      {
+        var;
+        subquery = query_aux options catalog subquery;
+        memo;
+        input = recur input;
+      }
 
 and query_aux options catalog { Plan.plan = lp; result } =
   { P.plan = plan_aux options catalog lp; result }
@@ -161,3 +146,11 @@ and query_aux options catalog { Plan.plan = lp; result } =
 let plan ?(options = default_options) catalog lp = plan_aux options catalog lp
 
 let query ?(options = default_options) catalog q = query_aux options catalog q
+
+(* Under [Force_nl] no join is priced, so the catalog is never read. *)
+let nested_loops_options = { force = Force_nl; memo_applies = false }
+
+let nested_loops_plan lp =
+  plan ~options:nested_loops_options Cobj.Catalog.empty lp
+
+let nested_loops q = query ~options:nested_loops_options Cobj.Catalog.empty q

@@ -28,51 +28,6 @@ let hkey v = { Hkey.h = Value.hash v; v }
 
 module Sset = Ast.String_set
 
-(* Free (correlation) variables of physical plans, mirroring
-   [Algebra.Plan.free_vars]. *)
-let rec free_vars plan =
-  let expr_free bound e = Sset.diff (Ast.free_vars e) bound in
-  let bound_of p = Sset.of_list (P.vars_of p) in
-  match plan with
-  | P.Unit_row | P.Scan _ -> Sset.empty
-  | P.Filter { pred; input } ->
-    Sset.union (free_vars input) (expr_free (bound_of input) pred)
-  | P.Join { kind; how; left; right } ->
-    let lb = bound_of left and rb = bound_of right in
-    let both = Sset.union lb rb in
-    let own =
-      match how with
-      | P.Loop { pred } -> expr_free both pred
-      | P.Keyed { lkey; rkey; residual; _ } ->
-        Sset.union
-          (Sset.union (expr_free lb lkey) (expr_free rb rkey))
-          (match residual with
-          | None -> Sset.empty
-          | Some r -> expr_free both r)
-    in
-    let own =
-      match kind with
-      | P.Nest { func; _ } -> Sset.union own (expr_free both func)
-      | P.Inner | P.Semi _ | P.Outer -> own
-    in
-    Sset.union (Sset.union (free_vars left) (free_vars right)) own
-  | P.Unnest_op { expr; input; _ } ->
-    Sset.union (free_vars input) (expr_free (bound_of input) expr)
-  | P.Nest_op { func; input; _ } ->
-    Sset.union (free_vars input) (expr_free (bound_of input) func)
-  | P.Extend_op { expr; input; _ } ->
-    Sset.union (free_vars input) (expr_free (bound_of input) expr)
-  | P.Project_op { input; _ } -> free_vars input
-  | P.Apply_op { subquery; input; _ } ->
-    Sset.union (free_vars input)
-      (Sset.diff (query_free_vars subquery) (bound_of input))
-  | P.Union_op { left; right } ->
-    Sset.union (free_vars left) (free_vars right)
-
-and query_free_vars { P.plan; result } =
-  Sset.union (free_vars plan)
-    (Sset.diff (Ast.free_vars result) (Sset.of_list (P.vars_of plan)))
-
 let no_stats = Stats.create ()
 
 let pad_nulls rvars l =
@@ -1308,7 +1263,7 @@ and exec fr catalog env plan =
          already the unit of work, and the memo cache is unsynchronized).
          An uncorrelated subplan runs once and may parallelize freely. *)
       let corr =
-        Sset.inter (query_free_vars subquery)
+        Sset.inter (P.query_free_vars subquery)
           (Sset.of_list (P.vars_of input))
       in
       let subfr =

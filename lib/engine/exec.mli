@@ -8,10 +8,11 @@
     {b Caveat} (§6 of the paper, exercised by the build-side bench): a
     nest join keyed by {!Physical.Hash_left} streams the right operand
     against a left-side build table and is only correct when the right key
-    expression is unique on the right input — the planner enforces this;
-    calling it directly without the precondition produces un-grouped
-    (wrong) output, which is the point of the experiment. Any other join
-    kind keyed by [Hash_left] raises [Invalid_argument]. *)
+    expression is unique on the right input. The planner never emits it;
+    the verifier and the certifier reject it without that precondition.
+    Run directly without it, it produces un-grouped (wrong) output, which
+    is the point of the experiment. Any other join kind keyed by
+    [Hash_left] raises [Invalid_argument]. *)
 
 val rows :
   ?stats:Stats.t ->
@@ -39,9 +40,9 @@ val rows :
     serial run raises. Only [Stats.partitions] (morsels run) and
     [partition_max_rows] (largest morsel) depend on [jobs]. Correlated
     apply subplans always execute serially inside their apply loop
-    (classified with {!query_free_vars}); values above [Pool.max_jobs] are
-    clamped. [gate] exists so tests can reach the morsel path on small
-    inputs.
+    (classified with {!Physical.query_free_vars}); values above
+    [Pool.max_jobs] are clamped. [gate] exists so tests can reach the
+    morsel path on small inputs.
 
     A hash operator whose build operand is a bare base-table scan keyed on
     a plain field ({!Physical.cached_build}) does not run that scan: it
@@ -205,10 +206,6 @@ val is_cached : Cobj.Table.t -> string -> bool
 (** [is_cached t field]: whether the cached build side of [t] keyed on
     [field] exists already (the cost model prices a warm one at no build
     cost). See {!rows} for when the cache is used. *)
-
-val query_free_vars : Physical.query -> Lang.Ast.String_set.t
-(** Correlation variables a physical query needs from its enclosing scope
-    (used for apply memoization). *)
 
 val parallel_rows : int
 (** Default gate: the probe rows from which a keyed join under

@@ -1,3 +1,5 @@
+module Plan = Algebra.Plan
+
 type expr = Lang.Ast.expr
 
 type kind =
@@ -67,6 +69,45 @@ let rec size = function
   | Join { left; right; _ } | Union_op { left; right } ->
     1 + size left + size right
   | Apply_op { subquery; input; _ } -> 1 + size subquery.plan + size input
+
+(* A keyed method finds exactly the pairs where [lkey = rkey] and the
+   residual hold; the memo flag of an apply changes no row. *)
+let rec to_logical = function
+  | Unit_row -> Plan.Unit
+  | Scan { table; var } -> Plan.Table { name = table; var }
+  | Filter { pred; input } -> Plan.Select { pred; input = to_logical input }
+  | Join { kind; how; left; right } -> (
+    let pred =
+      match how with
+      | Loop { pred } -> pred
+      | Keyed { lkey; rkey; residual; _ } ->
+        Lang.Ast.conj
+          (Lang.Ast.Binop (Lang.Ast.Eq, lkey, rkey) :: Option.to_list residual)
+    in
+    let left = to_logical left and right = to_logical right in
+    match kind with
+    | Inner -> Plan.Join { pred; left; right }
+    | Semi { anti = false } -> Plan.Semijoin { pred; left; right }
+    | Semi { anti = true } -> Plan.Antijoin { pred; left; right }
+    | Outer -> Plan.Outerjoin { pred; left; right }
+    | Nest { func; label } -> Plan.Nestjoin { pred; func; label; left; right })
+  | Unnest_op { expr; var; input } ->
+    Plan.Unnest { expr; var; input = to_logical input }
+  | Nest_op { by; label; func; nulls; input } ->
+    Plan.Nest { by; label; func; nulls; input = to_logical input }
+  | Extend_op { var; expr; input } ->
+    Plan.Extend { var; expr; input = to_logical input }
+  | Project_op { vars; input } ->
+    Plan.Project { vars; input = to_logical input }
+  | Apply_op { var; subquery; memo = _; input } ->
+    Plan.Apply
+      { var; subquery = to_logical_query subquery; input = to_logical input }
+  | Union_op { left; right } ->
+    Plan.Union { left = to_logical left; right = to_logical right }
+
+and to_logical_query { plan; result } = { Plan.plan = to_logical plan; result }
+
+let query_free_vars q = Plan.query_free_vars (to_logical_query q)
 
 let e = Lang.Pretty.pp
 

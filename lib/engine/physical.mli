@@ -14,7 +14,15 @@
     left rows, so the left side cannot be the build table unless the join
     attribute is a key of the right operand. That special case,
     {!Hash_left}, is legal only under a nest join, and only with such a
-    key; the build-side bench exercises it. *)
+    key. The planner never emits it: such a right operand is a bare keyed
+    scan, whose cached right build is never dearer. The build-side bench
+    and the tests build it by hand.
+
+    A physical plan is the paper's logical algebra with a method attached
+    to each join: {!to_logical} erases the methods, and
+    [Core.Planner.nested_loops] embeds a logical plan as nested loops.
+    The verifier and the plan-property analysis walk only physical plans,
+    and check a logical plan as that embedding. *)
 
 type expr = Lang.Ast.expr
 
@@ -71,6 +79,18 @@ val cached_build : t -> (string * string * string) option
 
 val vars_of : t -> string list
 (** Variables bound in output rows (mirrors {!Algebra.Plan.vars_of}). *)
+
+val to_logical : t -> Algebra.Plan.plan
+(** The logical plan a physical plan implements: each join becomes the
+    logical join of its kind whose predicate is the nested loop's, or a
+    keyed method's [lkey = rkey] conjoined with its residual; an apply
+    drops [memo]. [to_logical_query (Core.Planner.nested_loops q) = q]. *)
+
+val to_logical_query : query -> Algebra.Plan.query
+
+val query_free_vars : query -> Lang.Ast.String_set.t
+(** Correlation variables a physical query needs from its enclosing scope:
+    {!Algebra.Plan.query_free_vars} of its {!to_logical_query}. *)
 
 val describe : t -> string * (Format.formatter -> unit) option
 (** The operator's name and detail as EXPLAIN and EXPLAIN ANALYZE print

@@ -285,6 +285,90 @@ let prop_corpus_certifies =
               [ 1; 4 ])
         Core.Pipeline.all_strategies)
 
+(* --- proven properties do not depend on the join method ------------------ *)
+
+let seed_corpora =
+  List.map
+    (fun seed ->
+      ( Workload.Gen.xy { Workload.Gen.default_xy with seed },
+        Workload.Gen.queries ~count:150 ~seed () ))
+    [ 2024; 31 ]
+
+let operands = function
+  | P.Unit_row | P.Scan _ -> []
+  | P.Filter { input; _ }
+  | P.Unnest_op { input; _ }
+  | P.Nest_op { input; _ }
+  | P.Extend_op { input; _ }
+  | P.Project_op { input; _ } ->
+    [ input ]
+  | P.Join { left; right; _ } | P.Union_op { left; right } -> [ left; right ]
+  | P.Apply_op { subquery; input; _ } -> [ subquery.P.plan; input ]
+
+(* The joins of [plan] paired with the same joins of [nl], the nested-loop
+   plan of the same logical plan, where both take their operands in the
+   same orientation. The planner maps operators one to one and only swaps
+   the operands of an inner hash join. *)
+let rec matched_joins nl plan =
+  let here, below =
+    match nl, plan with
+    | P.Join { left = nl_left; _ }, P.Join { left; right; _ }
+      when P.vars_of nl_left <> P.vars_of left ->
+      ([], List.combine (operands nl) [ right; left ])
+    | P.Join _, P.Join _ ->
+      ([ (nl, plan) ], List.combine (operands nl) (operands plan))
+    | _ -> ([], List.combine (operands nl) (operands plan))
+  in
+  here @ List.concat_map (fun (a, b) -> matched_joins a b) below
+
+let test_props_method_independent () =
+  let facts catalog plan =
+    let p = Analysis.Props.of_physical catalog plan in
+    let elts = Lang.Ast.String_set.elements in
+    ( List.sort compare (List.map elts p.Analysis.Props.keys),
+      (p.bounds.lo, p.bounds.hi),
+      (elts p.null_free, elts p.non_empty, p.distinct) )
+  in
+  let physical catalog force src strategy =
+    let options = { Core.Planner.default_options with force } in
+    match Core.Pipeline.compile_string ~options strategy catalog src with
+    | Ok { Core.Pipeline.physical = Some pq; _ } -> Some pq.P.plan
+    | Ok _ -> None
+    | Error msg -> Alcotest.failf "%s: %s" src msg
+  in
+  let pairs = ref 0 in
+  List.iter
+    (fun (catalog, queries) ->
+      List.iter
+        (fun src ->
+          List.iter
+            (fun strategy ->
+              match physical catalog Core.Planner.Force_nl src strategy with
+              | None -> ()
+              | Some nl ->
+                List.iter
+                  (fun force ->
+                    let plan =
+                      Option.get (physical catalog force src strategy)
+                    in
+                    List.iter
+                      (fun (a, b) ->
+                        incr pairs;
+                        if facts catalog a <> facts catalog b then
+                          Alcotest.failf
+                            "%s (%s): %a@.proves %a@.but %a@.proves %a" src
+                            (Core.Pipeline.strategy_name strategy)
+                            P.pp b Analysis.Props.pp
+                            (Analysis.Props.of_physical catalog b)
+                            P.pp a Analysis.Props.pp
+                            (Analysis.Props.of_physical catalog a))
+                      (matched_joins nl plan))
+                  Core.Planner.[ Auto; Force_hash; Force_merge ])
+            Core.Pipeline.all_strategies)
+        queries)
+    seed_corpora;
+  Alcotest.(check bool) "joins compared" true (!pairs > 0)
+
 let suite =
   [
     Alcotest.test_case "COUNT-bug flattening caught (decorrelate)" `Quick
@@ -310,5 +394,7 @@ let suite =
       test_nestjoin_build_side_proven_through_filter;
     Alcotest.test_case "fixed queries certify under every strategy" `Quick
       test_fixed_queries_certify;
+    Alcotest.test_case "a join proves the same facts by every method" `Quick
+      test_props_method_independent;
     prop_corpus_certifies;
   ]

@@ -460,7 +460,7 @@ let suite =
         test_shadowed_join_variable;
     ]
 
-(* --- every (kind, how) pair the planner can emit ------------------------- *)
+(* --- 12 pairs the planner emits, plus the left build by hand ------------- *)
 
 (* The forced-method differential's catalogs: a quarter of X dangling, or
    all of it. *)

@@ -122,32 +122,30 @@ let test_multi_key_join () =
     (List.length got)
 
 let test_left_build_requires_key () =
-  (* nest join keyed on the unique x.id: left-build becomes available *)
-  let keyed =
-    Plan.Nestjoin
-      { pred = parse "y.b = x.id"; func = parse "x.a"; label = "g"; left = y;
-        right = x }
-  in
-  let physical = Core.Planner.plan catalog keyed in
-  ignore
-    (find_op (function
-         | P.Join { kind = P.Nest _; how = P.Keyed { by = P.Hash_left; _ }; _ }
-           ->
-           true
-         | _ -> false) physical);
-  (* keyed on the non-unique x.b: left-build must NOT be chosen *)
-  let unkeyed =
-    Plan.Nestjoin
-      { pred = parse "y.b = x.b"; func = parse "x.a"; label = "g"; left = y;
-        right = x }
-  in
-  let physical = Core.Planner.plan catalog unkeyed in
-  Alcotest.check Alcotest.bool "left-build rejected without key" false
-    (find_op (function
-         | P.Join { kind = P.Nest _; how = P.Keyed { by = P.Hash_left; _ }; _ }
-           ->
-           true
-         | _ -> false) physical)
+  (* §6: the left build is legal only when the right key is a declared key
+     of the scanned right operand, as x.id is; but then the right build is
+     cached and never dearer, so the planner emits no left build, keyed or
+     not, under any mode that prices a hash join *)
+  List.iter
+    (fun (what, pred) ->
+      let nest =
+        Plan.Nestjoin
+          { pred = parse pred; func = parse "x.a"; label = "g"; left = y;
+            right = x }
+      in
+      List.iter
+        (fun force ->
+          let options = { Core.Planner.default_options with force } in
+          Alcotest.check Alcotest.bool
+            ("no left build " ^ what)
+            false
+            (find_op
+               (function
+                 | P.Join { how = P.Keyed { by = P.Hash_left; _ }; _ } -> true
+                 | _ -> false)
+               (Core.Planner.plan ~options catalog nest)))
+        Core.Planner.[ Auto; Force_hash ])
+    [ ("keyed on x.id", "y.b = x.id"); ("keyed on x.b", "y.b = x.b") ]
 
 let test_uncorrelated_apply_memoized () =
   let sub =

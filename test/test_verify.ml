@@ -179,6 +179,38 @@ let test_violation_rendering () =
           (Astring.String.is_infix ~affix:needle s))
       [ "decorrelate"; "unbound-var"; "nope"; "table X x" ]
 
+(* --- the nested-loop embedding -------------------------------------------- *)
+
+(* A logical plan is checked as its nested-loop plan and reported through
+   [P.to_logical]: erasing the embedding must give back the logical plan
+   exactly — each strategy's compiled plan and the naive translation. *)
+let test_nested_loops_round_trip () =
+  let plans = ref 0 in
+  List.iter
+    (fun seed ->
+      let catalog = Workload.Gen.xy { Workload.Gen.default_xy with seed } in
+      List.iter
+        (fun src ->
+          List.iter
+            (fun strategy ->
+              match Core.Pipeline.compile_string strategy catalog src with
+              | Error msg -> Alcotest.failf "%s: %s" src msg
+              | Ok { Core.Pipeline.logical = None; _ } -> ()
+              | Ok { Core.Pipeline.logical = Some q; source; _ } ->
+                List.iter
+                  (fun q ->
+                    incr plans;
+                    if P.to_logical_query (Core.Planner.nested_loops q) <> q
+                    then
+                      Alcotest.failf "%s (%s): the round trip changes@.%a" src
+                        (Core.Pipeline.strategy_name strategy)
+                        Plan.pp_query q)
+                  [ q; Core.Translate.query_exn catalog source ])
+            Core.Pipeline.all_strategies)
+        (Workload.Gen.queries ~count:150 ~seed ()))
+    [ 2024; 31 ];
+  Alcotest.(check bool) "plans compared" true (!plans > 0)
+
 (* --- property: every phase of every strategy verifies on random queries -- *)
 
 let gen_catalog =
@@ -262,5 +294,7 @@ let suite =
     Alcotest.test_case "sound plans verify under every strategy" `Quick
       test_valid_plans_verify;
     Alcotest.test_case "violation rendering" `Quick test_violation_rendering;
+    Alcotest.test_case "nested-loop embedding round-trips" `Quick
+      test_nested_loops_round_trip;
     prop_phases_verify;
   ]
