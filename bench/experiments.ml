@@ -47,7 +47,7 @@ let table1 () =
       match impl with
       | `Nl -> P.Loop { pred }
       | `Hash -> P.Keyed { by = P.Hash; lkey; rkey; residual = None }
-      | `Merge -> P.Keyed { by = P.Sort; lkey; rkey; residual = None }
+      | `Merge -> P.Keyed { by = P.Sort P.Eq; lkey; rkey; residual = None }
     in
     P.Join { kind = P.Nest { func; label = "s" }; how; left; right }
   in

@@ -164,15 +164,17 @@ let pairs_unique side_of p pairs =
     let ps = Sset.of_list paths in
     p.keys <> [] && List.exists (fun k -> Sset.subset k ps) p.keys
 
-(* A join's equi-key pairs: a keyed method's key pair, or those of a
-   nested loop's predicate, split as the planner splits it — so every
-   method proves what the logical join proves. *)
-let equi_pairs left right = function
-  | P.Keyed { lkey; rkey; _ } -> Some [ (lkey, rkey) ]
-  | P.Loop { pred } ->
+(* A join's equi-key pairs: an equi-keyed method's key pair, or those of
+   any other method's predicate (a nested loop's, or a band's comparison
+   and residual), split as the planner splits it — so every method proves
+   what the logical join proves. *)
+let equi_pairs left right how =
+  match P.equi_keys how with
+  | Some pair -> Some [ pair ]
+  | None ->
     Option.map fst
       (Core.Kim.equi_split ~left_vars:(P.vars_of left)
-         ~right_vars:(P.vars_of right) pred)
+         ~right_vars:(P.vars_of right) (P.join_pred how))
 
 (* Inner-join combination: cross keys pairwise; a unique build side
    preserves the probe side's keys and caps the output at the probe side's

@@ -56,9 +56,10 @@ val compatible : t -> t -> bool
     common true cardinality (the certifier's phase obligation). *)
 
 val of_physical : Cobj.Catalog.t -> Engine.Physical.t -> t
-(** The analysis proper. A join's equi-key pairs are a keyed method's key
-    pair, or a nested loop's predicate split by {!Core.Kim.equi_split}, so
-    a join proves the same facts whatever its method. *)
+(** The analysis proper. A join's equi-key pairs are an equi-keyed
+    method's key pair, or a nested loop's or a band's predicate split by
+    {!Core.Kim.equi_split}, so a join proves the same facts whatever its
+    method. *)
 
 val of_plan : Cobj.Catalog.t -> Algebra.Plan.plan -> t
 (** {!of_physical} of the nested-loop plan the logical plan denotes

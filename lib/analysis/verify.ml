@@ -183,7 +183,7 @@ let rec go ctx ambient plan : Typing.schema * Sset.t =
       let rule =
         match by with
         | P.Hash | P.Hash_left -> "hash-key-type"
-        | P.Sort -> "merge-key-type"
+        | P.Sort _ -> "merge-key-type"
       in
       check_keys rule ls rs lkey rkey;
       check_residual merged residual);
@@ -209,7 +209,7 @@ let rec go ctx ambient plan : Typing.schema * Sset.t =
       viol ctx "nestjoin-build-side" sub
         "only a nest join may build on the left (§6: every other join \
          kind streams its left operand)"
-    | _, (P.Loop _ | P.Keyed { by = P.Hash | P.Sort; _ }) -> ());
+    | _, (P.Loop _ | P.Keyed { by = P.Hash | P.Sort _; _ }) -> ());
     out
   | P.Unnest_op { expr; var; input } ->
     let s, l = go ctx ambient input in

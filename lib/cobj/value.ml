@@ -70,6 +70,27 @@ and compare_fields xs ys =
 
 let equal a b = compare a b = 0
 
+let rec identical a b =
+  a == b
+  ||
+  match a, b with
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y -> Int.equal x y
+  | Float x, Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | String x, String y -> String.equal x y
+  | Tuple xs, Tuple ys ->
+    List.equal
+      (fun (lx, x) (ly, y) -> String.equal lx ly && identical x y)
+      xs ys
+  | Set xs, Set ys | List xs, List ys -> List.equal identical xs ys
+  | Variant (t1, v1), Variant (t2, v2) -> String.equal t1 t2 && identical v1 v2
+  | ( ( Null | Bool _ | Int _ | Float _ | String _ | Tuple _ | Set _ | List _
+      | Variant _ ),
+      _ ) ->
+    false
+
 (* [equal] makes [Int i] equal to [Float (float_of_int i)], so both must
    hash alike. An integral value hashes as the int it is, without boxing a
    float: an [Int] up to 2^53 is exactly its float, and a [Float] that is

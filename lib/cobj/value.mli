@@ -41,6 +41,11 @@ val set_of_seq : t Seq.t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
+val identical : t -> t -> bool
+(** The same value in the same representation, so printed alike: unlike
+    {!equal}, [Int 1] and [Float 1.0] differ, and so do [0.0] and [-0.0].
+    Floats are identical when their bits are. *)
+
 val hash : t -> int
 (** Equal values hash alike, an [Int] and an equal [Float] included. An
     [Int] within 2^53, and an integral [Float] in int range, hash without

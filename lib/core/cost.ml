@@ -241,18 +241,20 @@ let rec pcard catalog plan =
   | P.Unit_row -> 1.0
   | P.Scan { table; _ } -> table_card catalog table
   | P.Filter { input; _ } -> sel_filter *. pcard catalog input
+  (* A band, like a nested loop, is estimated with the fixed fractions:
+     only equal keys have an NDV-based selectivity. *)
   | P.Join { kind = P.Inner; how; left; right } ->
     let sel =
-      match how with
-      | P.Loop _ -> sel_equi
-      | P.Keyed { lkey; rkey; _ } -> equi left right lkey rkey
+      match P.equi_keys how with
+      | None -> sel_equi
+      | Some (lkey, rkey) -> equi left right lkey rkey
     in
     pcard catalog left *. pcard catalog right *. sel
   | P.Join { kind = P.Semi { anti }; how; left; right } ->
     let f =
-      match how with
-      | P.Loop _ -> sel_semi
-      | P.Keyed { lkey; rkey; _ } -> semi left right lkey rkey
+      match P.equi_keys how with
+      | None -> sel_semi
+      | Some (lkey, rkey) -> semi left right lkey rkey
     in
     (if anti then 1.0 -. f else f) *. pcard catalog left
   | P.Join { kind = P.Outer; left; right; _ } ->
@@ -270,6 +272,17 @@ let rec pcard catalog plan =
   | P.Extend_op { input; _ } | P.Apply_op { input; _ } -> pcard catalog input
   | P.Project_op { input; _ } -> 0.8 *. pcard catalog input
   | P.Union_op { left; right } -> pcard catalog left +. pcard catalog right
+
+(* A one-sided band selects, for each left row, a prefix or a suffix of
+   the sorted right rows: half of them on average. *)
+let band_frac = 0.5
+
+(* A band's sort and bisections compare keys, which costs about a tenth
+   of what the nested loop pays per pair (an environment and a predicate
+   closure): on 100 × 100 xy rows, a band antijoin without a residual
+   sorts, bisects and tests every range in 29 µs, while the loop takes
+   about 140 ns per pair. *)
+let compare_weight = 0.1
 
 let rec cost catalog plan =
   let c = cost catalog and n = pcard catalog in
@@ -300,17 +313,43 @@ let rec cost catalog plan =
       | P.Inner | P.Outer | P.Nest _ -> n left *. n right
     in
     c left +. c right +. pairs
-  | P.Join { kind; how = P.Keyed { by; _ }; left; right } -> (
+  | P.Join { kind; how = P.Keyed { by; residual; _ }; left; right } -> (
     let work =
       match by with
       | P.Hash -> right_build left right
       | P.Hash_left ->
         (* §6 variant: the build side is the left operand *)
         c left +. c right +. hash_work ~probe:right ~build:left
-      | P.Sort ->
+      | P.Sort P.Eq ->
         c left +. c right
         +. (n left *. log2 (n left))
         +. (n right *. log2 (n right))
+      | P.Sort (P.Lt | P.Le | P.Gt | P.Ge) ->
+        (* Sort the right operand, bisect it once per left row, then
+           work inside the ranges: a semijoin or antijoin without a
+           residual only tests a range for emptiness, and with one
+           searches it to its first match, as the loop searches every
+           right row; a nest join whose function reads only the right
+           operand walks the sorted right rows once and reads each group
+           off the walk; every other band evaluates its residual or
+           function, or gathers its output, over each candidate pair. *)
+        let reads_left e =
+          not
+            (Ast.String_set.disjoint (Ast.free_vars e)
+               (Ast.String_set.of_list (P.vars_of left)))
+        in
+        let range =
+          match kind, residual with
+          | P.Semi _, None -> 0.0
+          | P.Semi _, Some _ -> band_frac *. 0.5 *. n left *. n right
+          | P.Nest { func; _ }, None when not (reads_left func) -> n right
+          | (P.Inner | P.Outer | P.Nest _), _ ->
+            band_frac *. n left *. n right
+        in
+        c left +. c right
+        +. compare_weight
+           *. ((n right *. log2 (n right)) +. (n left *. log2 (n right)))
+        +. range
     in
     (* a semijoin emits probe rows it already has *)
     match kind with
@@ -382,25 +421,33 @@ let explain catalog plan =
     Printf.sprintf
       "|input| × fixed filter selectivity %.2f (predicates are not analyzed)"
       sel_filter
-  | P.Join { kind = P.Inner; how = P.Loop _; _ } ->
-    Printf.sprintf
-      "|left| × |right| × fixed selectivity %.2f (nl-join keys are not \
-       analyzed)"
-      sel_equi
-  | P.Join { kind = P.Inner; how = P.Keyed { lkey; rkey; _ }; left; right } ->
-    Printf.sprintf "|left| × |right| / max ndv: %s, %s" (key left lkey)
-      (key right rkey)
-  | P.Join { kind = P.Semi { anti }; how = P.Loop _; _ } ->
-    Printf.sprintf "|left| × fixed %s fraction (nl predicate not analyzed), \
-                    sel=%.2f"
-      (if anti then "antijoin" else "semijoin")
-      (if anti then 1.0 -. sel_semi else sel_semi)
-  | P.Join
-      { kind = P.Semi { anti }; how = P.Keyed { lkey; rkey; _ }; left; right }
-    ->
-    Printf.sprintf "%smatch fraction min(1, ndv ratio): probe %s vs build %s"
-      (if anti then "1 − " else "")
-      (key left lkey) (key right rkey)
+  | P.Join { kind = P.Inner; how; left; right } -> (
+    match how, P.equi_keys how with
+    | _, Some (lkey, rkey) ->
+      Printf.sprintf "|left| × |right| / max ndv: %s, %s" (key left lkey)
+        (key right rkey)
+    | P.Loop _, None ->
+      Printf.sprintf
+        "|left| × |right| × fixed selectivity %.2f (nl-join keys are not \
+         analyzed)"
+        sel_equi
+    | P.Keyed _, None ->
+      Printf.sprintf
+        "|left| × |right| × fixed selectivity %.2f (band keys are not \
+         analyzed)"
+        sel_equi)
+  | P.Join { kind = P.Semi { anti }; how; left; right } -> (
+    match how, P.equi_keys how with
+    | _, Some (lkey, rkey) ->
+      Printf.sprintf "%smatch fraction min(1, ndv ratio): probe %s vs build %s"
+        (if anti then "1 − " else "")
+        (key left lkey) (key right rkey)
+    | _, None ->
+      Printf.sprintf "|left| × fixed %s fraction (%s predicate not analyzed), \
+                      sel=%.2f"
+        (if anti then "antijoin" else "semijoin")
+        (match how with P.Loop _ -> "nl" | P.Keyed _ -> "band")
+        (if anti then 1.0 -. sel_semi else sel_semi))
   | P.Join { kind = P.Outer; _ } ->
     Printf.sprintf
       "max(|left|, |left| × |right| × fixed selectivity %.2f)" sel_equi

@@ -11,9 +11,10 @@ let split_conjuncts pred =
   | Ast.Const (Cobj.Value.Bool true) -> []
   | _ -> go [] pred
 
-let equi_split ~left_vars ~right_vars pred =
+(* Which operands an expression reads. *)
+let sides ~left_vars ~right_vars =
   let lset = Sset.of_list left_vars and rset = Sset.of_list right_vars in
-  let side e =
+  fun e ->
     let fv = Ast.free_vars e in
     let uses_l = not (Sset.is_empty (Sset.inter fv lset)) in
     let uses_r = not (Sset.is_empty (Sset.inter fv rset)) in
@@ -22,7 +23,9 @@ let equi_split ~left_vars ~right_vars pred =
     | false, true -> `Right
     | false, false -> `Neither
     | true, true -> `Both
-  in
+
+let equi_split ~left_vars ~right_vars pred =
+  let side = sides ~left_vars ~right_vars in
   let classify_conjunct c =
     match c with
     | Ast.Binop (Ast.Eq, a, b) -> begin
@@ -44,6 +47,40 @@ let equi_split ~left_vars ~right_vars pred =
   match pairs with
   | [] -> None
   | _ :: _ -> Some (List.rev pairs, List.rev residual)
+
+let band_split ~left_vars ~right_vars pred =
+  let side = sides ~left_vars ~right_vars in
+  let cmp = function
+    | Ast.Lt -> Some Engine.Physical.Lt
+    | Ast.Le -> Some Engine.Physical.Le
+    | Ast.Gt -> Some Engine.Physical.Gt
+    | Ast.Ge -> Some Engine.Physical.Ge
+    | _ -> None
+  in
+  (* [b op a] is [a (flip op) b] *)
+  let flip : Engine.Physical.cmp -> Engine.Physical.cmp = function
+    | Lt -> Gt
+    | Le -> Ge
+    | Gt -> Lt
+    | Ge -> Le
+    | Eq -> Eq
+  in
+  let band = function
+    | Ast.Binop (op, a, b) -> (
+      match cmp op, side a, side b with
+      | Some c, `Left, `Right -> Some (a, c, b)
+      | Some c, `Right, `Left -> Some (b, flip c, a)
+      | _ -> None)
+    | _ -> None
+  in
+  let rec go before = function
+    | [] -> None
+    | c :: rest -> (
+      match band c with
+      | Some key -> Some (key, List.rev_append before rest)
+      | None -> go (c :: before) rest)
+  in
+  go [] (split_conjuncts pred)
 
 (* Recognize the two-block pattern [Select (pred) ∘ Apply (z = sub) over X]
    and split the subquery, reusing the decorrelator's machinery. *)

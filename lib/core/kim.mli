@@ -53,3 +53,16 @@ val equi_split :
     [e_left] over the left variables and [e_right] over the right variables —
     plus residual conjuncts. [None] if no equi-conjunct exists. Shared with
     the physical planner. *)
+
+val band_split :
+  left_vars:string list ->
+  right_vars:string list ->
+  Lang.Ast.expr ->
+  ((Lang.Ast.expr * Engine.Physical.cmp * Lang.Ast.expr) * Lang.Ast.expr list)
+  option
+(** The first conjunct [a op b] with [op] one of [<], [<=], [>], [>=], one
+    operand reading only the left variables and the other only the right,
+    as [(e_left, cmp, e_right)] with [e_left cmp e_right] equivalent to it
+    under {!Cobj.Value.compare}, plus the other conjuncts in order. [None]
+    if no conjunct is such a one-sided band. The planner asks it only of a
+    predicate with no equi-conjunct. *)

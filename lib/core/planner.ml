@@ -54,51 +54,59 @@ let allowed force candidates ~nl =
   | Auto -> candidates
   | Force_nl -> [ nl ]
   | Force_hash -> only (function P.Hash -> true | _ -> false)
-  | Force_merge -> only (function P.Sort -> true | _ -> false)
+  | Force_merge -> only (function P.Sort _ -> true | _ -> false)
 
 (* The physical join of kind [kind] with predicate [pred] over the logical
    operands [left] and [right]: the cheapest of its candidates, which are,
    in the order cost ties resolve, the nested loop, the hash join, the
    inner join's swapped hash join, and the sort-merge join. A predicate
-   with no equi-key pair has only the nested loop, and so has every join
-   under [Force_nl]. *)
+   with no equi-key pair has the nested loop and, when a conjunct is a
+   one-sided band ([Kim.band_split]), the band join of the sort family;
+   otherwise only the nested loop, as has every join under [Force_nl]. *)
 let rec plan_join options catalog kind pred left right =
   let recur = plan_aux options catalog in
   let l = recur left and r = recur right in
   let join how ~left ~right = P.Join { kind; how; left; right } in
   let nl = join (P.Loop { pred }) ~left:l ~right:r in
-  let split =
-    match options.force with
-    | Force_nl -> None
-    | Auto | Force_hash | Force_merge ->
-      Kim.equi_split ~left_vars:(Plan.vars_of left)
-        ~right_vars:(Plan.vars_of right) pred
+  let left_vars = Plan.vars_of left and right_vars = Plan.vars_of right in
+  let keyed by (lkey, rkey) residual =
+    join
+      (P.Keyed { by; lkey; rkey; residual = residual_of residual })
+      ~left:l ~right:r
   in
-  match split with
-  | None -> nl
-  | Some (pairs, residual) ->
-    let lkey, rkey = keys_of_pairs pairs in
-    let residual = residual_of residual in
-    let keyed by =
-      join (P.Keyed { by; lkey; rkey; residual }) ~left:l ~right:r
-    in
-    (* The join is commutative, so both build orientations are candidates:
-       the statistics-driven cost model weights the build (right) side
-       heavier, so the cheaper orientation builds on the estimated-smaller
-       operand. §7: every other kind preserves its left operand, which
-       must stay on the probe side, so only the inner join is swapped. *)
-    let swapped =
-      match kind with
-      | P.Inner ->
-        [
-          join
-            (P.Keyed { by = P.Hash; lkey = rkey; rkey = lkey; residual })
-            ~left:r ~right:l;
-        ]
-      | P.Semi _ | P.Outer | P.Nest _ -> []
-    in
-    let candidates = (nl :: keyed P.Hash :: swapped) @ [ keyed P.Sort ] in
-    cheapest catalog (allowed options.force candidates ~nl)
+  let pick candidates = cheapest catalog (allowed options.force candidates ~nl) in
+  match options.force with
+  | Force_nl -> nl
+  | Auto | Force_hash | Force_merge -> (
+    match Kim.equi_split ~left_vars ~right_vars pred with
+    | Some (pairs, residual) ->
+      let lkey, rkey = keys_of_pairs pairs in
+      (* The join is commutative, so both build orientations are
+         candidates: the statistics-driven cost model weights the build
+         (right) side heavier, so the cheaper orientation builds on the
+         estimated-smaller operand. §7: every other kind preserves its
+         left operand, which must stay on the probe side, so only the
+         inner join is swapped. *)
+      let swapped =
+        match kind with
+        | P.Inner ->
+          [
+            join
+              (P.Keyed
+                 { by = P.Hash; lkey = rkey; rkey = lkey;
+                   residual = residual_of residual })
+              ~left:r ~right:l;
+          ]
+        | P.Semi _ | P.Outer | P.Nest _ -> []
+      in
+      pick
+        ((nl :: keyed P.Hash (lkey, rkey) residual :: swapped)
+        @ [ keyed (P.Sort P.Eq) (lkey, rkey) residual ])
+    | None -> (
+      match Kim.band_split ~left_vars ~right_vars pred with
+      | Some ((lkey, cmp, rkey), residual) ->
+        pick [ nl; keyed (P.Sort cmp) (lkey, rkey) residual ]
+      | None -> nl))
 
 and plan_aux options catalog lp =
   let recur = plan_aux options catalog in

@@ -424,12 +424,14 @@ let probe_batches fr items loop concat =
 
 (* --- build tables ------------------------------------------------------ *)
 
-(* How a build table finds a key's first row. [Hashed]: a hash table of
+(* How a build table finds a key's matches. [Hashed]: a hash table of
    chain heads, keyed with [hash], and a Bloom [filter] that, present only
    when the frame's [bloom] is on, screens keys before the lookup.
    [Sorted]: the build keys by row id, and the row ids in ascending key
-   order, stably, searched by bisection — no hashing, no filter, no
-   [hash_probes]. *)
+   order, stably, searched by bisection for a key's equal run — no
+   hashing, no filter, no [hash_probes]. [Band]: the same sort, searched
+   for the range of positions whose keys a probe key compares to by
+   [cmp], with [rank] the position of each row id. *)
 type index =
   | Hashed of {
       head : int Htbl.t;
@@ -437,14 +439,21 @@ type index =
       filter : Bloom.t option;
     }
   | Sorted of { keys : Value.t array; ids : int array }
+  | Band of {
+      keys : Value.t array;
+      ids : int array;
+      rank : int array;
+      cmp : P.cmp;
+    }
 
 (* A keyed operator's build side: its rows as columns [cols], indexed by
    row id, and for each key the chain of its row ids in build order —
    [index] finds the first, [next] links each to the following one (-1
-   ends a chain). A key set, the build of a semijoin or antijoin without
+   ends a chain); a band's index finds a range of rows instead, and it
+   has no chains. A key set, the build of a semijoin or antijoin without
    a residual, keeps no columns and no chains: only the index's keys
-   count. A hashed table, a sorted one and a cached build come out in
-   this shape, so every probe loop is written once. *)
+   count. A hashed table, a sorted one, a band and a cached build come
+   out in this shape, so every probe loop is written once. *)
 type table = {
   cols : (string * Batch.col) list;
   index : index;
@@ -608,6 +617,21 @@ let sorted_table ?names (key : keyer) batches =
     done;
   { cols = build_cols names batches; index = Sorted { keys; ids }; next }
 
+(* Sort the live rows of [batches] on [key] into a band's build table,
+   or, with [empty], make one with the same columns and no row: when
+   either side is empty, no key is evaluated, as a nested loop over the
+   same operands evaluates none. *)
+let band_table ?names ~empty cmp (key : keyer) batches =
+  let keys = if empty then [||] else keys_of key batches in
+  let ids = sort_ids keys in
+  let rank = Array.make (Array.length ids) 0 in
+  Array.iteri (fun p id -> rank.(id) <- p) ids;
+  {
+    cols = build_cols names (if empty then [] else batches);
+    index = Band { keys; ids; rank; cmp };
+    next = [||];
+  }
+
 (* The live rows of [batches], columns [names], sorted on [key] as
    [sorted_table] sorts them, in batches of [size], each with the keyer
    that reads its rows' keys back from the sort: no key is evaluated
@@ -630,13 +654,40 @@ let sorted_batches ~size names (key : keyer) batches =
 (* The sorted key at position [p] of [ids], compared with [v]. *)
 let at_cmp keys ids p v = Value.compare keys.(ids.(p)) v
 
-(* The first build row id matching [v], or -1. A hashed lookup counts the
-   probe and its Bloom screen into [st]. A sorted one gallops from
-   [cursor], the first position not below the previous probe's key, so a
-   run of ascending probes walks the keys once; it bisects from the start
-   when [v] lies below the cursor. *)
+(* A probe key's matches in a build table: the chain of build rows from
+   a head row id (-1: none), or the build rows whose sorted positions lie
+   in [lo, hi), a band's range. Both are visited in build (row id)
+   order, the order a nested loop visits them. *)
+type hit = Chain of int | Range of int * int
+
+(* The first position of [ids] whose key is not below [v] or, [above],
+   is above it. *)
+let bisect keys ids ~above v =
+  let lo = ref 0 and hi = ref (Array.length ids) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let c = at_cmp keys ids mid v in
+    if c < 0 || (above && c = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* [v]'s matches. A hashed lookup counts the probe and its Bloom screen
+   into [st]. A sorted one gallops from [cursor], the first position not
+   below the previous probe's key, so a run of ascending probes walks the
+   keys once; it bisects from the start when [v] lies below the cursor. A
+   band bisects for the positions whose keys [k] satisfy [v cmp k]: a
+   suffix for [<] and [<=], a prefix for [>] and [>=]. *)
 let probe (st : Stats.t) table cursor v =
   match table.index with
+  | Band { keys; ids; cmp; _ } -> (
+    let n = Array.length ids in
+    let cut above = bisect keys ids ~above v in
+    match cmp with
+    | P.Lt -> Range (cut true, n)
+    | P.Le -> Range (cut false, n)
+    | P.Gt -> Range (0, cut false)
+    | P.Ge -> Range (0, cut true)
+    | P.Eq -> Range (cut false, cut true))
   | Sorted { keys; ids } ->
     let n = Array.length ids in
     let lo =
@@ -658,25 +709,136 @@ let probe (st : Stats.t) table cursor v =
       if at_cmp keys ids mid v < 0 then lo := mid + 1 else hi := mid
     done;
     cursor := !lo;
-    if !lo < n && at_cmp keys ids !lo v = 0 then ids.(!lo) else -1
+    Chain (if !lo < n && at_cmp keys ids !lo v = 0 then ids.(!lo) else -1)
   | Hashed { head; hash; filter } -> (
     st.Stats.hash_probes <- st.Stats.hash_probes + 1;
     let k = { Hkey.h = hash v; v } in
     match filter with
     | Some f ->
       st.Stats.bloom_checks <- st.Stats.bloom_checks + 1;
-      if Bloom.mem f k.Hkey.h then chain_head head k
+      if Bloom.mem f k.Hkey.h then Chain (chain_head head k)
       else begin
         st.Stats.bloom_prunes <- st.Stats.bloom_prunes + 1;
-        -1
+        Chain (-1)
       end
-    | None -> chain_head head k)
+    | None -> Chain (chain_head head k))
 
 (* --- columnar probes -------------------------------------------------- *)
 
 (* [n] plus the length of the chain from row id [r] on. *)
 let rec chain_length next n r =
   if r < 0 then n else chain_length next (n + 1) next.(r)
+
+(* The build rows of a band's range [lo, hi), in row id order: the
+   positions' ids sorted when the range is short, else one pass over
+   every row's position. *)
+let range_ids table lo hi =
+  match table.index with
+  | Band { ids; rank; _ } when lo < hi ->
+    let k = hi - lo in
+    if 8 * k < Array.length ids then begin
+      let a = Array.sub ids lo k in
+      Array.sort Int.compare a;
+      a
+    end
+    else begin
+      let a = Array.make k 0 and j = ref 0 in
+      Array.iteri
+        (fun r p ->
+          if p >= lo && p < hi then begin
+            a.(!j) <- r;
+            incr j
+          end)
+        rank;
+      a
+    end
+  | Band _ | Hashed _ | Sorted _ -> [||]
+
+let hit_empty = function Chain r -> r < 0 | Range (lo, hi) -> lo >= hi
+
+let hit_count table = function
+  | Chain r -> chain_length table.next 0 r
+  | Range (lo, hi) -> max 0 (hi - lo)
+
+let rec chain_iter table f r =
+  if r >= 0 then begin
+    f r;
+    chain_iter table f table.next.(r)
+  end
+
+let hit_iter table f = function
+  | Chain r -> chain_iter table f r
+  | Range (lo, hi) -> Array.iter f (range_ids table lo hi)
+
+let hit_exists table f = function
+  | Chain r ->
+    let rec go r = r >= 0 && (f r || go table.next.(r)) in
+    go r
+  | Range (lo, hi) -> Array.exists f (range_ids table lo hi)
+
+module Vset = Set.Make (Value)
+
+(* The groups of a band nest join whose [func] reads only build rows, for
+   probe rows with the ranges [hits], or [None]. Each range is a prefix
+   (or a suffix) of the build rows in key order, so one walk over them in
+   that order, adding each row's [func] value to a set, reads every group
+   off at its cut: [fn] runs once over the rows some range holds, a set is
+   listed only at the cuts some probe row needs, and no pair is formed.
+   [None] when two equal values the walk meets print differently (an
+   [Int] and a [Float], [0.0] and [-0.0]): which of them [Value.set]
+   keeps depends on the order of the members, so the caller builds those
+   groups from their members in build order. *)
+let band_groups table hits (fn : Batch.t -> Batch.col) ~keep tail =
+  match table.index with
+  | Band { ids; cmp = (P.Lt | P.Le | P.Gt | P.Ge) as cmp; _ } -> (
+    let n = Array.length ids in
+    let prefix = match cmp with P.Gt | P.Ge -> true | _ -> false in
+    (* the rows the walk has added when it reaches each hit's cut *)
+    let steps =
+      Array.map
+        (function
+          | Range (lo, hi) -> if prefix then hi else n - lo | Chain _ -> 0)
+        hits
+    in
+    let walked = Array.fold_left max 0 steps in
+    let sets = Array.make (Array.length hits) (Value.Set []) in
+    if walked = 0 then Some sets
+    else
+      let walk =
+        Array.init walked (fun j -> if prefix then ids.(j) else ids.(n - 1 - j))
+      in
+      let cols =
+        List.filter_map
+          (fun (x, c) -> if keep x then Some (x, Batch.gather c walk) else None)
+          table.cols
+      in
+      let col = fn (Batch.of_cols walked cols tail) in
+      let order = Array.init (Array.length hits) Fun.id in
+      Array.stable_sort (fun a b -> Int.compare steps.(a) steps.(b)) order;
+      let exception Differ in
+      let acc = ref Vset.empty and j = ref 0 in
+      let last = ref 0 and group = ref (Value.Set []) in
+      match
+        Array.iter
+          (fun u ->
+            let s = steps.(u) in
+            if s <> !last then begin
+              while !j < s do
+                let v = Batch.get col !j in
+                (match Vset.find_opt v !acc with
+                | Some w -> if not (Value.identical v w) then raise Differ
+                | None -> acc := Vset.add v !acc);
+                incr j
+              done;
+              group := Value.Set (Vset.elements !acc);
+              last := s
+            end;
+            sets.(u) <- !group)
+          order
+      with
+      | () -> Some sets
+      | exception Differ -> None)
+  | Band _ | Hashed _ | Sorted _ -> None
 
 (* Growable int vectors for the selections and pairs a probe forms. *)
 module Ibuf = struct
@@ -760,7 +922,9 @@ let pair_env (b : Batch.t) (pcols, bcols) i r =
    Residuals and the nest join's [func] run as kernels over one batch of
    candidate pairs, gathered with only the columns they read; a semijoin
    counts [predicate_evals] up to each probe row's first true match, as
-   the row loop stops there. Counters go to a scratch [Stats.t], committed
+   the row loop stops there. A band nest join whose [func] reads no probe
+   column and that has no residual reads its groups off the sorted build
+   ([band_groups]) instead. Counters go to a scratch [Stats.t], committed
    on success. A kernel that is missing, or an evaluation that raises,
    replays the batch row by row ([replay]), counting straight into [st],
    so counters and the first error are those of row order. Returns the
@@ -780,50 +944,52 @@ let probe_batch catalog ~kind ~swap ~residual ~table =
     List.fold_left (fun s e -> Sset.union s (Ast.free_vars e)) Sset.empty exprs
   in
   let keep x = Sset.mem x need in
-  let rec each_match r f =
-    if r >= 0 then begin
-      f r;
-      each_match table.next.(r) f
-    end
-  in
   fun (st : Stats.t) ((b : Batch.t), (key : keyer)) ->
     let at = key b in
     let cols = pair_cols ~swap b table in
+    (* The residual of one pair, evaluated on its environment. *)
+    let ok_in (st : Stats.t) i r =
+      match predfn with
+      | None -> true
+      | Some f ->
+        st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
+        f (pair_env b cols i r)
+    in
     let replay () =
       let cursor = ref 0 in
-      let ok i r =
-        match predfn with
-        | None -> true
-        | Some f ->
-          st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
-          f (pair_env b cols i r)
-      in
+      let ok = ok_in st in
       let ps = Ibuf.create () and bs = Ibuf.create () in
       let sets = ref [] in
       Batch.iter_live b (fun i ->
           let h = probe st table cursor (at i) in
           match kind with
           | P.Semi { anti } ->
-            let rec exists r = r >= 0 && (ok i r || exists table.next.(r)) in
-            let found = if Option.is_none residual then h >= 0 else exists h in
+            let found =
+              if Option.is_none residual then not (hit_empty h)
+              else hit_exists table (ok i) h
+            in
             if found <> anti then Ibuf.push ps i
           | P.Inner | P.Outer ->
             let before = ps.Ibuf.n in
-            each_match h (fun r ->
+            hit_iter table
+              (fun r ->
                 if ok i r then begin
                   Ibuf.push ps i;
                   Ibuf.push bs r
-                end);
+                end)
+              h;
             if outer && ps.Ibuf.n = before then begin
               Ibuf.push ps i;
               Ibuf.push bs (-1)
             end
           | P.Nest _ ->
             let members = ref [] in
-            each_match h (fun r ->
+            hit_iter table
+              (fun r ->
                 if ok i r then
                   members :=
-                    Option.get funcfn (pair_env b cols i r) :: !members);
+                    Option.get funcfn (pair_env b cols i r) :: !members)
+              h;
             sets := Value.set (List.rev !members) :: !sets);
       match kind with
       | P.Semi _ -> Keep (Ibuf.contents ps)
@@ -842,103 +1008,131 @@ let probe_batch catalog ~kind ~swap ~residual ~table =
       let loc = Stats.create () in
       let slots = Batch.live_slots b in
       let cursor = ref 0 in
-      let heads = Array.map (fun i -> probe loc table cursor (at i)) slots in
-      let out =
-        match kind with
-        | P.Semi { anti } when Option.is_none residual ->
-          let kept = Ibuf.create () in
-          Array.iteri
-            (fun u i -> if (heads.(u) >= 0) <> anti then Ibuf.push kept i)
-            slots;
-          Keep (Ibuf.contents kept)
-        | P.Semi _ | P.Inner | P.Outer | P.Nest _ ->
-          (* The candidate pairs, counted first so that each array is
-             made once, at its size. *)
-          let n =
-            Array.fold_left (chain_length table.next) 0 heads
-          in
-          let ps = Array.make n 0 and bs = Array.make n 0 in
-          let j = ref 0 in
-          Array.iteri
-            (fun u i ->
-              let r = ref heads.(u) in
+      let hits = Array.map (fun i -> probe loc table cursor (at i)) slots in
+      (* The candidate pairs, counted first so that each array is made
+         once, at its size, then what [kind] makes of those that pass. *)
+      let paired () =
+        let n =
+          Array.fold_left (fun n h -> n + hit_count table h) 0 hits
+        in
+        let ps = Array.make n 0 and bs = Array.make n 0 in
+        let j = ref 0 in
+        Array.iteri
+          (fun u i ->
+            match hits.(u) with
+            | Chain r ->
+              let r = ref r in
               while !r >= 0 do
                 ps.(!j) <- i;
                 bs.(!j) <- !r;
                 incr j;
                 r := table.next.(!r)
-              done)
-            slots;
-          let pass = truth ps bs in
-          let passes j = Bytes.unsafe_get pass j <> '\000' in
-          (* [f u lo hi]: live row [u] and its candidates' range. *)
-          let groups f =
-            let j = ref 0 in
-            Array.iteri
-              (fun u i ->
-                let lo = !j in
-                while !j < n && ps.(!j) = i do
-                  incr j
-                done;
-                f u lo !j)
-              slots
+              done
+            | Range _ as h ->
+              hit_iter table
+                (fun r ->
+                  ps.(!j) <- i;
+                  bs.(!j) <- r;
+                  incr j)
+                h)
+          slots;
+        let pass = truth ps bs in
+        let passes j = Bytes.unsafe_get pass j <> '\000' in
+        (* [f u lo hi]: live row [u] and its candidates' range. *)
+        let groups f =
+          let j = ref 0 in
+          Array.iteri
+            (fun u i ->
+              let lo = !j in
+              while !j < n && ps.(!j) = i do
+                incr j
+              done;
+              f u lo !j)
+            slots
+        in
+        (* A semijoin counts the evaluations the row loop makes, up to
+           each probe row's first true match; the others count all. *)
+        (match kind with
+        | P.Semi _ -> ()
+        | P.Inner | P.Outer | P.Nest _ ->
+          if Option.is_some residual then
+            loc.Stats.predicate_evals <- loc.Stats.predicate_evals + n);
+        match kind with
+        | P.Semi { anti } ->
+          let kept = Ibuf.create () in
+          groups (fun u lo hi ->
+              let j = ref lo in
+              while !j < hi && not (passes !j) do
+                incr j
+              done;
+              loc.Stats.predicate_evals <-
+                loc.Stats.predicate_evals + min hi (!j + 1) - lo;
+              if (!j < hi) <> anti then Ibuf.push kept slots.(u));
+          Keep (Ibuf.contents kept)
+        | P.Nest _ ->
+          (* [func] over the passing pairs, read at their pair index *)
+          let live = Ibuf.create ~size:n () in
+          for j = 0 to n - 1 do
+            if passes j then Ibuf.push live j
+          done;
+          let col =
+            if live.Ibuf.n = 0 then Batch.Const Value.Null
+            else
+              let c = gather_pairs ~keep b cols ps bs in
+              Option.get (Option.get func_k)
+                (if live.Ibuf.n = n then c
+                 else Batch.narrow c (Ibuf.contents live))
           in
-          (* A semijoin counts the evaluations the row loop makes, up to
-             each probe row's first true match; the others count all. *)
-          (match kind with
-          | P.Semi _ -> ()
-          | P.Inner | P.Outer | P.Nest _ ->
-            if Option.is_some residual then
-              loc.Stats.predicate_evals <- loc.Stats.predicate_evals + n);
-          (match kind with
-          | P.Semi { anti } ->
-            let kept = Ibuf.create () in
-            groups (fun u lo hi ->
-                let j = ref lo in
-                while !j < hi && not (passes !j) do
-                  incr j
-                done;
-                loc.Stats.predicate_evals <-
-                  loc.Stats.predicate_evals + min hi (!j + 1) - lo;
-                if (!j < hi) <> anti then Ibuf.push kept slots.(u));
-            Keep (Ibuf.contents kept)
-          | P.Nest _ ->
-            (* [func] over the passing pairs, read at their pair index *)
-            let live = Ibuf.create ~size:n () in
-            for j = 0 to n - 1 do
-              if passes j then Ibuf.push live j
-            done;
-            let col =
-              if live.Ibuf.n = 0 then Batch.Const Value.Null
-              else
-                let c = gather_pairs ~keep b cols ps bs in
-                Option.get (Option.get func_k)
-                  (if live.Ibuf.n = n then c
-                   else Batch.narrow c (Ibuf.contents live))
-            in
-            let sets = Array.make (Array.length slots) (Value.Set []) in
-            groups (fun u lo hi ->
-                let members = ref [] in
-                for j = hi - 1 downto lo do
-                  if passes j then members := Batch.get col j :: !members
-                done;
-                sets.(u) <- Value.set !members);
-            Sets sets
-          | P.Inner | P.Outer ->
-            let ops = Ibuf.create () and obs = Ibuf.create () in
-            groups (fun u lo hi ->
-                let before = ops.Ibuf.n in
-                for j = lo to hi - 1 do
-                  if passes j then begin
-                    Ibuf.push ops ps.(j);
-                    Ibuf.push obs bs.(j)
-                  end
-                done;
-                if outer && ops.Ibuf.n = before then begin
-                  Ibuf.push ops slots.(u);
-                  Ibuf.push obs (-1)
-                end);
-            Pairs { ps = Ibuf.contents ops; bs = Ibuf.contents obs })
+          let sets = Array.make (Array.length slots) (Value.Set []) in
+          groups (fun u lo hi ->
+              let members = ref [] in
+              for j = hi - 1 downto lo do
+                if passes j then members := Batch.get col j :: !members
+              done;
+              sets.(u) <- Value.set !members);
+          Sets sets
+        | P.Inner | P.Outer ->
+          let ops = Ibuf.create () and obs = Ibuf.create () in
+          groups (fun u lo hi ->
+              let before = ops.Ibuf.n in
+              for j = lo to hi - 1 do
+                if passes j then begin
+                  Ibuf.push ops ps.(j);
+                  Ibuf.push obs bs.(j)
+                end
+              done;
+              if outer && ops.Ibuf.n = before then begin
+                Ibuf.push ops slots.(u);
+                Ibuf.push obs (-1)
+              end);
+          Pairs { ps = Ibuf.contents ops; bs = Ibuf.contents obs }
+      in
+      let band = match table.index with Band _ -> true | _ -> false in
+      let out =
+        match kind, residual, func_k with
+        | P.Semi { anti }, None, _ ->
+          let kept = Ibuf.create () in
+          Array.iteri
+            (fun u i -> if hit_empty hits.(u) = anti then Ibuf.push kept i)
+            slots;
+          Keep (Ibuf.contents kept)
+        | P.Semi { anti }, Some _, _ when band ->
+          (* A band's ranges are long and a semijoin needs only each
+             range's first match, so it searches them row by row, as the
+             nested loop does, rather than evaluate every candidate. *)
+          let kept = Ibuf.create () in
+          Array.iteri
+            (fun u i ->
+              if hit_exists table (ok_in loc i) hits.(u) <> anti then
+                Ibuf.push kept i)
+            slots;
+          Keep (Ibuf.contents kept)
+        | P.Nest _, None, Some (Some fn)
+          when not (List.exists (fun (x, _) -> keep x) b.Batch.cols) -> (
+          match band_groups table hits fn ~keep b.Batch.tail with
+          | Some sets -> Sets sets
+          | None -> paired ())
+        | _ -> paired ()
       in
       Stats.add ~into:st loc;
       out
@@ -1095,12 +1289,11 @@ and exec fr catalog env plan =
     | P.Join
         {
           kind;
-          how = P.Keyed { by = (P.Hash | P.Sort) as by; lkey; rkey; residual };
+          how = P.Keyed { by = (P.Hash | P.Sort _) as by; lkey; rkey; residual };
           left;
           right;
         } ->
-      keyed_join fr catalog env plan ~sorted:(by = P.Sort) ~kind ~lkey ~rkey
-        ~residual left right
+      keyed_join fr catalog env plan ~by ~kind ~lkey ~rkey ~residual left right
     | P.Unit_row -> Rows [ env ]
     | P.Join { kind; how = P.Loop { pred }; left; right } ->
       let predfn = Compile.pred catalog pred in
@@ -1318,13 +1511,15 @@ and build_table fr catalog env plan ~nprobe ~names ~hash right key =
 (* A keyed join by hash or sort: [left] probes a table of [right] for
    [kind]. Hashed, the probe side stays in its input order; an inner join
    that does not probe a cached build builds on its smaller operand,
-   probing with the other ([swap]). [sorted], both sides are sorted on
-   their keys, stably, each counting its rows in [sorts] and evaluating
-   its keys once, as soon as it has run: output rows come out in
-   ascending key order, equal keys in input order, as a sort-merge join
-   emits them. *)
-and keyed_join fr catalog env plan ~sorted ~kind ~lkey ~rkey ~residual left
-    right =
+   probing with the other ([swap]). Sorted on equal keys, both sides are
+   sorted on their keys, stably, each counting its rows in [sorts] and
+   evaluating its keys once, as soon as it has run: output rows come out
+   in ascending key order, equal keys in input order, as a sort-merge join
+   emits them. A band sorts only the right side, counting it in [sorts],
+   and keeps the left in its input order; when either side is empty it
+   sorts nothing and evaluates no key. *)
+and keyed_join fr catalog env plan ~by ~kind ~lkey ~rkey ~residual left right
+    =
   let stats = fr.sink in
   let lkeyer, rkeyer, hash = key_pair catalog lkey rkey in
   let names =
@@ -1336,33 +1531,38 @@ and keyed_join fr catalog env plan ~sorted ~kind ~lkey ~rkey ~residual left
   let nl = Batch.live_total lb in
   let keyed key bs = List.map (fun b -> (b, key)) bs in
   let swap, probe, table =
-    if sorted then begin
+    match by, kind, P.cached_build plan with
+    | P.Sort P.Eq, _, _ ->
       stats.Stats.sorts <- stats.Stats.sorts + nl;
       let probe = sorted_batches ~size:fr.batch (P.vars_of left) lkeyer lb in
       let rb = batches_fr (c1 fr) catalog env right in
       stats.Stats.sorts <- stats.Stats.sorts + Batch.live_total rb;
       (false, probe, sorted_table ?names rkeyer rb)
-    end
-    else
-      match kind, P.cached_build plan with
-      | P.Inner, None ->
-        let rb = batches_fr (c1 fr) catalog env right in
-        let swap = Batch.live_total rb > nl in
-        if swap then
-          stats.Stats.build_side_swaps <- stats.Stats.build_side_swaps + 1;
-        let probe_b, build_b, probe_key, build_key, build_plan =
-          if swap then (rb, lb, rkeyer, lkeyer, left)
-          else (lb, rb, lkeyer, rkeyer, right)
-        in
-        ( swap,
-          keyed probe_key probe_b,
-          hash_batches fr ~names:(P.vars_of build_plan) ~hash build_key build_b
-        )
-      | _ ->
-        ( false,
-          keyed lkeyer lb,
-          build_table fr catalog env plan ~nprobe:nl ~names ~hash right rkeyer
-        )
+    | P.Sort cmp, _, _ ->
+      let rb = batches_fr (c1 fr) catalog env right in
+      let nr = Batch.live_total rb in
+      let empty = nl = 0 || nr = 0 in
+      if not empty then stats.Stats.sorts <- stats.Stats.sorts + nr;
+      ( false,
+        keyed (if empty then fun _ _ -> Value.Null else lkeyer) lb,
+        band_table ?names ~empty cmp rkeyer rb )
+    | (P.Hash | P.Hash_left), P.Inner, None ->
+      let rb = batches_fr (c1 fr) catalog env right in
+      let swap = Batch.live_total rb > nl in
+      if swap then
+        stats.Stats.build_side_swaps <- stats.Stats.build_side_swaps + 1;
+      let probe_b, build_b, probe_key, build_key, build_plan =
+        if swap then (rb, lb, rkeyer, lkeyer, left)
+        else (lb, rb, lkeyer, rkeyer, right)
+      in
+      ( swap,
+        keyed probe_key probe_b,
+        hash_batches fr ~names:(P.vars_of build_plan) ~hash build_key build_b
+      )
+    | (P.Hash | P.Hash_left), _, _ ->
+      ( false,
+        keyed lkeyer lb,
+        build_table fr catalog env plan ~nprobe:nl ~names ~hash right rkeyer )
   in
   Batches (keyed_probe fr catalog ~kind ~swap ~residual ~table probe)
 

@@ -8,11 +8,30 @@ type kind =
   | Outer
   | Nest of { func : expr; label : string }
 
-type keyed = Hash | Sort | Hash_left
+type cmp = Eq | Lt | Le | Gt | Ge
+type keyed = Hash | Sort of cmp | Hash_left
 
 type how =
   | Loop of { pred : expr }
   | Keyed of { by : keyed; lkey : expr; rkey : expr; residual : expr option }
+
+let binop_of_cmp = function
+  | Eq -> Lang.Ast.Eq
+  | Lt -> Lang.Ast.Lt
+  | Le -> Lang.Ast.Le
+  | Gt -> Lang.Ast.Gt
+  | Ge -> Lang.Ast.Ge
+
+let join_pred = function
+  | Loop { pred } -> pred
+  | Keyed { by; lkey; rkey; residual } ->
+    let cmp = match by with Sort cmp -> cmp | Hash | Hash_left -> Eq in
+    Lang.Ast.conj
+      (Lang.Ast.Binop (binop_of_cmp cmp, lkey, rkey) :: Option.to_list residual)
+
+let equi_keys = function
+  | Keyed { by = Hash | Hash_left | Sort Eq; lkey; rkey; _ } -> Some (lkey, rkey)
+  | Keyed { by = Sort (Lt | Le | Gt | Ge); _ } | Loop _ -> None
 
 type t =
   | Unit_row
@@ -70,20 +89,14 @@ let rec size = function
     1 + size left + size right
   | Apply_op { subquery; input; _ } -> 1 + size subquery.plan + size input
 
-(* A keyed method finds exactly the pairs where [lkey = rkey] and the
-   residual hold; the memo flag of an apply changes no row. *)
+(* A keyed method finds exactly the pairs where its key comparison and
+   the residual hold; the memo flag of an apply changes no row. *)
 let rec to_logical = function
   | Unit_row -> Plan.Unit
   | Scan { table; var } -> Plan.Table { name = table; var }
   | Filter { pred; input } -> Plan.Select { pred; input = to_logical input }
   | Join { kind; how; left; right } -> (
-    let pred =
-      match how with
-      | Loop { pred } -> pred
-      | Keyed { lkey; rkey; residual; _ } ->
-        Lang.Ast.conj
-          (Lang.Ast.Binop (Lang.Ast.Eq, lkey, rkey) :: Option.to_list residual)
-    in
+    let pred = join_pred how in
     let left = to_logical left and right = to_logical right in
     match kind with
     | Inner -> Plan.Join { pred; left; right }
@@ -116,7 +129,7 @@ let join_name kind how =
     match how with
     | Loop _ -> "nl"
     | Keyed { by = Hash | Hash_left; _ } -> "hash"
-    | Keyed { by = Sort; _ } -> "merge"
+    | Keyed { by = Sort _; _ } -> "merge"
   in
   let op =
     match kind with
@@ -134,8 +147,16 @@ let join_name kind how =
 let join_detail kind how ppf =
   (match how with
   | Loop { pred } -> Fmt.pf ppf "[%a]" e pred
-  | Keyed { lkey; rkey; residual; _ } ->
-    Fmt.pf ppf "[%a = %a]" e lkey e rkey;
+  | Keyed { by; lkey; rkey; residual } ->
+    let op =
+      match by with
+      | Hash | Hash_left | Sort Eq -> "="
+      | Sort Lt -> "<"
+      | Sort Le -> "<="
+      | Sort Gt -> ">"
+      | Sort Ge -> ">="
+    in
+    Fmt.pf ppf "[%a %s %a]" e lkey op e rkey;
     Option.iter (Fmt.pf ppf " residual=[%a]" e) residual);
   match kind with
   | Nest { func; label } -> Fmt.pf ppf " func=%a label=%s" e func label

@@ -34,10 +34,18 @@ type kind =
   | Nest of { func : expr; label : string }
       (** the left row, with [label] the set of [func] over its matches *)
 
+(** The comparison a sort-based join answers between a left row's key and
+    a right row's, under {!Cobj.Value.compare}: [Eq] is the equi-join,
+    the other four a one-sided band ([Lt]: [lkey < rkey]). *)
+type cmp = Eq | Lt | Le | Gt | Ge
+
 (** How a keyed join finds a key's matches. *)
 type keyed =
   | Hash  (** build a hash table of the right operand, probe with the left *)
-  | Sort  (** sort both operands on their keys, search the sorted right *)
+  | Sort of cmp
+      (** sort the right operand on its key and search it: [Sort Eq] also
+          sorts the left and reads each key's equal run; a band reads the
+          prefix or suffix of right rows whose keys compare so *)
   | Hash_left
       (** build the left operand, stream the right: requires [rkey] to be a
           key of the right operand, and a nest join (§6) *)
@@ -45,6 +53,16 @@ type keyed =
 type how =
   | Loop of { pred : expr }  (** nested loop over every pair *)
   | Keyed of { by : keyed; lkey : expr; rkey : expr; residual : expr option }
+
+val binop_of_cmp : cmp -> Lang.Ast.binop
+
+val join_pred : how -> expr
+(** The predicate a method answers: a nested loop's, or a keyed method's
+    key comparison [lkey op rkey] conjoined with its residual. *)
+
+val equi_keys : how -> (expr * expr) option
+(** [Some (lkey, rkey)] for a keyed method that matches equal keys: hash,
+    left build or [Sort Eq]. A band and a nested loop have none. *)
 
 type t =
   | Unit_row  (** one row binding nothing (the ambient environment) *)
@@ -83,7 +101,7 @@ val vars_of : t -> string list
 val to_logical : t -> Algebra.Plan.plan
 (** The logical plan a physical plan implements: each join becomes the
     logical join of its kind whose predicate is the nested loop's, or a
-    keyed method's [lkey = rkey] conjoined with its residual; an apply
+    keyed method's {!join_pred}; an apply
     drops [memo]. [to_logical_query (Core.Planner.nested_loops q) = q]. *)
 
 val to_logical_query : query -> Algebra.Plan.query
@@ -94,7 +112,8 @@ val query_free_vars : query -> Lang.Ast.String_set.t
 
 val describe : t -> string * (Format.formatter -> unit) option
 (** The operator's name and detail as EXPLAIN and EXPLAIN ANALYZE print
-    them (["hash-antijoin"], ["[x.b = y.b] residual=[...]"]), not its
+    them (["hash-antijoin"], ["[x.b = y.b] residual=[...]"]; a band is a
+    ["merge-"] operator whose detail shows its comparison), not its
     operands. A cached build side ends the detail with
     [build=cached T.f]. *)
 

@@ -258,18 +258,18 @@ let merge_family rkey =
   let lkey = e "x.b" and left = scan "X" "x" and right = scan "Y" "y" in
   let residual = Some (e "y.c >= x.a") in
   [
-    ("merge join", keyed_join P.Sort P.Inner lkey rkey left right);
+    ("merge join", keyed_join (P.Sort P.Eq) P.Inner lkey rkey left right);
     ( "merge join+residual",
-      keyed_join ?residual P.Sort P.Inner lkey rkey left right );
+      keyed_join ?residual (P.Sort P.Eq) P.Inner lkey rkey left right );
     ( "merge semijoin",
-      keyed_join P.Sort (P.Semi { anti = false }) lkey rkey left right );
+      keyed_join (P.Sort P.Eq) (P.Semi { anti = false }) lkey rkey left right );
     ( "merge antijoin+residual",
-      keyed_join ?residual P.Sort (P.Semi { anti = true }) lkey rkey left right
+      keyed_join ?residual (P.Sort P.Eq) (P.Semi { anti = true }) lkey rkey left right
     );
     ( "merge outerjoin+residual",
-      keyed_join ?residual P.Sort P.Outer lkey rkey left right );
+      keyed_join ?residual (P.Sort P.Eq) P.Outer lkey rkey left right );
     ( "merge nestjoin+residual",
-      keyed_join ?residual P.Sort
+      keyed_join ?residual (P.Sort P.Eq)
         (P.Nest { func = e "y.c + x.a"; label = "z" })
         lkey rkey left right );
   ]
@@ -320,7 +320,7 @@ let test_merge_order () =
       ]
   in
   let plan =
-    keyed_join P.Sort P.Inner (e "x.k") (e "y.k") (scan "X" "x") (scan "Y" "y")
+    keyed_join (P.Sort P.Eq) P.Inner (e "x.k") (e "y.k") (scan "X" "x") (scan "Y" "y")
   in
   List.iter
     (fun batch ->

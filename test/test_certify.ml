@@ -336,7 +336,7 @@ let test_props_method_independent () =
     | Ok _ -> None
     | Error msg -> Alcotest.failf "%s: %s" src msg
   in
-  let pairs = ref 0 in
+  let pairs = ref 0 and bands = ref 0 in
   List.iter
     (fun (catalog, queries) ->
       List.iter
@@ -354,6 +354,11 @@ let test_props_method_independent () =
                     List.iter
                       (fun (a, b) ->
                         incr pairs;
+                        (match b with
+                        | P.Join { how = P.Keyed { by = P.Sort cmp; _ }; _ }
+                          when cmp <> P.Eq ->
+                          incr bands
+                        | _ -> ());
                         if facts catalog a <> facts catalog b then
                           Alcotest.failf
                             "%s (%s): %a@.proves %a@.but %a@.proves %a" src
@@ -367,7 +372,8 @@ let test_props_method_independent () =
             Core.Pipeline.all_strategies)
         queries)
     seed_corpora;
-  Alcotest.(check bool) "joins compared" true (!pairs > 0)
+  Alcotest.(check bool) "joins compared" true (!pairs > 0);
+  Alcotest.(check bool) "band joins compared" true (!bands > 0)
 
 let suite =
   [

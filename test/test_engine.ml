@@ -65,7 +65,7 @@ let join_test =
     [
       ("nl", loop_join P.Inner pred sx sy);
       ("hash", keyed_join P.Hash P.Inner lkey rkey sx sy);
-      ("merge", keyed_join P.Sort P.Inner lkey rkey sx sy);
+      ("merge", keyed_join (P.Sort P.Eq) P.Inner lkey rkey sx sy);
     ]
 
 let join_residual_test =
@@ -76,7 +76,7 @@ let join_residual_test =
     [
       ("nl", loop_join P.Inner pred sx sy);
       ("hash", keyed_join ?residual P.Hash P.Inner lkey rkey sx sy);
-      ("merge", keyed_join ?residual P.Sort P.Inner lkey rkey sx sy);
+      ("merge", keyed_join ?residual (P.Sort P.Eq) P.Inner lkey rkey sx sy);
     ]
 
 let semijoin_test =
@@ -87,7 +87,7 @@ let semijoin_test =
       ( "hash",
         keyed_join P.Hash (P.Semi { anti = false }) lkey rkey sx sy );
       ( "merge",
-        keyed_join P.Sort (P.Semi { anti = false }) lkey rkey sx sy );
+        keyed_join (P.Sort P.Eq) (P.Semi { anti = false }) lkey rkey sx sy );
     ]
 
 let antijoin_test =
@@ -98,7 +98,7 @@ let antijoin_test =
       ( "hash",
         keyed_join P.Hash (P.Semi { anti = true }) lkey rkey sx sy );
       ( "merge",
-        keyed_join P.Sort (P.Semi { anti = true }) lkey rkey sx sy );
+        keyed_join (P.Sort P.Eq) (P.Semi { anti = true }) lkey rkey sx sy );
     ]
 
 let semijoin_residual_test =
@@ -111,7 +111,7 @@ let semijoin_residual_test =
       ( "hash",
         keyed_join ?residual P.Hash (P.Semi { anti = false }) lkey rkey sx sy );
       ( "merge",
-        keyed_join ?residual P.Sort (P.Semi { anti = false }) lkey rkey sx sy );
+        keyed_join ?residual (P.Sort P.Eq) (P.Semi { anti = false }) lkey rkey sx sy );
     ]
 
 let antijoin_residual_test =
@@ -124,7 +124,7 @@ let antijoin_residual_test =
       ( "hash",
         keyed_join ?residual P.Hash (P.Semi { anti = true }) lkey rkey sx sy );
       ( "merge",
-        keyed_join ?residual P.Sort (P.Semi { anti = true }) lkey rkey sx sy );
+        keyed_join ?residual (P.Sort P.Eq) (P.Semi { anti = true }) lkey rkey sx sy );
     ]
 
 let outerjoin_test =
@@ -135,7 +135,7 @@ let outerjoin_test =
       ( "hash",
         keyed_join P.Hash P.Outer lkey rkey sx sy );
       ( "merge",
-        keyed_join P.Sort P.Outer lkey rkey sx sy );
+        keyed_join (P.Sort P.Eq) P.Outer lkey rkey sx sy );
     ]
 
 let nestjoin_test =
@@ -146,7 +146,7 @@ let nestjoin_test =
       ( "hash",
         keyed_join P.Hash (P.Nest { func; label = "zs" }) lkey rkey sx sy );
       ( "merge",
-        keyed_join P.Sort (P.Nest { func; label = "zs" }) lkey rkey sx sy );
+        keyed_join (P.Sort P.Eq) (P.Nest { func; label = "zs" }) lkey rkey sx sy );
     ]
 
 let nestjoin_residual_test =
@@ -160,7 +160,7 @@ let nestjoin_residual_test =
         keyed_join ?residual P.Hash (P.Nest { func; label = "zs" }) lkey rkey sx
           sy );
       ( "merge",
-        keyed_join ?residual P.Sort (P.Nest { func; label = "zs" }) lkey rkey sx
+        keyed_join ?residual (P.Sort P.Eq) (P.Nest { func; label = "zs" }) lkey rkey sx
           sy );
     ]
 
@@ -328,7 +328,7 @@ let test_set_valued_join_key () =
           ( "hash",
             keyed_join P.Hash P.Inner (parse "x.s") (parse "w.s") sx sx2 );
           ( "merge",
-            keyed_join P.Sort P.Inner (parse "x.s") (parse "w.s") sx sx2 );
+            keyed_join (P.Sort P.Eq) P.Inner (parse "x.s") (parse "w.s") sx sx2 );
         ])
     catalogs
 
@@ -460,7 +460,7 @@ let suite =
         test_shadowed_join_variable;
     ]
 
-(* --- 12 pairs the planner emits, plus the left build by hand ------------- *)
+(* --- 16 pairs the planner emits, plus the left build by hand ------------- *)
 
 (* The forced-method differential's catalogs: a quarter of X dangling, or
    all of it. *)
@@ -480,8 +480,9 @@ let nest_src =
    left key is the set [x.s], the join with a good and a bad key, and a
    query the join answers — its source, and the physical query around the
    join. The pairs join X x to Y y on [x.b = y.b + 0], the computed key
-   keeping the build out of the cache; the left build needs a key of its
-   right operand, so it nests X into Y on [y.b = x.id]. *)
+   keeping the build out of the cache, and the bands on [x.b > y.b + 0];
+   the left build needs a key of its right operand, so it nests X into Y
+   on [y.b = x.id]. *)
 let join_pairs =
   let lkey = parse "x.b" and rkey = parse "y.b + 0" and bad = parse "x.s" in
   let pred = parse "x.b = y.b + 0" and bad_pred = parse "x.s = y.b + 0" in
@@ -510,6 +511,27 @@ let join_pairs =
                input }) )
   in
   let nest = (nest_src, over "(i = x.id, g = g)") in
+  (* the same queries on the band [y.b < x.b] *)
+  let band_inner =
+    ("SELECT (i = x.id, j = y.id) FROM X x, Y y WHERE y.b < x.b", snd inner)
+  in
+  let band_semi =
+    ("SELECT x.id FROM X x WHERE EXISTS y IN Y (y.b < x.b)", snd semi)
+  in
+  let band_anti =
+    ("SELECT x.id FROM X x WHERE NOT EXISTS y IN Y (y.b < x.b)", snd anti)
+  in
+  let band_nest_src =
+    "SELECT (i = x.id, g = (SELECT y.a FROM Y y WHERE y.b < x.b)) FROM X x"
+  in
+  let band_outer = (band_nest_src, snd outer) in
+  let band_nest = (band_nest_src, snd nest) in
+  let band kind =
+    let rkey = parse "y.b + 0" in
+    ( keyed_join (P.Sort P.Gt) kind lkey rkey sx sy,
+      keyed_join (P.Sort P.Gt) kind bad rkey sx sy )
+  in
+  let bands = "[x.b > y.b + 0]" in
   let s = P.Semi { anti = false } and a = P.Semi { anti = true } in
   let g = P.Nest { func = parse "y.a"; label = "g" } in
   let keys = "[x.b = y.b + 0]" in
@@ -527,19 +549,27 @@ let join_pairs =
   [
     (("nl-join", keys), "ill-typed", loop P.Inner, inner);
     (("hash-join", keys), "hash-key-type", keyed P.Hash P.Inner, inner);
-    (("merge-join", keys), "merge-key-type", keyed P.Sort P.Inner, inner);
+    (("merge-join", keys), "merge-key-type", keyed (P.Sort P.Eq) P.Inner, inner);
     (("nl-semijoin", keys), "ill-typed", loop s, semi);
     (("hash-semijoin", keys), "hash-key-type", keyed P.Hash s, semi);
-    (("merge-semijoin", keys), "merge-key-type", keyed P.Sort s, semi);
+    (("merge-semijoin", keys), "merge-key-type", keyed (P.Sort P.Eq) s, semi);
     (("nl-antijoin", keys), "ill-typed", loop a, anti);
     (("hash-antijoin", keys), "hash-key-type", keyed P.Hash a, anti);
-    (("merge-antijoin", keys), "merge-key-type", keyed P.Sort a, anti);
+    (("merge-antijoin", keys), "merge-key-type", keyed (P.Sort P.Eq) a, anti);
     (("nl-outerjoin", keys), "ill-typed", loop P.Outer, outer);
     (("hash-outerjoin", keys), "hash-key-type", keyed P.Hash P.Outer, outer);
-    (("merge-outerjoin", keys), "merge-key-type", keyed P.Sort P.Outer, outer);
+    (("merge-outerjoin", keys), "merge-key-type", keyed (P.Sort P.Eq) P.Outer, outer);
     (("nl-nestjoin", groups), "ill-typed", loop g, nest);
     (("hash-nestjoin", groups), "hash-key-type", keyed P.Hash g, nest);
-    (("merge-nestjoin", groups), "merge-key-type", keyed P.Sort g, nest);
+    (("merge-nestjoin", groups), "merge-key-type", keyed (P.Sort P.Eq) g, nest);
+    (("merge-join", bands), "merge-key-type", band P.Inner, band_inner);
+    (("merge-semijoin", bands), "merge-key-type", band s, band_semi);
+    (("merge-antijoin", bands), "merge-key-type", band a, band_anti);
+    (("merge-outerjoin", bands), "merge-key-type", band P.Outer, band_outer);
+    ( ("merge-nestjoin", bands ^ " func=y.a label=g"),
+      "merge-key-type",
+      band g,
+      band_nest );
     build_left;
   ]
 
@@ -612,3 +642,157 @@ let suite =
       Alcotest.test_case "build-left needs a nest join" `Quick
         test_build_left_needs_nest;
     ]
+
+(* --- band joins against the nested loop -------------------------------- *)
+
+module Stats = Engine.Stats
+
+(* X x (id, b) and Y y (id, b, a, f): [f] mixes Int and Float, 1 and 1.0,
+   0, 0.0 and -0.0, and a string that makes [y.f + 1] raise. *)
+let band_catalog ~xb ~yb =
+  let fs =
+    [| vi 1; Value.Float 1.0; Value.Float 0.0; Value.Float (-0.0); vi 0;
+       Value.Float 2.5; vi 2 |]
+  in
+  let x_elt = Ctype.ttuple [ ("id", Ctype.TInt); ("b", Ctype.TInt) ] in
+  let y_elt =
+    Ctype.ttuple
+      [ ("id", Ctype.TInt); ("b", Ctype.TInt); ("a", Ctype.TInt);
+        ("f", Ctype.TAny); ("g", Ctype.TAny) ]
+  in
+  Catalog.of_tables
+    [
+      Table.create ~name:"X" ~elt:x_elt
+        (List.mapi (fun i b -> tup [ ("id", vi i); ("b", vi b) ]) xb);
+      Table.create ~name:"Y" ~elt:y_elt
+        (List.mapi
+           (fun j b ->
+             tup
+               [ ("id", vi j); ("b", vi b); ("a", vi ((j * 7) mod 5));
+                 ("f", fs.(j mod Array.length fs));
+                 ("g", if j mod 6 = 5 then vs "s" else vi j) ])
+           yb);
+    ]
+
+let band_catalogs =
+  let xb = [ 0; 3; 3; 7; 1; 9; 5; 2; 8; 4; 6; 6 ] in
+  let yb = [ 4; 1; 7; 2; 2; 5; 0; 6; 3; 7; 1; 4; 5; 2 ] in
+  [
+    ("mixed", band_catalog ~xb ~yb);
+    ("empty left", band_catalog ~xb:[] ~yb);
+    ("empty right", band_catalog ~xb ~yb:[]);
+    ("equal build keys", band_catalog ~xb ~yb:(List.map (fun _ -> 4) yb));
+    ("probe keys outside", band_catalog ~xb:[ -5; 50; -1; 99 ] ~yb);
+  ]
+
+(* Each one-sided comparison, with the right key first and with the left
+   key first. *)
+let band_preds =
+  List.concat_map
+    (fun (op, flipped) ->
+      [ Printf.sprintf "y.b %s x.b" op; Printf.sprintf "x.b %s y.b" flipped ])
+    [ ("<", ">"); ("<=", ">="); (">", "<"); (">=", "<=") ]
+
+(* A run's rendered value or its error, and its counters with the
+   jobs-dependent ones zeroed. *)
+let band_outcome ?(jobs = 1) ?(batch = 1024) catalog q =
+  let stats = Stats.create () in
+  let v =
+    match Exec.run ~stats ~jobs ~gate:1 ~batch catalog q with
+    | v -> Ok (Value.to_string v)
+    | exception Value.Type_error msg -> Error msg
+  in
+  (v, { stats with Stats.partitions = 0; partition_max_rows = 0 })
+
+(* The band of every kind is the nested loop's value, a nest join's groups
+   printed byte for byte as the loop's [Value.set] prints them, or the
+   same first error; widths 1 and 3 and jobs 4 with [~gate:1] give width
+   1024's value and counters at jobs 1. Nest joins whose function reads
+   only Y take their groups from the sorted prefixes; [y.f] meets equal
+   values that print differently, and [y.g + 1] raises on some rows. *)
+let test_band_joins () =
+  let x = Plan.Table { name = "X"; var = "x" } in
+  let y = Plan.Table { name = "Y"; var = "y" } in
+  let nest ?(res = "") func =
+    ( "nest join " ^ func ^ res,
+      (fun pred ->
+        Plan.Nestjoin
+          { pred; func = parse func; label = "g"; left = x; right = y }),
+      "(i = x.id, g = g)",
+      res )
+  in
+  let kinds =
+    [
+      nest "y.a"; nest "y.f"; nest "y.g + 1"; nest "y.a + x.b";
+      nest ~res:" AND y.a < 3" "y.f";
+      ( "join",
+        (fun pred -> Plan.Join { pred; left = x; right = y }),
+        "(i = x.id, j = y.id, f = y.f)",
+        "" );
+      ( "outerjoin",
+        (fun pred -> Plan.Outerjoin { pred; left = x; right = y }),
+        "(i = x.id, j = y.id)",
+        "" );
+      ( "semijoin",
+        (fun pred -> Plan.Semijoin { pred; left = x; right = y }),
+        "x.id",
+        "" );
+      ( "semijoin",
+        (fun pred -> Plan.Semijoin { pred; left = x; right = y }),
+        "x.id",
+        " AND y.a < 2" );
+      ( "antijoin",
+        (fun pred -> Plan.Antijoin { pred; left = x; right = y }),
+        "x.id",
+        "" );
+      ( "antijoin",
+        (fun pred -> Plan.Antijoin { pred; left = x; right = y }),
+        "x.id",
+        " AND y.a <> 1" );
+    ]
+  in
+  let is_band = function
+    | P.Join { how = P.Keyed { by = P.Sort cmp; _ }; _ } -> cmp <> P.Eq
+    | _ -> false
+  in
+  let raised = ref 0 in
+  List.iter
+    (fun (cname, catalog) ->
+      List.iter
+        (fun (kname, logical, result, res) ->
+          List.iter
+            (fun pred ->
+              let what = Printf.sprintf "%s [%s%s] on %s" kname pred res cname in
+              let lp = logical (parse (pred ^ res)) in
+              let query force =
+                let options = { Core.Planner.default_options with force } in
+                { P.plan = Core.Planner.plan ~options catalog lp;
+                  result = parse result }
+              in
+              let loop = query Core.Planner.Force_nl in
+              let band = query Core.Planner.Force_merge in
+              Alcotest.(check bool) (what ^ ": a band") true (is_band band.P.plan);
+              let expected = fst (band_outcome catalog loop) in
+              if Result.is_error expected then incr raised;
+              let got, stats = band_outcome catalog band in
+              Alcotest.(check (result string string))
+                (what ^ ": = nested loop") expected got;
+              List.iter
+                (fun (jobs, batch) ->
+                  let got', stats' = band_outcome ~jobs ~batch catalog band in
+                  Alcotest.(check (result string string))
+                    (Printf.sprintf "%s: jobs=%d batch=%d value" what jobs batch)
+                    got got';
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s: jobs=%d batch=%d stats" what jobs batch)
+                    (Fmt.str "%a" Stats.pp stats)
+                    (Fmt.str "%a" Stats.pp stats'))
+                [ (1, 1); (1, 3); (4, 1024) ])
+            band_preds)
+        kinds)
+    band_catalogs;
+  Alcotest.(check bool) "some function raised" true (!raised > 0)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "band joins = nested loop" `Quick test_band_joins ]

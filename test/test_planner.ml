@@ -42,16 +42,68 @@ let test_equi_join_hashes () =
          | _ -> false)
        physical)
 
+(* A predicate with neither an equi pair nor a one-sided band has only
+   the nested loop. *)
 let test_non_equi_join_nl () =
   let physical =
     Core.Planner.plan catalog
-      (Plan.Join { pred = parse "x.b < y.b"; left = x; right = y })
+      (Plan.Join { pred = parse "x.b <> y.b"; left = x; right = y })
   in
   Alcotest.check Alcotest.bool "nested loops for non-equi" true
     (find_op
        (function
          | P.Join { kind = P.Inner; how = P.Loop _; _ } -> true | _ -> false)
        physical)
+
+(* At scale 100, [Auto] runs a one-sided inequality as a band of the
+   sort family for every join kind, [Force_merge] forces it and
+   [Force_hash] has only the loop; with an equi pair beside it the
+   inequality stays a hash join's residual. *)
+let test_band_join () =
+  let band = function
+    | P.Join { how = P.Keyed { by = P.Sort (P.Lt | P.Le | P.Gt | P.Ge); _ }; _ }
+      ->
+      true
+    | _ -> false
+  in
+  let loop = function P.Join { how = P.Loop _; _ } -> true | _ -> false in
+  let hash = function
+    | P.Join { how = P.Keyed { by = P.Hash; residual = Some _; _ }; _ } -> true
+    | _ -> false
+  in
+  let joins pred =
+    let pred = parse pred in
+    [
+      ("join", Plan.Join { pred; left = x; right = y });
+      ("semijoin", Plan.Semijoin { pred; left = x; right = y });
+      ("antijoin", Plan.Antijoin { pred; left = x; right = y });
+      ("outerjoin", Plan.Outerjoin { pred; left = x; right = y });
+      ( "nest join",
+        Plan.Nestjoin
+          { pred; func = parse "y.a"; label = "g"; left = x; right = y } );
+    ]
+  in
+  let check force what shape pred =
+    List.iter
+      (fun (kind, logical) ->
+        let options = { Core.Planner.default_options with force } in
+        Alcotest.check Alcotest.bool
+          (Printf.sprintf "%s: %s %s" pred kind what)
+          true
+          (find_op shape (Core.Planner.plan ~options catalog logical)))
+      (joins pred)
+  in
+  List.iter
+    (fun pred ->
+      check Core.Planner.Auto "is a band" band pred;
+      check Core.Planner.Force_merge "is a band" band pred;
+      check Core.Planner.Force_hash "is a loop" loop pred)
+    [ "y.b < x.b"; "x.b > y.b"; "y.b <= x.b"; "x.b >= y.b" ];
+  check Core.Planner.Auto "stays a hash join" hash "x.b = y.b AND y.a > x.a";
+  check Core.Planner.Force_merge "is an equi merge" (function
+    | P.Join { how = P.Keyed { by = P.Sort P.Eq; _ }; _ } -> true
+    | _ -> false)
+    "x.b = y.b AND y.a > x.a"
 
 let test_force_modes () =
   let logical = Plan.Join { pred; left = x; right = y } in
@@ -330,4 +382,6 @@ let suite =
     Alcotest.test_case "cached build shared by domains" `Quick
       test_cached_build_shared;
     Alcotest.test_case "cost model sanity" `Quick test_cost_sanity;
+    Alcotest.test_case "band join for a one-sided inequality" `Quick
+      test_band_join;
   ]
