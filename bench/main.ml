@@ -455,7 +455,8 @@ let shred_case ~suite =
    (the regression gate checks these structurally — a silently row-bound
    plan would otherwise still "pass" on a fast machine) and a batch-width
    sensitivity sweep (NESTQL_BATCH ∈ {64, 1024, 4096}). The hash family is
-   forced throughout, but for one sort-merge nest join. *)
+   forced throughout, but for one sort-merge nest join and one band nest
+   join ([y.b < x.b], the sort family's range lookup). *)
 let vector_case ~suite =
   let scale = if suite = "smoke" then 10_000 else 100_000 in
   let catalog =
@@ -480,7 +481,13 @@ let vector_case ~suite =
         "UNNEST(SELECT (SELECT (i = x.id, a = y.a) FROM Y y WHERE x.b = y.b \
          AND y.a < 10) FROM X x)" );
       ]
-    @ [ ("merge-nestjoin", Core.Planner.Force_merge, nestjoin) ]
+    @ [
+        ("merge-nestjoin", Core.Planner.Force_merge, nestjoin);
+        ( "band-nestjoin",
+          Core.Planner.Force_merge,
+          "SELECT (i = x.id, zs = (SELECT y.a FROM Y y WHERE y.b < x.b)) FROM \
+           X x" );
+      ]
   in
   (* Batches that fell back to the row closures in one execution: a join
      that binds rows, or a kernel that misses, shows up here even though
