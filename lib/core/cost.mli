@@ -1,9 +1,9 @@
 (** Cardinality estimation and a simple cost model.
 
     Deliberately coarse — its only job is to rank physical alternatives
-    (nested-loop vs hash vs sort-merge vs memoized apply, and the build
-    orientation of commutative hash joins), and the benches validate the
-    ranking empirically. Estimates come from one-pass catalog statistics
+    (nested-loop vs hash vs sort-merge or band vs memoized apply, and the
+    build orientation of commutative hash joins), and the benches validate
+    the ranking empirically. Estimates come from one-pass catalog statistics
     ({!Cobj.Stats}): row counts, NDV-based equi-join selectivity
     (1/max(ndv)), containment-based semijoin/antijoin match fractions
     (min(1, ndv_r/ndv_l)) and measured average set cardinalities for

@@ -4,8 +4,11 @@
     becomes one {!Engine.Physical.Join} of the matching kind. The planner
     splits its predicate into equi-key pairs once ({!Kim.equi_split}); when
     that succeeds, the hash and sort-merge methods compete with the nested
-    loop on {!Cost.cost}, otherwise the nested loop is the only legal
-    choice. Only the commutative inner join also tries the hash join with
+    loop on {!Cost.cost}. A predicate with no equi pair but a one-sided
+    inequality between the operands ({!Kim.band_split}) offers the band of
+    the sort family ([Sort Lt|Le|Gt|Ge]) against the loop, which
+    [Force_merge] forces and [Force_hash] cannot take; otherwise the
+    nested loop is the only legal choice. Only the commutative inner join also tries the hash join with
     its operands swapped. Every hash join builds on its {b right} operand,
     which keeps a nest join's output grouped by left rows (§6); the
     planner never emits the left-build variant

@@ -74,7 +74,11 @@ val rows :
     by searching the sorted build keys; the sort-merge family sorts its
     probe side stably on its key first (counting both sides' rows in
     [sorts]), so its rows come out in ascending key order, equal keys in
-    input order. A pair binds the ambient environment, then the left
+    input order. A band (a sort join on [<], [<=], [>] or [>=]) sorts
+    only its build side and bisects it for each probe key's prefix or
+    suffix, keeping the probe side's order; a band nest join whose
+    function reads only the build side reads its groups off one walk
+    over the sorted build. A pair binds the ambient environment, then the left
     row's own variables, then the right row's, each shadowing the one
     before. The other operators run row-at-a-time; their
     rows enter batches in one place, one column per {!Physical.vars_of}

@@ -54,8 +54,6 @@ type how =
   | Loop of { pred : expr }  (** nested loop over every pair *)
   | Keyed of { by : keyed; lkey : expr; rkey : expr; residual : expr option }
 
-val binop_of_cmp : cmp -> Lang.Ast.binop
-
 val join_pred : how -> expr
 (** The predicate a method answers: a nested loop's, or a keyed method's
     key comparison [lkey op rkey] conjoined with its residual. *)
