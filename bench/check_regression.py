@@ -178,9 +178,9 @@ def validate_server(doc):
 def validate_vector(doc):
     """Structural invariants of the columnar-engine case: every benched
     plan must actually run vectorized, with no batch falling back to the
-    row closures and no keyed join (hash or sort-merge) running on rows (a
-    silently row-bound plan would still "pass" on timings alone), and
-    batch-size sensitivity must have been recorded."""
+    row closures and no join (hash, sort-merge, band or nested loop)
+    running on rows (a silently row-bound plan would still "pass" on
+    timings alone), and batch-size sensitivity must have been recorded."""
     rows = doc.get("vector")
     if not rows:
         print("FAIL: artifact has no vector section")
@@ -207,14 +207,17 @@ def validate_vector(doc):
             print(f"FAIL: {where}: row-bound operators not recorded")
             ok = False
             continue
-        # hash-nestjoin(build=left) is the one keyed join built on rows
+        # hash-nestjoin(build=left) is the one keyed join built on rows; a
+        # nested loop means a case's join was not planned keyed at all
+        # (a forced band that fell back to nl-*, say)
         row_joins = [
             op
             for op in row_ops
-            if op.startswith(("hash-", "merge-")) and "build=left" not in op
+            if op.startswith(("hash-", "merge-", "nl-"))
+            and "build=left" not in op
         ]
         if row_joins:
-            print(f"FAIL: {where}: keyed joins ran on rows: {row_joins}")
+            print(f"FAIL: {where}: joins ran on rows: {row_joins}")
             ok = False
             continue
         widths = e.get("batch_sensitivity") or []
