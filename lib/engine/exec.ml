@@ -654,11 +654,18 @@ let sorted_batches ~size names (key : keyer) batches =
 (* The sorted key at position [p] of [ids], compared with [v]. *)
 let at_cmp keys ids p v = Value.compare keys.(ids.(p)) v
 
-(* A probe key's matches in a build table: the chain of build rows from
-   a head row id (-1: none), or the build rows whose sorted positions lie
-   in [lo, hi), a band's range. Both are visited in build (row id)
-   order, the order a nested loop visits them. *)
-type hit = Chain of int | Range of int * int
+(* A probe key's matches in a build table, as one int, so that a probe
+   allocates nothing: in a hashed or sorted table, the head row id of
+   their chain (-1: none); in a band's, the build rows whose sorted
+   positions lie in [lo, hi), encoded [lo * (n + 1) + hi] over its [n]
+   rows. Both are visited in build (row id) order, the order a nested
+   loop visits them. *)
+type hit = int
+
+(* A band's hit as its range [lo, hi). *)
+let range ids h =
+  let m = Array.length ids + 1 in
+  (h / m, h mod m)
 
 (* The first position of [ids] whose key is not below [v] or, [above],
    is above it. *)
@@ -677,17 +684,18 @@ let bisect keys ids ~above v =
    keys once; it bisects from the start when [v] lies below the cursor. A
    band bisects for the positions whose keys [k] satisfy [v cmp k]: a
    suffix for [<] and [<=], a prefix for [>] and [>=]. *)
-let probe (st : Stats.t) table cursor v =
+let probe (st : Stats.t) table cursor v : hit =
   match table.index with
   | Band { keys; ids; cmp; _ } -> (
     let n = Array.length ids in
     let cut above = bisect keys ids ~above v in
+    let range lo hi = (lo * (n + 1)) + hi in
     match cmp with
-    | P.Lt -> Range (cut true, n)
-    | P.Le -> Range (cut false, n)
-    | P.Gt -> Range (0, cut false)
-    | P.Ge -> Range (0, cut true)
-    | P.Eq -> Range (cut false, cut true))
+    | P.Lt -> range (cut true) n
+    | P.Le -> range (cut false) n
+    | P.Gt -> range 0 (cut false)
+    | P.Ge -> range 0 (cut true)
+    | P.Eq -> range (cut false) (cut true))
   | Sorted { keys; ids } ->
     let n = Array.length ids in
     let lo =
@@ -709,19 +717,19 @@ let probe (st : Stats.t) table cursor v =
       if at_cmp keys ids mid v < 0 then lo := mid + 1 else hi := mid
     done;
     cursor := !lo;
-    Chain (if !lo < n && at_cmp keys ids !lo v = 0 then ids.(!lo) else -1)
+    if !lo < n && at_cmp keys ids !lo v = 0 then ids.(!lo) else -1
   | Hashed { head; hash; filter } -> (
     st.Stats.hash_probes <- st.Stats.hash_probes + 1;
     let k = { Hkey.h = hash v; v } in
     match filter with
     | Some f ->
       st.Stats.bloom_checks <- st.Stats.bloom_checks + 1;
-      if Bloom.mem f k.Hkey.h then Chain (chain_head head k)
+      if Bloom.mem f k.Hkey.h then chain_head head k
       else begin
         st.Stats.bloom_prunes <- st.Stats.bloom_prunes + 1;
-        Chain (-1)
+        -1
       end
-    | None -> Chain (chain_head head k))
+    | None -> chain_head head k)
 
 (* --- columnar probes -------------------------------------------------- *)
 
@@ -729,52 +737,62 @@ let probe (st : Stats.t) table cursor v =
 let rec chain_length next n r =
   if r < 0 then n else chain_length next (n + 1) next.(r)
 
-(* The build rows of a band's range [lo, hi), in row id order: the
-   positions' ids sorted when the range is short, else one pass over
-   every row's position. *)
-let range_ids table lo hi =
-  match table.index with
-  | Band { ids; rank; _ } when lo < hi ->
-    let k = hi - lo in
-    if 8 * k < Array.length ids then begin
-      let a = Array.sub ids lo k in
-      Array.sort Int.compare a;
-      a
-    end
-    else begin
-      let a = Array.make k 0 and j = ref 0 in
-      Array.iteri
-        (fun r p ->
-          if p >= lo && p < hi then begin
-            a.(!j) <- r;
-            incr j
-          end)
-        rank;
-      a
-    end
-  | Band _ | Hashed _ | Sorted _ -> [||]
-
-let hit_empty = function Chain r -> r < 0 | Range (lo, hi) -> lo >= hi
-
-let hit_count table = function
-  | Chain r -> chain_length table.next 0 r
-  | Range (lo, hi) -> max 0 (hi - lo)
-
-let rec chain_iter table f r =
-  if r >= 0 then begin
-    f r;
-    chain_iter table f table.next.(r)
+(* The build rows of a band's hit, in row id order: the positions' ids
+   sorted when the range is short, else one pass over every row's
+   position. *)
+let range_ids ids rank h =
+  let lo, hi = range ids h in
+  let k = hi - lo in
+  if k <= 0 then [||]
+  else if 8 * k < Array.length ids then begin
+    let a = Array.sub ids lo k in
+    Array.sort Int.compare a;
+    a
+  end
+  else begin
+    let a = Array.make k 0 and j = ref 0 in
+    Array.iteri
+      (fun r p ->
+        if p >= lo && p < hi then begin
+          a.(!j) <- r;
+          incr j
+        end)
+      rank;
+    a
   end
 
-let hit_iter table f = function
-  | Chain r -> chain_iter table f r
-  | Range (lo, hi) -> Array.iter f (range_ids table lo hi)
+let hit_empty table h =
+  match table.index with
+  | Band { ids; _ } ->
+    let lo, hi = range ids h in
+    lo >= hi
+  | Hashed _ | Sorted _ -> h < 0
 
-let hit_exists table f = function
-  | Chain r ->
+let hit_count table h =
+  match table.index with
+  | Band { ids; _ } ->
+    let lo, hi = range ids h in
+    max 0 (hi - lo)
+  | Hashed _ | Sorted _ -> chain_length table.next 0 h
+
+let hit_iter table f h =
+  match table.index with
+  | Band { ids; rank; _ } -> Array.iter f (range_ids ids rank h)
+  | Hashed _ | Sorted _ ->
+    let rec go r =
+      if r >= 0 then begin
+        f r;
+        go table.next.(r)
+      end
+    in
+    go h
+
+let hit_exists table f h =
+  match table.index with
+  | Band { ids; rank; _ } -> Array.exists f (range_ids ids rank h)
+  | Hashed _ | Sorted _ ->
     let rec go r = r >= 0 && (f r || go table.next.(r)) in
-    go r
-  | Range (lo, hi) -> Array.exists f (range_ids table lo hi)
+    go h
 
 module Vset = Set.Make (Value)
 
@@ -796,8 +814,9 @@ let band_groups table hits (fn : Batch.t -> Batch.col) ~keep tail =
     (* the rows the walk has added when it reaches each hit's cut *)
     let steps =
       Array.map
-        (function
-          | Range (lo, hi) -> if prefix then hi else n - lo | Chain _ -> 0)
+        (fun h ->
+          let lo, hi = range ids h in
+          if prefix then hi else n - lo)
         hits
     in
     let walked = Array.fold_left max 0 steps in
@@ -965,7 +984,7 @@ let probe_batch catalog ~kind ~swap ~residual ~table =
           match kind with
           | P.Semi { anti } ->
             let found =
-              if Option.is_none residual then not (hit_empty h)
+              if Option.is_none residual then not (hit_empty table h)
               else hit_exists table (ok i) h
             in
             if found <> anti then Ibuf.push ps i
@@ -1009,6 +1028,7 @@ let probe_batch catalog ~kind ~swap ~residual ~table =
       let slots = Batch.live_slots b in
       let cursor = ref 0 in
       let hits = Array.map (fun i -> probe loc table cursor (at i)) slots in
+      let band = match table.index with Band _ -> true | _ -> false in
       (* The candidate pairs, counted first so that each array is made
          once, at its size, then what [kind] makes of those that pass. *)
       let paired () =
@@ -1019,22 +1039,22 @@ let probe_batch catalog ~kind ~swap ~residual ~table =
         let j = ref 0 in
         Array.iteri
           (fun u i ->
-            match hits.(u) with
-            | Chain r ->
-              let r = ref r in
+            if band then
+              hit_iter table
+                (fun r ->
+                  ps.(!j) <- i;
+                  bs.(!j) <- r;
+                  incr j)
+                hits.(u)
+            else begin
+              let r = ref hits.(u) in
               while !r >= 0 do
                 ps.(!j) <- i;
                 bs.(!j) <- !r;
                 incr j;
                 r := table.next.(!r)
               done
-            | Range _ as h ->
-              hit_iter table
-                (fun r ->
-                  ps.(!j) <- i;
-                  bs.(!j) <- r;
-                  incr j)
-                h)
+            end)
           slots;
         let pass = truth ps bs in
         let passes j = Bytes.unsafe_get pass j <> '\000' in
@@ -1107,13 +1127,13 @@ let probe_batch catalog ~kind ~swap ~residual ~table =
               end);
           Pairs { ps = Ibuf.contents ops; bs = Ibuf.contents obs }
       in
-      let band = match table.index with Band _ -> true | _ -> false in
       let out =
         match kind, residual, func_k with
         | P.Semi { anti }, None, _ ->
           let kept = Ibuf.create () in
           Array.iteri
-            (fun u i -> if hit_empty hits.(u) = anti then Ibuf.push kept i)
+            (fun u i ->
+              if hit_empty table hits.(u) = anti then Ibuf.push kept i)
             slots;
           Keep (Ibuf.contents kept)
         | P.Semi { anti }, Some _, _ when band ->

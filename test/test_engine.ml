@@ -683,6 +683,11 @@ let band_catalogs =
     ("empty right", band_catalog ~xb ~yb:[]);
     ("equal build keys", band_catalog ~xb ~yb:(List.map (fun _ -> 4) yb));
     ("probe keys outside", band_catalog ~xb:[ -5; 50; -1; 99 ] ~yb);
+    (* keys falling with the row id, so a short range (under an eighth of
+       the build) lists its rows against key order, and groups such as
+       {0, -0.0, 0.0} print as their first member in build order *)
+    ( "descending build keys",
+      band_catalog ~xb:[ 3; 1; 38; 20 ] ~yb:(List.init 40 (fun j -> 39 - j)) );
   ]
 
 (* Each one-sided comparison, with the right key first and with the left
