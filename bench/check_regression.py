@@ -207,14 +207,11 @@ def validate_vector(doc):
             print(f"FAIL: {where}: row-bound operators not recorded")
             ok = False
             continue
-        # hash-nestjoin(build=left) is the one keyed join built on rows; a
-        # nested loop means a case's join was not planned keyed at all
-        # (a forced band that fell back to nl-*, say)
+        # every keyed join runs on columns; a nested loop means a case's
+        # join was not planned keyed at all (a forced band that fell back
+        # to nl-*, say)
         row_joins = [
-            op
-            for op in row_ops
-            if op.startswith(("hash-", "merge-", "nl-"))
-            and "build=left" not in op
+            op for op in row_ops if op.startswith(("hash-", "merge-", "nl-"))
         ]
         if row_joins:
             print(f"FAIL: {where}: joins ran on rows: {row_joins}")

@@ -167,9 +167,8 @@ let certify_arg =
           "Record every rewrite the optimizer applies as a (rule, before, \
            after) step and discharge each rule's proof obligation \
            (translation validation), plus whole-phase type / free-variable \
-           / cardinality-bound preservation and the property-backed §6 \
-           build-side check on the physical plan; a violation aborts with \
-           the phase, rule and step index. Also enabled by \
+           / cardinality-bound preservation; a violation aborts with the \
+           phase, rule and step index. Also enabled by \
            $(b,NESTQL_CERTIFY) (and by default wherever the verifier \
            defaults on).")
 

@@ -382,32 +382,6 @@ let check_phase ctx (before : Plan.query) (after : Plan.query) =
       "phase moved the proven cardinality bounds from %a to a disjoint %a"
       Props.pp pb Props.pp pa
 
-(* --- physical obligations ------------------------------------------------ *)
-
-(* §6 build-side legality, upgraded: a left-build hash join builds on the
-   left and streams the right, which only groups correctly under a nest
-   join and when each left row has at most one match — i.e. the right key
-   covers a {e proven} candidate key of the whole right operand (the
-   verifier's declared-scan-key check is the special case of a bare keyed
-   scan). *)
-let rec check_physical ctx plan =
-  (match plan with
-  | P.Join { kind; how = P.Keyed { by = P.Hash_left; rkey; _ }; right; _ } -> (
-    let fail fmt =
-      viol ctx "nestjoin-build-side" (fun () -> P.to_string plan) fmt
-    in
-    match kind with
-    | P.Nest _ ->
-      if not (Props.key_of ctx.catalog right rkey) then
-        fail
-          "build-on-left nest join streams the right operand, but %s is not \
-           a proven key of it"
-          (Lang.Pretty.to_string rkey)
-    | P.Inner | P.Semi _ | P.Outer ->
-      fail "only a nest join may build on the left (§6)")
-  | _ -> ());
-  List.iter (check_physical ctx) (Engine.Analyze.children plan)
-
 (* --- entry points -------------------------------------------------------- *)
 
 let check_steps ~phase catalog steps =
@@ -430,20 +404,9 @@ let check_logical ~phase catalog ~before ~after steps =
   | () -> Ok ()
   | exception Violation v -> Error v
 
-let check_physical_query ~phase catalog (pq : P.query) =
-  match check_physical { phase; catalog; step = None } pq.P.plan with
-  | () -> Ok ()
-  | exception Violation v -> Error v
-
 let certifier : Core.Pipeline.certifier =
- fun ~phase catalog target ->
-  let checked =
-    match target with
-    | Core.Pipeline.Cert_logical { before; after; steps } ->
-      check_logical ~phase catalog ~before ~after steps
-    | Core.Pipeline.Cert_physical pq -> check_physical_query ~phase catalog pq
-  in
-  Result.map_error to_string checked
+ fun ~phase catalog { before; after; steps } ->
+  Result.map_error to_string (check_logical ~phase catalog ~before ~after steps)
 
 let annotator : Core.Pipeline.annotator =
  fun catalog pq tree -> Props.annotate catalog pq.P.plan tree

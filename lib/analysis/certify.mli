@@ -30,12 +30,6 @@
     free variables ({b phase-free-vars}), and intersection of the
     {!Props}-inferred cardinality bounds ({b phase-bounds}).
 
-    Physical plans are certified against inferred properties: the §6
-    build-side restriction for a left-build hash nest join is discharged by
-    {!Props.key_of} — a {e proven} key of the whole right operand, strictly
-    generalizing the verifier's declared-scan-key check
-    ({b nestjoin-build-side}).
-
     Violations carry the phase, the rule, the step index within the phase
     (when a specific step is at fault) and the offending subplan. *)
 
@@ -44,7 +38,7 @@ type violation = {
   rule : string;   (** rewrite rule or obligation name *)
   step : int option;
       (** 0-based index into the phase's recorded steps; [None] for
-          whole-phase and physical obligations *)
+          whole-phase obligations *)
   detail : string;
   subplan : string;
 }
@@ -69,15 +63,10 @@ val check_logical :
   (unit, violation) result
 (** {!check_steps} plus the whole-phase obligations. *)
 
-val check_physical_query :
-  phase:string ->
-  Cobj.Catalog.t ->
-  Engine.Physical.query ->
-  (unit, violation) result
-
 val certifier : Core.Pipeline.certifier
-(** The hook implementation: dispatches on {!Core.Pipeline.cert_target} and
-    renders violations with {!to_string}. *)
+(** The hook implementation: {!check_logical} on a phase's
+    {!Core.Pipeline.cert_target}, with violations rendered by
+    {!to_string}. *)
 
 val install : unit -> unit
 (** Register {!certifier} with {!Core.Pipeline.set_certifier}, the

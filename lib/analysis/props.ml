@@ -315,11 +315,8 @@ let rec of_physical catalog plan =
 let of_plan catalog plan =
   of_physical catalog (Core.Planner.nested_loops_plan plan)
 
-(* The §6 build-side obligation, generalized from "declared key of a bare
-   scan" to "proven key of the whole right operand": a left-build hash
-   nest join streams the right side, so output stays grouped by left rows
-   only when each left row matches at most one right row — i.e. [rkey]
-   covers a candidate key of the right operand. *)
+(* Whether [key_expr] covers a proven candidate key of the operand: the
+   cost model's proven-key hint, which makes a join key's NDV exact. *)
 let key_of catalog plan key_expr = expr_is_key (of_physical catalog plan) key_expr
 
 (* --- rendering ----------------------------------------------------------- *)

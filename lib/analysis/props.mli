@@ -72,9 +72,8 @@ val paths_of_key_expr : Lang.Ast.expr -> string list option
 
 val key_of : Cobj.Catalog.t -> Engine.Physical.t -> Lang.Ast.expr -> bool
 (** [key_of catalog plan e] — does [e] cover a proven candidate key of
-    [plan]'s output? This is the §6 build-side obligation generalized from
-    "declared key of a bare scan" to "proven key of the whole operand"
-    (e.g. a filter or projection over a keyed scan keeps the key). *)
+    [plan]'s output? A declared key of a scan survives, e.g., a filter or
+    projection over it. {!Core.Cost} uses it as its proven-key hint. *)
 
 val key_strings : t -> string list
 (** Candidate keys rendered ["p1,p2"], for EXPLAIN ANALYZE annotations. *)

@@ -105,23 +105,6 @@ let check_label ctx sub what ll label =
 
 (* --- the plan walk ------------------------------------------------------- *)
 
-(* §6: building the hash nest join on the left (streaming the right) is only
-   sound when the right key is unique per right row — we require it to be a
-   declared key of the scanned right operand. *)
-let right_key_declared catalog right rkey =
-  match right with
-  | P.Scan { table; var } -> begin
-    match Cobj.Catalog.find table catalog with
-    | Some t -> begin
-      match (Cobj.Table.key t, rkey) with
-      | Some [ field ], Ast.Field (Ast.Var v, f) ->
-        String.equal v var && String.equal f field
-      | _, _ -> false
-    end
-    | None -> false
-  end
-  | _ -> false
-
 (* Returns the schema of output rows plus the set of variables this plan
    itself binds (plan-local: an Apply subquery is a fresh scope, so outer
    names may legitimately reappear inside it). A logical plan is walked as
@@ -182,35 +165,19 @@ let rec go ctx ambient plan : Typing.schema * Sset.t =
     | P.Keyed { by; lkey; rkey; residual } ->
       let rule =
         match by with
-        | P.Hash | P.Hash_left -> "hash-key-type"
+        | P.Hash -> "hash-key-type"
         | P.Sort _ -> "merge-key-type"
       in
       check_keys rule ls rs lkey rkey;
       check_residual merged residual);
-    let out =
-      match kind with
-      | P.Inner | P.Outer -> (merged, Sset.union ll rl)
-      (* right bindings must not escape a semijoin *)
-      | P.Semi _ -> (ls, ll)
-      | P.Nest { func; label } ->
-        let tf = infer_under ctx sub merged "nest join function" func in
-        check_label ctx sub "nest join" ll label;
-        (extend ls [ (label, Ctype.TSet tf) ], Sset.add label ll)
-    in
-    (match kind, how with
-    | P.Nest _, P.Keyed { by = P.Hash_left; rkey; _ } ->
-      if not (right_key_declared ctx.catalog right rkey) then
-        viol ctx "nestjoin-build-side" sub
-          "hash nest join may only build on the left when the right key %s \
-           is a declared key of the scanned right operand (§6: otherwise \
-           streamed right rows cannot regroup by left row)"
-          (Lang.Pretty.to_string rkey)
-    | (P.Inner | P.Semi _ | P.Outer), P.Keyed { by = P.Hash_left; _ } ->
-      viol ctx "nestjoin-build-side" sub
-        "only a nest join may build on the left (§6: every other join \
-         kind streams its left operand)"
-    | _, (P.Loop _ | P.Keyed { by = P.Hash | P.Sort _; _ }) -> ());
-    out
+    (match kind with
+    | P.Inner | P.Outer -> (merged, Sset.union ll rl)
+    (* right bindings must not escape a semijoin *)
+    | P.Semi _ -> (ls, ll)
+    | P.Nest { func; label } ->
+      let tf = infer_under ctx sub merged "nest join function" func in
+      check_label ctx sub "nest join" ll label;
+      (extend ls [ (label, Ctype.TSet tf) ], Sset.add label ll))
   | P.Unnest_op { expr; var; input } ->
     let s, l = go ctx ambient input in
     let elt =

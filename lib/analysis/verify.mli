@@ -29,15 +29,9 @@
       re-run as a backstop — any residual disagreement surfaces as rule
       {b schema}.
 
-    Physical plans are additionally checked for:
-
-    - keyed join comparability — the two key expressions
-      must have a common type under {!Cobj.Ctype.join} ({b hash-key-type},
-      {b merge-key-type});
-    - the paper's §6 build-side restriction: a left-build hash join (build
-      on the left, stream the right) is only sound under a nest join, and
-      only when the right key is a declared key of the scanned right
-      operand ({b nestjoin-build-side}).
+    Physical plans are additionally checked for keyed join comparability:
+    the two key expressions must have a common type under
+    {!Cobj.Ctype.join} ({b hash-key-type}, {b merge-key-type}).
 
     Under a phase named ["shred"] or ["shred-plan"] a query must also stay
     in the flat fragment: no nest join, nest or apply ({b shred-flat}).

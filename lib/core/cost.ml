@@ -286,22 +286,6 @@ let compare_weight = 0.1
 
 let rec cost catalog plan =
   let c = cost catalog and n = pcard catalog in
-  (* probe side + weighted build side: what every hash join pays on top
-     of producing its operands *)
-  let hash_work ~probe ~build = n probe +. (build_weight *. n build) in
-  (* A right-build hash join: a cached build runs no scan and costs one
-     pass over its table when cold, nothing when warm. *)
-  let right_build left right =
-    match P.cached_build plan with
-    | Some (table, _, field) ->
-      let build =
-        match Cobj.Catalog.find table catalog with
-        | Some t when Engine.Exec.is_cached t field -> 0.0
-        | _ -> table_card catalog table
-      in
-      c left +. n left +. build
-    | None -> c left +. c right +. hash_work ~probe:left ~build:right
-  in
   match plan with
   | P.Unit_row -> 1.0
   | P.Scan { table; _ } -> table_card catalog table
@@ -316,10 +300,19 @@ let rec cost catalog plan =
   | P.Join { kind; how = P.Keyed { by; residual; _ }; left; right } -> (
     let work =
       match by with
-      | P.Hash -> right_build left right
-      | P.Hash_left ->
-        (* §6 variant: the build side is the left operand *)
-        c left +. c right +. hash_work ~probe:right ~build:left
+      | P.Hash -> (
+        (* A hash join pays its probe side plus its weighted build side on
+           top of producing its operands; a cached build runs no scan and
+           costs one pass over its table when cold, nothing when warm. *)
+        match P.cached_build plan with
+        | Some (table, _, field) ->
+          let build =
+            match Cobj.Catalog.find table catalog with
+            | Some t when Engine.Exec.is_cached t field -> 0.0
+            | _ -> table_card catalog table
+          in
+          c left +. n left +. build
+        | None -> c left +. c right +. (n left +. (build_weight *. n right)))
       | P.Sort P.Eq ->
         c left +. c right
         +. (n left *. log2 (n left))

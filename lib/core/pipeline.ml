@@ -65,13 +65,11 @@ let verify_default () =
 
 (* --- translation validation (the certifier hook) ------------------------ *)
 
-type cert_target =
-  | Cert_logical of {
-      before : Plan.query;
-      after : Plan.query;
-      steps : Steps.step list;
-    }
-  | Cert_physical of Engine.Physical.query
+type cert_target = {
+  before : Plan.query;
+  after : Plan.query;
+  steps : Steps.step list;
+}
 
 type certifier =
   phase:string -> Cobj.Catalog.t -> cert_target -> (unit, string) result
@@ -131,9 +129,7 @@ let logical_of ~check ~cert ~cert_on ~rewrite ~reorder strategy catalog
       else (phase name (fun () -> f q0), [])
     in
     let* () = check ~phase:name (Logical q) in
-    let* () =
-      cert ~phase:name (Cert_logical { before = q0; after = q; steps })
-    in
+    let* () = cert ~phase:name { before = q0; after = q; steps } in
     Ok q
   in
   match strategy with
@@ -249,9 +245,7 @@ let compile ?options ?(rewrite = true) ?(reorder = true) ?verify ?certify
         in
         let* () =
           match physical with
-          | Some pq ->
-            let* () = check ~phase:"plan" (Physical pq) in
-            cert ~phase:"plan" (Cert_physical pq)
+          | Some pq -> check ~phase:"plan" (Physical pq)
           | None -> Ok ()
         in
         let* shredded =

@@ -84,27 +84,22 @@ val verify_default : unit -> bool
     {e certified}: while the phase runs, every applied rewrite is recorded
     as a [(rule, before, after)] step ({!Steps}), and the registered
     certifier discharges per-rule proof obligations over the steps plus
-    whole-phase obligations over the before/after queries. Physical plans
-    are certified against inferred plan properties (the §6 nest-join
-    build-side legality via proven keys). Like the verifier, the certifier
-    lives in [analysis] ([Analysis.Certify.install]) and [core] only
-    defines the hook. *)
+    whole-phase obligations over the before/after queries. Like the
+    verifier, the certifier lives in [analysis]
+    ([Analysis.Certify.install]) and [core] only defines the hook. *)
 
-type cert_target =
-  | Cert_logical of {
-      before : Algebra.Plan.query;  (** phase input *)
-      after : Algebra.Plan.query;   (** phase output *)
-      steps : Steps.step list;      (** rewrites applied, in order *)
-    }
-  | Cert_physical of Engine.Physical.query
+type cert_target = {
+  before : Algebra.Plan.query;  (** phase input *)
+  after : Algebra.Plan.query;   (** phase output *)
+  steps : Steps.step list;      (** rewrites applied, in order *)
+}
 
 type certifier =
   phase:string -> Cobj.Catalog.t -> cert_target -> (unit, string) result
 (** Certified phases: ["decorrelate"], ["simplify"], ["rewrite"],
-    ["reorder"] (per fixpoint round), ["nestjoin-as-outerjoin"]
-    ([Cert_logical]), and ["plan"] ([Cert_physical]). The intentionally
-    COUNT-buggy baselines (kim / ganski-wong / muralikrishna) are verified
-    but not certified. A certification failure aborts compilation with the
+    ["reorder"] (per fixpoint round) and ["nestjoin-as-outerjoin"]. The
+    intentionally COUNT-buggy baselines (kim / ganski-wong /
+    muralikrishna) are verified but not certified. A certification failure aborts compilation with the
     hook's message. *)
 
 val set_certifier : certifier option -> unit

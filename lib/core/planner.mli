@@ -8,16 +8,13 @@
     inequality between the operands ({!Kim.band_split}) offers the band of
     the sort family ([Sort Lt|Le|Gt|Ge]) against the loop, which
     [Force_merge] forces and [Force_hash] cannot take; otherwise the
-    nested loop is the only legal choice. Only the commutative inner join also tries the hash join with
-    its operands swapped. Every hash join builds on its {b right} operand,
-    which keeps a nest join's output grouped by left rows (§6); the
-    planner never emits the left-build variant
-    ({!Engine.Physical.Hash_left}), whose right key must be a declared key
-    of the right operand — the verifier and the certifier enforce that
-    rule on plans built by hand. A hash candidate
-    whose right operand is a bare base-table scan keyed on a plain field
-    probes a cached build ({!Engine.Physical.cached_build}), which
-    {!Cost.cost} prices at one table pass when cold and nothing when warm.
+    nested loop is the only legal choice. Only the commutative inner join
+    also tries the hash join with its operands swapped. Every hash join
+    builds on its {b right} operand, which keeps a nest join's output
+    grouped by left rows (§6). A hash candidate whose right operand is a
+    bare base-table scan keyed on a plain field probes a cached build
+    ({!Engine.Physical.cached_build}), which {!Cost.cost} prices at one
+    table pass when cold and nothing when warm.
 
     Uncorrelated Apply subqueries are always memoized (they are constants of
     the ambient environment); correlated ones keep naive re-evaluation unless

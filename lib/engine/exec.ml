@@ -328,16 +328,6 @@ let key_pair catalog lkey rkey =
     (composite_keyer catalog lf, composite_keyer catalog rf, composite_hash lf)
   | _ -> (plain_keyer catalog lkey, plain_keyer catalog rkey, Value.hash)
 
-(* Residual of the row-at-a-time left-build nest join, compiled once per
-   operator; an evaluation counts into the sink it is given. *)
-let residual_check catalog = function
-  | None -> fun _ _ -> true
-  | Some pred ->
-    let f = Compile.pred catalog pred in
-    fun (st : Stats.t) merged ->
-      st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
-      f merged
-
 (* --- morsel-driven probes --------------------------------------------- *)
 
 (* Probe rows from which a keyed join under [jobs > 1] runs its probe
@@ -1261,9 +1251,9 @@ and exec_timed fr catalog env plan =
   | Batches _ | Rows _ -> ());
   out
 
-(* One arm per operator, and for a join one per method — the nested loop,
-   the keyed probe loop by hash or sort, the §6 left build: the single
-   implementation of each [(kind, how)] pair. Output rows (in order) and
+(* One arm per operator, and for a join one per method — the nested loop
+   or the keyed probe loop by hash or sort: the single implementation of
+   each [(kind, how)] pair. Output rows (in order) and
    every [Stats] counter are identical at any [jobs] and any batch width.
    Columnar expression kernels that miss or raise fall back to the
    row-compiled closures, replayed in row order; with [Compile] disabled
@@ -1307,12 +1297,7 @@ and exec fr catalog env plan =
         (Batch.of_tuples ~size:fr.batch names env
            (List.sort_uniq Value.compare (List.rev !acc)))
     | P.Join
-        {
-          kind;
-          how = P.Keyed { by = (P.Hash | P.Sort _) as by; lkey; rkey; residual };
-          left;
-          right;
-        } ->
+        { kind; how = P.Keyed { by; lkey; rkey; residual }; left; right } ->
       keyed_join fr catalog env plan ~by ~kind ~lkey ~rkey ~residual left right
     | P.Unit_row -> Rows [ env ]
     | P.Join { kind; how = P.Loop { pred }; left; right } ->
@@ -1354,78 +1339,6 @@ and exec fr catalog env plan =
           List.map
             (fun l -> Env.bind label (Value.set (matches funcfn l)) l)
             lrows)
-    | P.Join
-        {
-          kind = P.Nest { func; label };
-          how = P.Keyed { by = P.Hash_left; lkey; rkey; residual };
-          left;
-          right;
-        } ->
-      (* Streaming right against a left build table: emits a group as soon
-         as a right row matches, so it is only correct when [rkey] is unique
-         on the right input (§6). Dangling left rows flush at the end. *)
-      let lkeyfn = Compile.expr catalog lkey in
-      let rkeyfn = Compile.expr catalog rkey in
-      let rok = residual_check catalog residual stats in
-      let funcfn = Compile.expr catalog func in
-      let lrows = rows_fr (c0 fr) catalog env left in
-      let table = Htbl.create 256 in
-      let filter =
-        if fr.bloom then Some (Bloom.create (List.length lrows)) else None
-      in
-      List.iter
-        (fun l ->
-          stats.Stats.hash_builds <- stats.Stats.hash_builds + 1;
-          let k = hkey (lkeyfn l) in
-          Option.iter (fun f -> Bloom.add f k.Hkey.h) filter;
-          Htbl.replace table k
-            (l :: (try Htbl.find table k with Not_found -> [])))
-        lrows;
-      let matched : (Env.t * Env.t list) list ref = ref [] in
-      let matched_keys = Vtbl.create 256 in
-      let own_r = own right in
-      rows_fr (c1 fr) catalog env right
-      |> List.iter (fun r ->
-             let k = hkey (rkeyfn r) in
-             let r = own_r r in
-             stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-             let pruned =
-               match filter with
-               | None -> false
-               | Some f ->
-                 stats.Stats.bloom_checks <- stats.Stats.bloom_checks + 1;
-                 not (Bloom.mem f k.Hkey.h)
-             in
-             if pruned then
-               stats.Stats.bloom_prunes <- stats.Stats.bloom_prunes + 1
-             else
-               match Htbl.find_opt table k with
-               | None -> ()
-               | Some ls ->
-                 List.iter
-                   (fun l ->
-                     let merged = Env.append r l in
-                     if rok merged then begin
-                       matched := (l, [ merged ]) :: !matched;
-                       Vtbl.replace matched_keys (Env.to_value l) ()
-                     end)
-                   ls);
-      let emitted =
-        List.rev_map
-          (fun (l, merged) ->
-            Env.bind label (Value.set (List.map funcfn merged)) l)
-          !matched
-      in
-      let dangling =
-        List.filter_map
-          (fun l ->
-            if Vtbl.mem matched_keys (Env.to_value l) then None
-            else Some (Env.bind label (Value.Set []) l))
-          lrows
-      in
-      Rows (emitted @ dangling)
-    | P.Join { how = P.Keyed { by = P.Hash_left; _ }; _ } ->
-      invalid_arg "Exec: a left-build hash join must be a nest join (§6)"
     | P.Unnest_op { expr; var; input } ->
       let exprfn = Compile.expr catalog expr in
       Rows
@@ -1566,7 +1479,7 @@ and keyed_join fr catalog env plan ~by ~kind ~lkey ~rkey ~residual left right
       ( false,
         keyed (if empty then fun _ _ -> Value.Null else lkeyer) lb,
         band_table ?names ~empty cmp rkeyer rb )
-    | (P.Hash | P.Hash_left), P.Inner, None ->
+    | P.Hash, P.Inner, None ->
       let rb = batches_fr (c1 fr) catalog env right in
       let swap = Batch.live_total rb > nl in
       if swap then
@@ -1579,7 +1492,7 @@ and keyed_join fr catalog env plan ~by ~kind ~lkey ~rkey ~residual left right
         keyed probe_key probe_b,
         hash_batches fr ~names:(P.vars_of build_plan) ~hash build_key build_b
       )
-    | (P.Hash | P.Hash_left), _, _ ->
+    | P.Hash, _, _ ->
       ( false,
         keyed lkeyer lb,
         build_table fr catalog env plan ~nprobe:nl ~names ~hash right rkeyer )

@@ -3,16 +3,7 @@
     Evaluation is oracle-faithful: for every physical plan [p] obtained from
     a logical plan [l], [rows] agrees with [Algebra.Sem.rows] on [l] up to
     row order (tests enforce this). Work counters are collected into an
-    optional {!Stats.t}.
-
-    {b Caveat} (§6 of the paper, exercised by the build-side bench): a
-    nest join keyed by {!Physical.Hash_left} streams the right operand
-    against a left-side build table and is only correct when the right key
-    expression is unique on the right input. The planner never emits it;
-    the verifier and the certifier reject it without that precondition.
-    Run directly without it, it produces un-grouped (wrong) output, which
-    is the point of the experiment. Any other join kind keyed by
-    [Hash_left] raises [Invalid_argument]. *)
+    optional {!Stats.t}. *)
 
 val rows :
   ?stats:Stats.t ->

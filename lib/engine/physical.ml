@@ -9,7 +9,7 @@ type kind =
   | Nest of { func : expr; label : string }
 
 type cmp = Eq | Lt | Le | Gt | Ge
-type keyed = Hash | Sort of cmp | Hash_left
+type keyed = Hash | Sort of cmp
 
 type how =
   | Loop of { pred : expr }
@@ -25,12 +25,12 @@ let binop_of_cmp = function
 let join_pred = function
   | Loop { pred } -> pred
   | Keyed { by; lkey; rkey; residual } ->
-    let cmp = match by with Sort cmp -> cmp | Hash | Hash_left -> Eq in
+    let cmp = match by with Sort cmp -> cmp | Hash -> Eq in
     Lang.Ast.conj
       (Lang.Ast.Binop (binop_of_cmp cmp, lkey, rkey) :: Option.to_list residual)
 
 let equi_keys = function
-  | Keyed { by = Hash | Hash_left | Sort Eq; lkey; rkey; _ } -> Some (lkey, rkey)
+  | Keyed { by = Hash | Sort Eq; lkey; rkey; _ } -> Some (lkey, rkey)
   | Keyed { by = Sort (Lt | Le | Gt | Ge); _ } | Loop _ -> None
 
 type t =
@@ -128,7 +128,7 @@ let join_name kind how =
   let family =
     match how with
     | Loop _ -> "nl"
-    | Keyed { by = Hash | Hash_left; _ } -> "hash"
+    | Keyed { by = Hash; _ } -> "hash"
     | Keyed { by = Sort _; _ } -> "merge"
   in
   let op =
@@ -139,10 +139,7 @@ let join_name kind how =
     | Outer -> "outerjoin"
     | Nest _ -> "nestjoin"
   in
-  let side =
-    match how with Keyed { by = Hash_left; _ } -> "(build=left)" | _ -> ""
-  in
-  family ^ "-" ^ op ^ side
+  family ^ "-" ^ op
 
 let join_detail kind how ppf =
   (match how with
@@ -150,7 +147,7 @@ let join_detail kind how ppf =
   | Keyed { by; lkey; rkey; residual } ->
     let op =
       match by with
-      | Hash | Hash_left | Sort Eq -> "="
+      | Hash | Sort Eq -> "="
       | Sort Lt -> "<"
       | Sort Le -> "<="
       | Sort Gt -> ">"

@@ -12,11 +12,9 @@
     The paper's implementation notes (§6) are reflected here: the hash nest
     join always builds on the right operand — output must stay grouped by
     left rows, so the left side cannot be the build table unless the join
-    attribute is a key of the right operand. That special case,
-    {!Hash_left}, is legal only under a nest join, and only with such a
-    key. The planner never emits it: such a right operand is a bare keyed
-    scan, whose cached right build is never dearer. The build-side bench
-    and the tests build it by hand.
+    attribute is a key of the right operand. Every keyed join here builds
+    on the right; the build-side experiment (E5, [bench/experiments.ml])
+    keeps its own left build to show what the restriction prevents.
 
     A physical plan is the paper's logical algebra with a method attached
     to each join: {!to_logical} erases the methods, and
@@ -46,9 +44,6 @@ type keyed =
       (** sort the right operand on its key and search it: [Sort Eq] also
           sorts the left and reads each key's equal run; a band reads the
           prefix or suffix of right rows whose keys compare so *)
-  | Hash_left
-      (** build the left operand, stream the right: requires [rkey] to be a
-          key of the right operand, and a nest join (§6) *)
 
 type how =
   | Loop of { pred : expr }  (** nested loop over every pair *)
@@ -59,8 +54,8 @@ val join_pred : how -> expr
     key comparison [lkey op rkey] conjoined with its residual. *)
 
 val equi_keys : how -> (expr * expr) option
-(** [Some (lkey, rkey)] for a keyed method that matches equal keys: hash,
-    left build or [Sort Eq]. A band and a nested loop have none. *)
+(** [Some (lkey, rkey)] for a keyed method that matches equal keys: hash
+    or [Sort Eq]. A band and a nested loop have none. *)
 
 type t =
   | Unit_row  (** one row binding nothing (the ambient environment) *)

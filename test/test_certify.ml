@@ -1,7 +1,7 @@
 (* The rewrite certifier: mutation tests (each hand-broken rewrite step is
    caught by its specific rule, with the phase and step index preserved),
-   the §6 build-side proof obligation in both directions, the whole-phase
-   obligations, and a property that a random query corpus certifies clean
+   the whole-phase obligations, the proven keys behind the cost model's
+   key hint, and a property that a random query corpus certifies clean
    under every strategy with the EXPLAIN ANALYZE bounds cross-check armed. *)
 
 open Helpers
@@ -166,20 +166,7 @@ let test_phase_disjoint_bounds () =
        ~after:{ Plan.plan = Plan.Unit; result = parse "1" }
        [])
 
-(* --- §6 build-side obligation, both directions --------------------------- *)
-
-let test_nestjoin_build_side_unproven () =
-  (* helpers' Y declares no key, so y.c is not a proven key of the right
-     operand: building the hash nest join on the left is illegal *)
-  expect_rule ~phase:"plan" ~rule:"nestjoin-build-side"
-    (C.check_physical_query ~phase:"plan" catalog
-       {
-         P.plan =
-           keyed_join P.Hash_left (P.Nest { func = parse "y.d"; label = "g" })
-             (parse "x.b") (parse "y.c") (P.Scan { table = "X"; var = "x" })
-             (P.Scan { table = "Y"; var = "y" });
-         result = parse "x.a";
-       })
+(* --- proven keys -------------------------------------------------------- *)
 
 let keyed_catalog =
   let k_elt = Cobj.Ctype.ttuple [ ("id", Cobj.Ctype.TInt); ("v", Cobj.Ctype.TInt) ] in
@@ -191,27 +178,17 @@ let keyed_catalog =
       Cobj.Table.create ~name:"L" ~elt:k_elt [ krow 1 1; krow 2 2 ];
     ]
 
-let test_nestjoin_build_side_proven_through_filter () =
-  (* the §6 upgrade: the right operand is a *filter* over the keyed scan,
-     which the verifier's declared-scan-key special case cannot justify —
-     the property inference proves the key survives the selection *)
-  match
-    C.check_physical_query ~phase:"plan" keyed_catalog
-      {
-        P.plan =
-          keyed_join P.Hash_left (P.Nest { func = parse "k.v"; label = "g" })
-            (parse "l.id") (parse "k.id") (P.Scan { table = "L"; var = "l" })
-            (P.Filter
-               {
-                 pred = parse "k.v > 0";
-                 input = P.Scan { table = "K"; var = "k" };
-               });
-        result = parse "l.id";
-      }
-  with
-  | Ok () -> ()
-  | Error v ->
-    Alcotest.failf "proven-key build side rejected: %s" (C.to_string v)
+let test_key_proven_through_filter () =
+  (* K declares the key id and a selection keeps it; L declares none *)
+  let key_of plan e = Analysis.Props.key_of keyed_catalog plan (parse e) in
+  let filtered =
+    P.Filter
+      { pred = parse "k.v > 0"; input = P.Scan { table = "K"; var = "k" } }
+  in
+  Alcotest.(check bool) "k.id over a filter" true (key_of filtered "k.id");
+  Alcotest.(check bool) "k.v" false (key_of filtered "k.v");
+  Alcotest.(check bool) "l.id over keyless L" false
+    (key_of (P.Scan { table = "L"; var = "l" }) "l.id")
 
 (* --- real compilations certify ------------------------------------------- *)
 
@@ -394,10 +371,8 @@ let suite =
       test_phase_type_change;
     Alcotest.test_case "phase moves the proven bounds" `Quick
       test_phase_disjoint_bounds;
-    Alcotest.test_case "unproven nest-join build side rejected (§6)" `Quick
-      test_nestjoin_build_side_unproven;
     Alcotest.test_case "proven key through a filter accepted (§6)" `Quick
-      test_nestjoin_build_side_proven_through_filter;
+      test_key_proven_through_filter;
     Alcotest.test_case "fixed queries certify under every strategy" `Quick
       test_fixed_queries_certify;
     Alcotest.test_case "a join proves the same facts by every method" `Quick

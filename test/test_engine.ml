@@ -164,42 +164,6 @@ let nestjoin_residual_test =
           sy );
     ]
 
-(* Left-build hash nest join: legal when the right key is unique. Join Y
-   (non-unique b) against X on the unique X id to exercise it. *)
-let test_nestjoin_left_build_legal () =
-  List.iter
-    (fun (cname, catalog) ->
-      let logical =
-        Plan.Nestjoin
-          { pred = parse "y.b = x.id"; func = parse "x.a"; label = "zs";
-            left = y; right = x }
-      in
-      let physical =
-        keyed_join P.Hash_left (P.Nest { func = parse "x.a"; label = "zs" })
-          (parse "y.b") (parse "x.id") sy sx
-      in
-      check_against_oracle ("left-build legal/" ^ cname) catalog logical
-        physical)
-    catalogs
-
-(* With a non-unique right key the streaming left-build variant produces
-   un-grouped output — the §6 restriction. Witness the disagreement. *)
-let test_nestjoin_left_build_illegal () =
-  let catalog =
-    Workload.Gen.xy
-      { Workload.Gen.default_xy with key_dom = 3; nx = 10; ny = 30; seed = 11 }
-  in
-  let logical = Plan.Nestjoin { pred; func; label = "zs"; left = x; right = y } in
-  let physical =
-    keyed_join P.Hash_left (P.Nest { func; label = "zs" }) lkey rkey sx sy
-  in
-  let expected = Sem.rows catalog Env.empty logical in
-  let got = canonical (Exec.rows catalog Env.empty physical) in
-  Alcotest.check Alcotest.bool
-    "streaming left-build diverges when rkey is not a key" false
-    (List.length expected = List.length got
-     && List.for_all2 Env.equal expected got)
-
 let test_apply_and_memo () =
   List.iter
     (fun (cname, catalog) ->
@@ -298,10 +262,6 @@ let suite =
     Alcotest.test_case "outerjoin impls" `Quick outerjoin_test;
     Alcotest.test_case "nestjoin impls" `Quick nestjoin_test;
     Alcotest.test_case "nestjoin with residual" `Quick nestjoin_residual_test;
-    Alcotest.test_case "left-build nestjoin (legal)" `Quick
-      test_nestjoin_left_build_legal;
-    Alcotest.test_case "left-build nestjoin (illegal diverges)" `Quick
-      test_nestjoin_left_build_illegal;
     Alcotest.test_case "apply plain and memoized" `Quick test_apply_and_memo;
     Alcotest.test_case "memoization hits counted" `Quick test_memo_hits_counted;
     Alcotest.test_case "unnest/nest/extend/project" `Quick
@@ -460,7 +420,7 @@ let suite =
         test_shadowed_join_variable;
     ]
 
-(* --- 16 pairs the planner emits, plus the left build by hand ------------- *)
+(* --- the 20 pairs the planner emits ---------------------------------- *)
 
 (* The forced-method differential's catalogs: a quarter of X dangling, or
    all of it. *)
@@ -480,9 +440,7 @@ let nest_src =
    left key is the set [x.s], the join with a good and a bad key, and a
    query the join answers — its source, and the physical query around the
    join. The pairs join X x to Y y on [x.b = y.b + 0], the computed key
-   keeping the build out of the cache, and the bands on [x.b > y.b + 0];
-   the left build needs a key of its right operand, so it nests X into Y
-   on [y.b = x.id]. *)
+   keeping the build out of the cache, and the bands on [x.b > y.b + 0]. *)
 let join_pairs =
   let lkey = parse "x.b" and rkey = parse "y.b + 0" and bad = parse "x.s" in
   let pred = parse "x.b = y.b + 0" and bad_pred = parse "x.s = y.b + 0" in
@@ -536,16 +494,6 @@ let join_pairs =
   let g = P.Nest { func = parse "y.a"; label = "g" } in
   let keys = "[x.b = y.b + 0]" in
   let groups = keys ^ " func=y.a label=g" in
-  let build_left =
-    let g = P.Nest { func = parse "x.a"; label = "g" } in
-    let join rkey = keyed_join P.Hash_left g (parse "y.b") rkey sy sx in
-    ( ("hash-nestjoin(build=left)", "[y.b = x.id] func=x.a label=g"),
-      "hash-key-type",
-      (join (parse "x.id"), join (parse "x.s")),
-      ( "SELECT (i = y.id, g = (SELECT x.a FROM X x WHERE x.id = y.b)) FROM Y \
-         y",
-        over "(i = y.id, g = g)" ) )
-  in
   [
     (("nl-join", keys), "ill-typed", loop P.Inner, inner);
     (("hash-join", keys), "hash-key-type", keyed P.Hash P.Inner, inner);
@@ -570,7 +518,6 @@ let join_pairs =
       "merge-key-type",
       band g,
       band_nest );
-    build_left;
   ]
 
 let test_join_pairs () =
@@ -607,40 +554,10 @@ let test_join_pairs () =
         pair_catalogs)
     join_pairs
 
-(* Only a nest join may build on the left (§6): on every other kind the
-   verifier and the certifier refuse it, though the right key is a key. *)
-let test_build_left_needs_nest () =
-  let catalog = snd (List.hd pair_catalogs) in
-  List.iter
-    (fun kind ->
-      let join =
-        keyed_join P.Hash_left kind (parse "y.b") (parse "x.id") sy sx
-      in
-      let query = { P.plan = join; result = parse "y.id" } in
-      let name = fst (Engine.Analyze.label join) in
-      let rule = "nestjoin-build-side" in
-      (match
-         Analysis.Verify.check_physical_query ~phase:"plan" catalog query
-       with
-      | Ok () -> Alcotest.failf "%s passes the verifier" name
-      | Error v ->
-        Alcotest.(check string) (name ^ ": verifier rule") rule
-          v.Analysis.Verify.rule);
-      match
-        Analysis.Certify.check_physical_query ~phase:"plan" catalog query
-      with
-      | Ok () -> Alcotest.failf "%s passes the certifier" name
-      | Error v ->
-        Alcotest.(check string) (name ^ ": certifier rule") rule
-          v.Analysis.Certify.rule)
-    [ P.Inner; P.Semi { anti = false }; P.Semi { anti = true }; P.Outer ]
-
 let suite =
   suite
   @ [
       Alcotest.test_case "every (kind, how) pair" `Quick test_join_pairs;
-      Alcotest.test_case "build-left needs a nest join" `Quick
-        test_build_left_needs_nest;
     ]
 
 (* --- band joins against the nested loop -------------------------------- *)

@@ -1,5 +1,4 @@
-(* Physical planner tests: implementation selection, forced modes, and the
-   §6 build-side restriction at planning level. *)
+(* Physical planner tests: implementation selection and forced modes. *)
 
 open Helpers
 module Plan = Algebra.Plan
@@ -173,32 +172,6 @@ let test_multi_key_join () =
   Alcotest.check Alcotest.int "cardinality" (List.length expected)
     (List.length got)
 
-let test_left_build_requires_key () =
-  (* §6: the left build is legal only when the right key is a declared key
-     of the scanned right operand, as x.id is; but then the right build is
-     cached and never dearer, so the planner emits no left build, keyed or
-     not, under any mode that prices a hash join *)
-  List.iter
-    (fun (what, pred) ->
-      let nest =
-        Plan.Nestjoin
-          { pred = parse pred; func = parse "x.a"; label = "g"; left = y;
-            right = x }
-      in
-      List.iter
-        (fun force ->
-          let options = { Core.Planner.default_options with force } in
-          Alcotest.check Alcotest.bool
-            ("no left build " ^ what)
-            false
-            (find_op
-               (function
-                 | P.Join { how = P.Keyed { by = P.Hash_left; _ }; _ } -> true
-                 | _ -> false)
-               (Core.Planner.plan ~options catalog nest)))
-        Core.Planner.[ Auto; Force_hash ])
-    [ ("keyed on x.id", "y.b = x.id"); ("keyed on x.b", "y.b = x.b") ]
-
 let test_uncorrelated_apply_memoized () =
   let sub =
     { Plan.plan = Plan.Select { pred = parse "y.b = 3"; input = y };
@@ -371,8 +344,6 @@ let suite =
     Alcotest.test_case "forced modes agree" `Quick test_force_modes;
     Alcotest.test_case "residual extraction" `Quick test_residual_extracted;
     Alcotest.test_case "composite keys" `Quick test_multi_key_join;
-    Alcotest.test_case "left-build requires a key" `Quick
-      test_left_build_requires_key;
     Alcotest.test_case "uncorrelated apply memoized" `Quick
       test_uncorrelated_apply_memoized;
     Alcotest.test_case "memo_applies option" `Quick

@@ -54,19 +54,6 @@ let test_project_missing_var () =
   expect_rule ~phase:"decorrelate" ~rule:"project-unbound"
     (check (Plan.Project { vars = [ "ghost" ]; input = scan_x }))
 
-let test_wrong_nestjoin_build_side () =
-  (* helpers' Y declares no key, so building the hash nest join on the left
-     violates the §6 restriction *)
-  expect_rule ~phase:"plan" ~rule:"nestjoin-build-side"
-    (V.check_physical_query ~phase:"plan" catalog
-       {
-         P.plan =
-           keyed_join P.Hash_left (P.Nest { func = parse "y.d"; label = "g" })
-             (parse "x.b") (parse "y.c") (P.Scan { table = "X"; var = "x" })
-             (P.Scan { table = "Y"; var = "y" });
-         result = parse "x.a";
-       })
-
 let test_duplicate_binding () =
   expect_rule ~phase:"translate" ~rule:"duplicate-binding"
     (V.check_query ~phase:"translate" catalog
@@ -275,8 +262,6 @@ let suite =
       test_shadowed_nestjoin_label;
     Alcotest.test_case "project references missing variable" `Quick
       test_project_missing_var;
-    Alcotest.test_case "nest join built on the wrong side (§6)" `Quick
-      test_wrong_nestjoin_build_side;
     Alcotest.test_case "duplicate binding across join operands" `Quick
       test_duplicate_binding;
     Alcotest.test_case "non-boolean predicate" `Quick
